@@ -37,6 +37,11 @@ class InformationMap:
     ``fn(nature_value, actions) -> hashable`` that must only depend on the
     actions played before that stage.  Labels are tagged with the stage index
     so that labels from different stages never collide.
+
+    Prefer tokens: a token stage is checked for peeking statically and
+    compiled by the engine to array gathers, while a callable stage is
+    probed history by history, which costs O(n·L²·A) label calls on n
+    histories of L stages with A actions each.
     """
 
     def __init__(self, stages, name: str = ""):
@@ -152,7 +157,9 @@ def enumerate_reachable(game: ProductGame, info: InformationMap, validate: bool 
 
     Legality is judged through the action count of the stage label.  When
     ``validate`` is set, labels are checked to ignore the action entries at
-    their own stage and later (maps peeking at the future are rejected).
+    their own stage and later (maps peeking at the future are rejected):
+    token stages statically by ``check_token_stages``, callable stages by
+    flipping each such entry of every history, O(n·L²·A) label calls.
     """
     if info.num_stages != game.num_stages:
         raise ValueError("information map and game disagree on stage count")
@@ -160,7 +167,6 @@ def enumerate_reachable(game: ProductGame, info: InformationMap, validate: bool 
     out = []
     for w in game.nature:
         prefix = [0] * L
-        stack = [(0,)]
 
         def extend(depth):
             if depth == L:
@@ -175,14 +181,43 @@ def enumerate_reachable(game: ProductGame, info: InformationMap, validate: bool 
 
         extend(0)
     if validate:
+        check_token_stages(game, info)
         _check_suffix_independence(game, info, out)
     return out
 
 
-def _check_suffix_independence(game, info, histories):
+def _peek_error(i: int, j: int) -> WellPosednessViolation:
+    return WellPosednessViolation(
+        f"stage-{i} label depends on the action at stage {j}")
+
+
+def check_token_stages(game: ProductGame, info: InformationMap):
+    """Static suffix-independence verdict for the token stages of ``info``.
+
+    A token stage i peeks if and only if it reveals ``("action", j)`` for a
+    stage j >= i with at least two legal actions (a negative j counts from
+    the end, as in the label).  Flipping that action changes the label on
+    every history, so the per-history probe would fail on the first one;
+    this raises the same error, smallest i then smallest j, without
+    computing a label.  Callable stages are not judged here.
+    """
     L = game.num_stages
+    for i, tokens in enumerate(info.revealed):
+        if tokens is None:
+            continue
+        peeked = [j % L for kind, j in tokens
+                  if kind == "action" and -L <= j < L and j % L >= i
+                  and game.stage_actions[j % L] >= 2]
+        if peeked:
+            raise _peek_error(i, min(peeked))
+
+
+def _check_suffix_independence(game, info, histories):
+    """The per-history probe, run over the callable stages only."""
+    L = game.num_stages
+    stages = [i for i in range(L) if info.revealed[i] is None]
     for h in histories:
-        for i in range(L):
+        for i in stages:
             base = info.label(i, h.nature, h.actions)
             for j in range(i, L):
                 acts = list(h.actions)
@@ -191,9 +226,7 @@ def _check_suffix_independence(game, info, histories):
                         continue
                     acts[j] = a
                     if info.label(i, h.nature, tuple(acts)) != base:
-                        raise WellPosednessViolation(
-                            f"stage-{i} label depends on the action at stage {j}"
-                        )
+                        raise _peek_error(i, j)
                 acts[j] = h.actions[j]
 
 

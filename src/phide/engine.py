@@ -8,14 +8,28 @@ indices for each map.  Every exact-enumeration computation in the library
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from .core import BehavioralPolicy, InformationMap, ProductGame, enumerate_reachable
+from .core import (BehavioralPolicy, InformationMap, ProductGame,
+                   check_token_stages, enumerate_reachable)
 
 
 class Tables:
+    """A game's reachable histories, enumerated with ``maps[0]``, and the
+    per-stage labels of every map added.
+
+    With ``validate`` set, ``maps[0]`` is checked for peeking in full, and
+    the token stages of every later map statically when it is added.
+    Callable stages of maps added after the first are not probed.  Token
+    stages compile to array gathers with one label call per distinct label;
+    callable stages cost one label call per history.
+    """
+
     def __init__(self, game: ProductGame, *maps: InformationMap, validate: bool = True):
         self.game = game
+        self.validate = validate
         self.histories = enumerate_reachable(game, maps[0], validate=validate)
         n = len(self.histories)
         L = game.num_stages
@@ -50,23 +64,43 @@ class Tables:
     def add_map(self, info: InformationMap) -> int:
         if id(info) in self._map_ids:
             return self._map_ids[id(info)]
-        game = self.game
-        per_stage_labels, per_stage_idx = [], []
-        for i in range(game.num_stages):
+        if self.validate:
+            check_token_stages(self.game, info)
+        labels, idx = zip(*(self._stage_labels(info, i)
+                            for i in range(self.game.num_stages)))
+        self._map_ids[id(info)] = len(self.maps)
+        self.maps.append(info)
+        self.labels.append(list(labels))
+        self.label_idx.append(list(idx))
+        return self._map_ids[id(info)]
+
+    def _stage_labels(self, info: InformationMap, i: int):
+        """Stage-i labels in first-seen order and each history's index."""
+        tokens = info.revealed[i]
+        if tokens is None:
             seen: dict = {}
             idx = np.empty(len(self.histories), dtype=np.int64)
             for k, h in enumerate(self.histories):
-                g = info.label(i, h.nature, h.actions)
-                if g not in seen:
-                    seen[g] = len(seen)
-                idx[k] = seen[g]
-            per_stage_labels.append(list(seen))
-            per_stage_idx.append(idx)
-        self._map_ids[id(info)] = len(self.maps)
-        self.maps.append(info)
-        self.labels.append(per_stage_labels)
-        self.label_idx.append(per_stage_idx)
-        return self._map_ids[id(info)]
+                idx[k] = seen.setdefault(info.label(i, h.nature, h.actions),
+                                         len(seen))
+            return list(seen), idx
+        # One integer column per token; equal rows are equal labels.
+        cols = np.empty((len(self.histories), len(tokens)), dtype=np.int64)
+        for c, (kind, j) in enumerate(tokens):
+            if kind == "action":
+                cols[:, c] = self.action_cols[:, j]
+            else:
+                codes: dict = {}
+                per_w = [codes.setdefault(w[j], len(codes))
+                         for w in self.game.nature]
+                cols[:, c] = np.array(per_w, dtype=np.int64)[self.nature_idx]
+        _, first, inverse = np.unique(cols, axis=0, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        labels = [info.label(i, *self.histories[k]) for k in first[order]]
+        return labels, rank[inverse.reshape(-1)]  # numpy 2.0.0 gives [n, 1]
 
     def map_index(self, info: InformationMap) -> int:
         return self.add_map(info)
@@ -150,17 +184,21 @@ class Tables:
         return self.expect(q, self.rewards[:, player])
 
 
-_cache: dict = {}
+# id(game) -> the game's Tables.  The game holds its Tables (attribute
+# ``_tables``), so an entry lives exactly as long as its game.  Keying weakly
+# on the game alone would never evict, since every Tables holds its game.
+_cache: weakref.WeakValueDictionary[int, Tables] = weakref.WeakValueDictionary()
 
 
 def tables_for(game: ProductGame, *maps: InformationMap) -> Tables:
-    """Engine cache keyed by object identity; games and maps are immutable."""
-    key = (id(game),)
-    if key not in _cache:
-        _cache[key] = Tables(game, maps[0])
-    t = _cache[key]
-    if t.game is not game:  # id reuse after gc
-        t = _cache[key] = Tables(game, maps[0])
+    """The game's cached Tables, enumerated with the first map it was asked
+    for, with ``maps`` added.  Games and maps are immutable, so identity is
+    the key.  Token stages of every map are checked for peeking; callable
+    stages only in the map the Tables was enumerated with."""
+    t = _cache.get(id(game))
+    if t is None:
+        t = _cache[id(game)] = Tables(game, maps[0])
+        object.__setattr__(game, "_tables", t)  # ProductGame is frozen
     for m in maps:
         t.add_map(m)
     return t

@@ -25,9 +25,32 @@ from .zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
 COLUMNS = ("run", "seed", "t", "expected_payoff_projected", "penalty_mass",
            "sum_pos_local_regret", "lambda_t")
 
+# Every key the harness reads; any other key is a typo and is rejected.
+CONFIG_KEYS = ("algorithm", "iterations", "repeats", "seed", "game", "learner",
+               "eta", "randomize_init", "mode", "coarse_map", "fine_map",
+               "schedule", "lambda", "target", "factor", "quantiles",
+               "threshold", "prox_mode")
+GAME_KEYS = ("name", "n", "m", "seed")
+
+
+def _reject_unknown_keys(record: dict, known: tuple, where: str):
+    for key in record:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key {key!r}; known keys: "
+                              f"{', '.join(known)}")
+
+
+def _map(maps: dict, config, key: str, default: str):
+    name = config.get(key, default)
+    if name not in maps:
+        raise ConfigError(f"unknown {key} {name!r}; available maps: "
+                          f"{', '.join(maps)}")
+    return maps[name]
+
 
 def load_game(spec: dict):
     """Returns (game, {map name: map}) from a config game record."""
+    _reject_unknown_keys(spec, GAME_KEYS, "game")
     name = spec.get("name")
     if name == "matching_pennies":
         return build_matching_pennies()
@@ -64,7 +87,7 @@ def _one_run(config, game, maps, seed: int):
     eta = config.get("eta")
     randomize = bool(config.get("randomize_init", False))
     mode = config.get("mode", "exact")
-    coarse = maps[config.get("coarse_map", "original")]
+    coarse = _map(maps, config, "coarse_map", "original")
 
     if algo == "cfr":
         run = CfrRun(game, coarse, learner=learner, eta=eta, seed=seed,
@@ -73,7 +96,7 @@ def _one_run(config, game, maps, seed: int):
             run.iterate()
         return run.trace
 
-    fine = maps[config.get("fine_map", "relaxed")]
+    fine = _map(maps, config, "fine_map", "relaxed")
     if algo == "ph":
         run = PhRun(game, coarse, fine, schedule=_schedule(config),
                     learner=learner, eta=eta, seed=seed,
@@ -122,7 +145,9 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
 
 def run_experiment(config: dict) -> dict:
     """Executes ``repeats`` independent seeded runs and returns records plus
-    a summary; see COLUMNS for the per-iteration record fields."""
+    a summary; see COLUMNS for the per-iteration record fields.  Keys
+    outside CONFIG_KEYS and GAME_KEYS raise ConfigError."""
+    _reject_unknown_keys(config, CONFIG_KEYS, "config")
     master = int(os.environ.get("PHIDE_SEED", config.get("seed", 0)))
     repeats = int(config.get("repeats", 1))
     game, maps = load_game(_require(config, "game"))

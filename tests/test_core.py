@@ -1,11 +1,18 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from phide import engine
 from phide.core import (BehavioralPolicy, History, InformationMap,
                         ProductGame, enumerate_reachable, floored,
                         random_policy, uniform_policy)
+from phide.engine import Tables, tables_for
 from phide.errors import IllegalSupport, WellPosednessViolation
-from phide.zoo import build_matching_pennies, build_trade_comm
+from phide.serialize import game_from_json, game_to_json
+from phide.zoo import (TradeCommSpec, build_matching_pennies,
+                       build_trade_comm, random_game)
 
 
 def test_history_fields():
@@ -116,3 +123,99 @@ def test_policy_local_lookup():
     pol = uniform_policy(g, maps["original"])
     vec = pol.local(1, (0,), (1, 0))
     assert np.allclose(vec, [1 / 3] * 3)
+
+
+def _callable_twin(stages):
+    """The same labels as the token map ``stages``, as opaque callables."""
+    def make(tokens):
+        return lambda w, a: tuple(w[j] if kind == "nature" else a[j]
+                                  for kind, j in tokens)
+
+    return InformationMap([make(t) for t in stages])
+
+
+def _verdict(game, info):
+    try:
+        enumerate_reachable(game, info)
+    except WellPosednessViolation as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _reference_labels(t, info):
+    """Per-history labels in first-seen order, straight from ``info.label``."""
+    labels, idx = [], []
+    for i in range(t.game.num_stages):
+        seen = {}
+        idx.append(np.array([seen.setdefault(info.label(i, *h), len(seen))
+                             for h in t.histories]))
+        labels.append(list(seen))
+    return labels, idx
+
+
+def _assert_labels_match_reference(t, info):
+    m = t.map_index(info)
+    labels, idx = _reference_labels(t, info)
+    assert t.labels[m] == labels
+    for got, want in zip(t.labels[m], labels):
+        assert [type(g) for g in got] == [type(w) for w in want]
+    for got, want in zip(t.label_idx[m], idx):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_token_verdict_and_labels_match_per_history_probe():
+    rng = np.random.default_rng(3)
+    outcomes = {"raised": 0, "passed": 0}
+    for seed in range(60):
+        game, _, _ = random_game(seed, max_nature=3, max_actions=3)
+        L = game.num_stages
+        for _ in range(3):
+            stages = []
+            for i in range(L):
+                tokens = []
+                for _ in range(int(rng.integers(0, 4))):
+                    if rng.random() < 0.3:
+                        tokens.append(("nature", int(rng.integers(-1, 1))))
+                    elif rng.random() < 0.7 and i > 0:
+                        tokens.append(("action", int(rng.integers(0, i))))
+                    else:  # may peek; negative j counts from the end
+                        tokens.append(("action", int(rng.integers(-L, L))))
+                stages.append(tokens)
+            info = InformationMap(stages)
+            verdict = _verdict(game, info)
+            assert verdict == _verdict(game, _callable_twin(stages))
+            outcomes["raised" if verdict else "passed"] += 1
+            if verdict is None:
+                _assert_labels_match_reference(Tables(game, info), info)
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_tables_labels_match_per_history_reference():
+    for game, maps in (build_matching_pennies(), build_trade_comm(),
+                       build_trade_comm(TradeCommSpec(3, 2))):
+        game2, maps2 = game_from_json(game_to_json(game, maps))
+        for g, ms in ((game, maps), (game2, maps2)):
+            t = Tables(g, *ms.values())
+            for info in ms.values():
+                _assert_labels_match_reference(t, info)
+
+
+def test_every_token_map_added_is_checked():
+    g, maps = build_matching_pennies()
+    t = Tables(g, maps["original"])
+    peek = InformationMap([[("nature", 0)], [("action", 0), ("action", 1)]])
+    with pytest.raises(WellPosednessViolation,
+                       match="stage-1 label depends on the action at stage 1"):
+        t.add_map(peek)
+    assert t.maps == [maps["original"]]
+
+
+def test_tables_cache_entry_dies_with_its_game():
+    g, maps = build_matching_pennies()
+    t = tables_for(g, maps["original"])
+    key, game_ref = id(g), weakref.ref(g)
+    assert engine._cache[key] is t
+    del g, t
+    gc.collect()
+    assert game_ref() is None
+    assert key not in engine._cache

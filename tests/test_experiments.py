@@ -63,6 +63,18 @@ def test_config_errors():
         run_experiment({**BASE, "algorithm": "dqn"})
     with pytest.raises(ConfigError):
         run_experiment({k: v for k, v in BASE.items() if k != "algorithm"})
+    with pytest.raises(ConfigError, match="unknown config key 'lamda'"):
+        run_experiment({**BASE, "algorithm": "ph", "fine_map": "relaxed",
+                        "lamda": 5})
+    with pytest.raises(ConfigError, match="unknown game key 'size'"):
+        run_experiment({**BASE, "game": {"name": "trade_comm", "size": 3}})
+    with pytest.raises(ConfigError, match="unknown coarse_map 'orignal'; "
+                       "available maps: original, relaxed"):
+        run_experiment({**BASE, "coarse_map": "orignal"})
+    with pytest.raises(ConfigError, match="unknown fine_map 'relaxed'; "
+                       "available maps: original, cheat, perfect_recall"):
+        run_experiment({**BASE, "game": {"name": "trade_comm"},
+                        "algorithm": "ph"})
 
 
 def test_summarize_single_run():
