@@ -261,13 +261,24 @@ class BehavioralPolicy:
 
 
 def uniform_policy(game: ProductGame, info: InformationMap) -> BehavioralPolicy:
+    """The uniform vector at every label of ``info`` on the reachable set.
+
+    Keys are ordered by the first reachable history carrying the label, then
+    by stage, as a walk over the histories and their stages meets them;
+    ``random_policy`` draws in this order.
+    """
+    from .engine import tables_for  # the engine builds on this module
+
+    t = tables_for(game, info)
+    m = t.map_index(info)
+    keys = []  # (first history, stage, label)
+    for i, idx in enumerate(t.label_idx[m]):
+        first = np.unique(idx, return_index=True)[1]
+        keys += zip(first.tolist(), [i] * len(first), t.labels[m][i])
     table = {}
-    for h in enumerate_reachable(game, info, validate=False):
-        for i in range(game.num_stages):
-            g = info.label(i, h.nature, h.actions)
-            if (i, g) not in table:
-                n = game.num_actions(i, g)
-                table[(i, g)] = np.full(n, 1.0 / n)
+    for _, i, g in sorted(keys, key=lambda k: k[:2]):
+        n = game.num_actions(i, g)
+        table[(i, g)] = np.full(n, 1.0 / n)
     return BehavioralPolicy(info, table)
 
 

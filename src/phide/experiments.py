@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .cfr import CfrRun
-from .core import BehavioralPolicy, uniform_policy
+from .core import random_policy, uniform_policy
 from .engine import tables_for
 from .errors import ConfigError
 from .hiding import PenaltySchedule, PhRun
@@ -60,6 +60,19 @@ def load_game(spec: dict):
         game, coarse, fine = random_game(spec.get("seed", 0))
         return game, {"coarse": coarse, "fine": fine}
     raise ConfigError(f"unknown game name {name!r}")
+
+
+def _integer(value, key: str, minimum: int) -> int:
+    """``value`` as an int, or a ConfigError naming ``key``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = None
+    if n is None or (isinstance(value, float) and n != value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if n < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {n}")
+    return n
 
 
 def _require(config, key, default=None):
@@ -116,11 +129,7 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
     t = problem._t
     rng = np.random.default_rng(seed)
     if config.get("randomize_init", False):
-        table = {}
-        mu = uniform_policy(game, fine)
-        for key, vec in mu.table.items():
-            table[key] = rng.dirichlet(np.ones(len(vec)))
-        mu = BehavioralPolicy(fine, table)
+        mu = random_policy(game, fine, rng)
     else:
         mu = uniform_policy(game, fine)
     mode = config.get("prox_mode", "backward_induction")
@@ -136,7 +145,7 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
             pen += float(np.sum(problem.weights[i] * np.sum(d * d, axis=1)))
         trace["payoff"].append(t.expect(q_gam, rewards))
         trace["penalty_mass"].append(pen)
-        trace["sum_pos_local"].append(0.0)
+        trace["sum_pos_local"].append(float("nan"))  # no local learners
         trace["lambda"].append(lam)
         gamma = t.to_policy(gam, coarse)
         mu = proximal_step(problem, gamma, start=mu, mode=mode)
@@ -146,10 +155,16 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
 def run_experiment(config: dict) -> dict:
     """Executes ``repeats`` independent seeded runs and returns records plus
     a summary; see COLUMNS for the per-iteration record fields.  Keys
-    outside CONFIG_KEYS and GAME_KEYS raise ConfigError."""
+    outside CONFIG_KEYS and GAME_KEYS, and a seed, ``iterations`` or
+    ``repeats`` that is not an integer in range, raise ConfigError before
+    the game is built."""
     _reject_unknown_keys(config, CONFIG_KEYS, "config")
-    master = int(os.environ.get("PHIDE_SEED", config.get("seed", 0)))
-    repeats = int(config.get("repeats", 1))
+    if "PHIDE_SEED" in os.environ:
+        master = _integer(os.environ["PHIDE_SEED"], "PHIDE_SEED", 0)
+    else:
+        master = _integer(config.get("seed", 0), "seed", 0)
+    repeats = _integer(config.get("repeats", 1), "repeats", 1)
+    _integer(_require(config, "iterations"), "iterations", 1)
     game, maps = load_game(_require(config, "game"))
     seeds = [int(s) for s in np.random.SeedSequence(master).generate_state(repeats)]
     records = []

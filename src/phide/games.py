@@ -1,5 +1,5 @@
 """Operations on games in product form: playouts, pushforwards, expectations,
-policy surgery, and the exhaustive best-response oracle."""
+policy surgery, and the exact best-response oracle."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 from .core import BehavioralPolicy, History, InformationMap, ProductGame
 from .engine import tables_for
 from .errors import EnumerationTooLarge, IllegalSupport, WellPosednessViolation
+from .infomaps import has_perfect_recall
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -90,17 +91,91 @@ def modify_policy(policy: BehavioralPolicy, stage: int, local) -> BehavioralPoli
 def best_response_value(game: ProductGame, info: InformationMap, player: int,
                         fixed: BehavioralPolicy = None, *,
                         cap: int = DEFAULT_ENUM_CAP, reward_fn=None,
-                        return_policy: bool = False):
+                        values=None, return_policy: bool = False):
     """Exact max over deterministic implementable policies of ``player``.
 
-    Other players follow ``fixed`` (may be randomized).  The search assigns
-    actions to information labels lazily, so only labels reachable under the
-    current partial assignment are branched on; a deterministic best response
-    exists because the objective is linear in each local component.
+    Other players follow ``fixed`` (may be randomized); a deterministic best
+    response exists because the objective is linear in each local component.
+    ``reward_fn(history) -> float`` overrides the player's game reward, and
+    ``values`` does the same with one number per history of
+    ``tables_for(game, info).histories``, which lets the same maximization
+    bound arbitrary per-history criteria.
 
-    ``reward_fn(history) -> float`` overrides the player's game reward, which
-    lets the same enumeration bound arbitrary per-history criteria.
+    Two exact routes:
+
+    - when ``info`` has perfect recall for ``player``, backward induction
+      over the engine's arrays (behavioural strategies lose nothing there,
+      Kuhn 1953): O(n·L) on n reachable histories of L stages, with
+      ``reward_fn`` called once per history;
+    - otherwise a lazy search that assigns actions to information labels,
+      branching only on labels reachable under the current partial
+      assignment.  Its cost is exponential in the number of labels (the
+      problem is NP-hard without perfect recall, Koller & Megiddo 1992), and
+      it raises ``EnumerationTooLarge`` after ``cap`` leaf visits.  ``cap``
+      bounds only this search.
+
+    With ``return_policy`` the maximizing deterministic policy of ``player``
+    is returned too; the backward-induction route covers every label.
     """
+    t = tables_for(game, info)
+    if values is not None:
+        if reward_fn is not None:
+            raise ValueError("pass reward_fn or values, not both")
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(t.histories),):
+            raise ValueError(f"values must hold one entry per reachable "
+                             f"history ({len(t.histories)}), got shape "
+                             f"{values.shape}")
+    if has_perfect_recall(game, info, player):
+        if values is None:
+            values = (t.rewards[:, player] if reward_fn is None else
+                      np.array([float(reward_fn(h)) for h in t.histories]))
+        return _backward_induction(t, info, player, values, fixed,
+                                   return_policy)
+    if values is not None:
+        row = {h: k for k, h in enumerate(t.histories)}
+        reward_fn = lambda h: values[row[h]]
+    return _search(game, info, player, fixed, cap, reward_fn, return_policy)
+
+
+def _backward_induction(t, info, player, values, fixed, return_policy):
+    """Best response on a perfect-recall map, last own stage first.
+
+    Every other player's stage probability is applied up front, since it
+    weighs the histories an own label pools.  Perfect recall makes the
+    earlier own choices along a history a function of its label, so each
+    label's best action is independent of them.
+    """
+    game = t.game
+    own = game.stages_of(player)
+    val = t.nat_prob * values
+    others = [i for i in range(game.num_stages) if i not in own]
+    if others and fixed is None:
+        raise ValueError("fixed policies required for other players")
+    mx = t.map_index(fixed.info) if others else None
+    for i in others:
+        rows = np.array([fixed.table[(i, g)] for g in t.labels[mx][i]],
+                        dtype=float)
+        val = val * rows[t.label_idx[mx][i], t.action_cols[:, i]]
+    m = t.map_index(info)
+    best = {}
+    for i in reversed(own):
+        best[i] = np.argmax(t.segment_sum(val, m, i), axis=1)
+        val = np.where(t.action_cols[:, i] == best[i][t.label_idx[m][i]],
+                       val, 0.0)
+    value = float(val.sum())
+    if not return_policy:
+        return value
+    table = {}
+    for i in own:
+        onehot = np.eye(game.stage_actions[i])
+        for g, a in zip(t.labels[m][i], best[i]):
+            table[(i, g)] = onehot[a].copy()
+    return value, BehavioralPolicy(info, table)
+
+
+def _search(game, info, player, fixed, cap, reward_fn, return_policy):
+    """The lazy label-assignment search behind ``best_response_value``."""
     L = game.num_stages
     nodes = [0]
 
@@ -109,8 +184,6 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
         if reward_fn is not None:
             return float(reward_fn(h))
         return float(game.reward(w, h.actions)[player])
-
-    fixed_info = fixed.info if fixed is not None else None
 
     def go(jobs, j, assignment):
         """Max over completions of pending weighted prefixes jobs[j:]."""

@@ -280,8 +280,15 @@ def run_ph(game: ProductGame, coarse: InformationMap, fine: InformationMap,
 
 
 def regret_report(run: PhRun, *, cap: int = 2_000_000) -> dict:
-    """Local regrets, the enumerated lower bound on the auxiliary-game regret,
-    and the two bound checks (regret decomposition and penalty sizing)."""
+    """Local regrets, the lower bound on the auxiliary-game regret, and the
+    two bound checks (regret decomposition and penalty sizing).
+
+    The bound needs an exact best response on the relaxed map.  When that
+    map has perfect recall for the player (matching pennies' ``relaxed`` and
+    Trade Comm's ``perfect_recall``), it is exact and uncapped, by backward
+    induction; otherwise the label search is used and ``cap`` bounds it.
+    The bound is ``None`` when the search exceeds ``cap`` or the run kept no
+    history."""
     T = run.iteration
     if T == 0:
         raise ValueError("run has no iterations")
@@ -306,12 +313,9 @@ def regret_report(run: PhRun, *, cap: int = 2_000_000) -> dict:
         v_arr = T * t.rewards[:, run.player].copy()
         for i in run.stages:
             v_arr = v_arr - S[i][t.label_idx[run.mc][i], t.action_cols[:, i]]
-        v_of = {h: float(v) for h, v in zip(t.histories, v_arr)}
         try:
-            best_sum = best_response_value(
-                run.game, run.fine, run.player, cap=cap,
-                reward_fn=lambda h: v_of[h],
-            )
+            best_sum = best_response_value(run.game, run.fine, run.player,
+                                           cap=cap, values=v_arr)
             rt_lower = (best_sum - float(np.sum(run.trace["rho_mu"][:T]))) / T
             thm_holds = rt_lower <= sum_pos + 1e-9
         except EnumerationTooLarge:

@@ -99,6 +99,39 @@ def test_uniform_and_random_policies():
     assert not r.is_deterministic(tol=1e-3)
 
 
+def _uniform_reference(game, info):
+    """The uniform table built by walking every reachable history."""
+    table = {}
+    for h in enumerate_reachable(game, info, validate=False):
+        for i in range(game.num_stages):
+            g = info.label(i, h.nature, h.actions)
+            if (i, g) not in table:
+                n = game.num_actions(i, g)
+                table[(i, g)] = np.full(n, 1.0 / n)
+    return table
+
+
+def test_uniform_and_random_policy_match_per_history_reference():
+    cases = [(g, m) for g, maps in (build_matching_pennies(),
+                                    build_trade_comm(),
+                                    build_trade_comm(TradeCommSpec(3, 2)))
+             for m in maps.values()]
+    for s in range(40):
+        game, coarse, fine = random_game(s)
+        cases += [(game, coarse), (game, fine)]
+    for k, (game, info) in enumerate(cases):
+        ref = _uniform_reference(game, info)
+        u = uniform_policy(game, info)
+        assert list(u.table) == list(ref)
+        assert all(np.array_equal(u.table[key], ref[key]) for key in ref)
+        r = random_policy(game, info, np.random.default_rng(k))
+        rng = np.random.default_rng(k)
+        assert list(r.table) == list(ref)
+        assert all(np.array_equal(r.table[key],
+                                  rng.dirichlet(np.ones(len(ref[key]))))
+                   for key in ref)
+
+
 def test_floored_full_support():
     g, maps = build_matching_pennies()
     pol = uniform_policy(g, maps["original"])

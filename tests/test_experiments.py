@@ -56,7 +56,7 @@ def test_all_algorithms_run():
         assert all(0.0 <= p <= 1.0 for p in tr["payoff"])
 
 
-def test_config_errors():
+def test_config_errors(monkeypatch):
     with pytest.raises(ConfigError):
         run_experiment({**BASE, "game": {"name": "chess"}})
     with pytest.raises(ConfigError):
@@ -75,6 +75,19 @@ def test_config_errors():
                        "available maps: original, cheat, perfect_recall"):
         run_experiment({**BASE, "game": {"name": "trade_comm"},
                         "algorithm": "ph"})
+    # integer settings are checked before the game is built: an unknown
+    # game name would raise a different message
+    chess = {**BASE, "game": {"name": "chess"}}
+    for key, bad, msg in (("iterations", 0, "at least 1"),
+                          ("iterations", -3, "at least 1"),
+                          ("iterations", 2.5, "an integer"),
+                          ("repeats", 0, "at least 1"),
+                          ("seed", "five", "an integer")):
+        with pytest.raises(ConfigError, match=f"^{key} must be {msg}"):
+            run_experiment({**chess, key: bad})
+    monkeypatch.setenv("PHIDE_SEED", "abc")
+    with pytest.raises(ConfigError, match="^PHIDE_SEED must be an integer"):
+        run_experiment(chess)
 
 
 def test_summarize_single_run():
@@ -126,6 +139,21 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     a = (out / "summary.csv").read_text()
     b = out2.read_text()
     assert a == b
+
+
+def test_rir_regret_column_is_not_applicable(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**BASE, "algorithm": "rir",
+                               "fine_map": "relaxed", "iterations": 4}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "runs.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert all(r.split(",")[5] == "nan" for r in rows)
+    out2 = tmp_path / "summary2.csv"
+    assert main(["summarize", "--runs", str(out / "runs.csv"),
+                 "--out", str(out2)]) == 0
+    assert out2.read_text() == (out / "summary.csv").read_text()
 
 
 def test_cli_seed_flag(tmp_path):

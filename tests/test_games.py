@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from phide.core import BehavioralPolicy, InformationMap, ProductGame, uniform_policy
+from phide.core import (BehavioralPolicy, InformationMap, ProductGame,
+                        random_policy, uniform_policy)
+from phide.engine import tables_for
 from phide.errors import (EnumerationTooLarge, IllegalSupport,
                           WellPosednessViolation)
-from phide.games import (best_response_value, check_well_posed, expectation,
-                         modify_policy, pushforward)
-from phide.zoo import build_matching_pennies, build_trade_comm
+from phide.games import (_search, best_response_value, check_well_posed,
+                         expectation, modify_policy, pushforward)
+from phide.infomaps import has_perfect_recall
+from phide.zoo import build_matching_pennies, build_trade_comm, random_game
 
 
 def det_policy(game, info, choice):
@@ -130,3 +136,83 @@ def test_best_response_with_fixed_opponent():
     assert abs(v - 1.25) < 1e-12
     with pytest.raises(ValueError):
         best_response_value(g, info, 0)
+
+
+def test_best_response_opponent_moving_first():
+    # the opponent's skewed mix precedes a stage that does not see it, so
+    # its weight must count when the player's label pools both histories
+    g = ProductGame(nature=((0,),), nature_probs=(1.0,), num_stages=2,
+                    max_actions=2, player_of_stage=(1, 0), stage_actions=(2, 2),
+                    reward_fn=lambda w, a: (float(a[0] == a[1]),) * 2,
+                    num_players=2)
+    info = InformationMap([[], []])
+    fixed = BehavioralPolicy(info, {(0, (0, ())): np.array([0.1, 0.9]),
+                                    (1, (1, ())): np.array([0.5, 0.5])})
+    assert has_perfect_recall(g, info, 0)
+    v, pol = best_response_value(g, info, 0, fixed=fixed, return_policy=True)
+    assert abs(v - 0.9) < 1e-12
+    assert np.array_equal(pol.table[(1, (1, ()))], [0.0, 1.0])
+    assert abs(_search(g, info, 0, fixed, 10**6, None, False) - v) < 1e-12
+
+
+def _expected(t, info, pol, fixed, values):
+    """Expected ``values`` when player 0 follows ``pol`` and every other
+    player ``fixed``."""
+    game = t.game
+    q = t.nat_prob.copy()
+    for i in range(game.num_stages):
+        src = pol if game.player_of_stage[i] == 0 else fixed
+        m = t.map_index(src.info)
+        rows = np.array([src.table[(i, g)] for g in t.labels[m][i]])
+        q = q * rows[t.label_idx[m][i], t.action_cols[:, i]]
+    return float(q @ values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 299), which=st.sampled_from(["coarse", "fine"]),
+       two_players=st.booleans(), use_reward_fn=st.booleans())
+def test_backward_induction_equals_search(seed, which, two_players,
+                                          use_reward_fn):
+    game, coarse, fine = random_game(seed)
+    info = coarse if which == "coarse" else fine
+    rng = np.random.default_rng(seed)
+    fixed = None
+    if two_players:
+        owner = tuple(int(p) for p in rng.integers(0, 2, game.num_stages))
+        game = dataclasses.replace(
+            game, player_of_stage=owner, num_players=2,
+            reward_fn=lambda w, a, f=game.reward_fn: f(w, a) * 2)
+        fixed = random_policy(game, info, rng)
+    if not has_perfect_recall(game, info, 0):
+        return
+    t = tables_for(game, info)
+    reward_fn = None
+    values = t.rewards[:, 0]
+    if use_reward_fn:
+        values = rng.uniform(-1.0, 1.0, len(t.histories))
+        row = {h: k for k, h in enumerate(t.histories)}
+
+        def reward_fn(h):
+            return values[row[h]]
+    v, pol = best_response_value(game, info, 0, fixed, reward_fn=reward_fn,
+                                 return_policy=True)
+    assert abs(v - _search(game, info, 0, fixed, 10**8, reward_fn,
+                           False)) <= 1e-12
+    assert abs(v - _expected(t, info, pol, fixed, values)) <= 1e-12
+    assert best_response_value(game, info, 0, fixed, values=values) == v
+
+
+def test_values_argument_on_both_routes():
+    g, maps = build_matching_pennies()
+    for name in ("original", "relaxed"):  # search, backward induction
+        t = tables_for(g, maps[name])
+        vals = np.linspace(-1.0, 1.0, len(t.histories))
+        row = {h: k for k, h in enumerate(t.histories)}
+        by_fn = best_response_value(g, maps[name], 0,
+                                    reward_fn=lambda h: vals[row[h]])
+        assert best_response_value(g, maps[name], 0, values=vals) == by_fn
+        with pytest.raises(ValueError):
+            best_response_value(g, maps[name], 0, values=vals[:-1])
+        with pytest.raises(ValueError):
+            best_response_value(g, maps[name], 0, values=vals,
+                                reward_fn=lambda h: 0.0)

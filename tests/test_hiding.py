@@ -7,7 +7,7 @@ from phide.engine import tables_for
 from phide.hiding import (PenaltySchedule, PhRun, local_reward_vector,
                           penalty_term, ph_iterate, regret_report, run_ph)
 from phide.infomaps import is_implementable
-from phide.zoo import build_matching_pennies, build_trade_comm
+from phide.zoo import TradeCommSpec, build_matching_pennies, build_trade_comm
 
 
 def test_schedule_kinds():
@@ -127,6 +127,20 @@ def test_regret_report_bounds_matching_pennies():
     assert rep["thm_bound_holds"]
     assert rep["prop_bound_holds"]
     assert rep["rT_lower_bound"] <= rep["sum_pos_local"] + 1e-9
+
+
+def test_regret_report_certifies_trade_comm_32():
+    # the label search needs more than 2e7 leaves on this relaxed map; with
+    # perfect recall the bound comes from backward induction, which no cap
+    # limits
+    g, m = build_trade_comm(TradeCommSpec(3, 2))
+    run = run_ph(g, m["original"], m["perfect_recall"], 60,
+                 schedule=PenaltySchedule("constant", 0.5), seed=11,
+                 randomize_init=True)
+    rep = regret_report(run, cap=1)
+    assert rep["rT_lower_bound"] is not None
+    assert rep["thm_bound_holds"]
+    assert rep["prop_bound_holds"]
 
 
 def test_regret_report_needs_history_for_the_bound():
