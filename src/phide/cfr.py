@@ -1,20 +1,38 @@
-"""Counterfactual regret minimization over a fixed information map.
+"""The solver loop: counterfactual regret minimization, with progressive
+hiding as its penalized, information-relaxed generalization.
 
-Exact-expectation mode enumerates the reachable set; the optional Monte
-Carlo mode does outcome sampling with a uniform exploration mix.  Runs are
-deterministic given the seed.
+One loop serves both solvers.  Learners live on a fine map; each step their
+iterate is projected onto a coarse map, and every learner observes its local
+counterfactual reward minus a linearized projection penalty.  ``CfrRun`` is
+the case with no relaxation: the fine map is the coarse one, so the
+projection is the identity and the penalty is zero, and the loop skips both.
+``hiding.PhRun`` is the general case.
+
+Exact mode enumerates the reachable set; the optional Monte Carlo mode does
+chance sampling: one Nature draw per iteration, and the exact update
+restricted to its slice.  Runs are deterministic given the seed.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import BehavioralPolicy, InformationMap, ProductGame
 from .engine import Tables, tables_for
 from .errors import ZeroReachLabel
+from .infomaps import project_matrices
 from .learners import LearnerBank
 
 EPS_FLOOR = 1e-6
+
+# Per-iteration trace of every run: payoff of the projected iterate, payoff
+# of the raw iterate, reach-weighted penalty, cumulative positive local
+# regret, penalty weight, and the penalized payoff payoff_mu - lambda *
+# penalty_mass.
+TRACE_KEYS = ("payoff", "payoff_mu", "penalty_mass", "sum_pos_local",
+              "lambda", "rho_mu")
 
 
 def floored_mats(mats, eps: float = EPS_FLOOR):
@@ -35,17 +53,25 @@ def make_banks(t: Tables, map_idx: int, stages, kind: str, eta, rng,
     return banks
 
 
-def counterfactual_matrix(t: Tables, map_idx: int, stage: int,
-                          qf: np.ndarray, pf_stage: np.ndarray,
-                          values: np.ndarray):
+def counterfactual_matrix(t: Tables, map_idx: int, stage: int, q: np.ndarray,
+                          pf_stage: np.ndarray, values: np.ndarray,
+                          sampled: bool = False):
     """Conditional forced-action expectations for every (label, action) of a
-    stage: entry [g, d] is E[values | label = g] with stage forced to d."""
-    mass = t.label_mass(qf, map_idx, stage)
-    if np.any(mass <= 0.0):
+    stage: entry [g, d] is E_q[values | label = g] with stage forced to d.
+
+    ``q`` holds per-history weights, the floored pushforward whose stage
+    factor is ``pf_stage``.  Sampled callers restrict ``q`` to the drawn
+    Nature slice; a label with no mass there gets a zero row.  Otherwise a
+    label with no mass raises ZeroReachLabel.  Returns (matrix, label mass).
+    """
+    mass = t.label_mass(q, map_idx, stage)
+    ok = mass > 0.0
+    if not sampled and not ok.all():
         raise ZeroReachLabel(f"zero conditioning mass at stage {stage}")
-    ratio = qf / pf_stage
-    num = t.segment_sum(ratio * values, map_idx, stage)
-    return num / mass[:, None], mass
+    num = t.segment_sum(q / pf_stage * values, map_idx, stage)
+    theta = np.zeros_like(num)
+    theta[ok] = num[ok] / mass[ok, None]
+    return theta, mass
 
 
 class RegretAccounting:
@@ -75,33 +101,81 @@ class RegretAccounting:
         return out
 
 
-class CfrRun:
-    def __init__(self, game: ProductGame, info: InformationMap, *,
-                 learner: str = "regret_matching", eta: float = None,
-                 seed: int = 0, randomize_init: bool = False,
-                 mode: str = "exact", player: int = 0):
+@dataclass
+class PenaltySchedule:
+    """Per-iteration penalty weight.
+
+    ``constant`` keeps the base value; ``ramp`` grows it linearly to the base
+    value over the horizon; ``controller`` multiplies it by ``factor`` when
+    the projected payoff exceeds ``target`` and divides otherwise
+    (experimental reconstruction, excluded from the guarantees).
+    """
+
+    kind: str = "constant"
+    value: float = 0.05
+    horizon: int = 0
+    target: float = 0.0
+    factor: float = 1.1
+    _state: float = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "ramp", "controller"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.value < 0:
+            raise ValueError("penalty weight must be nonnegative")
+
+    def reset(self):
+        self._state = self.value
+
+    def current(self, t: int) -> float:
+        """Weight for 1-based iteration t."""
+        if self.kind == "constant":
+            return self.value
+        if self.kind == "ramp":
+            T = max(self.horizon, 1)
+            return self.value * min(t, T) / T
+        return self._state
+
+    def update(self, projected_payoff: float):
+        if self.kind == "controller":
+            if projected_payoff > self.target:
+                self._state *= self.factor
+            else:
+                self._state /= self.factor
+
+
+class SolverLoop:
+    """Learners on ``fine``, projected each step onto ``coarse`` and fed
+    penalized local rewards.  With ``fine is coarse`` the projection is the
+    identity and the penalty zero, bit for bit, so both are skipped."""
+
+    def __init__(self, game: ProductGame, coarse: InformationMap,
+                 fine: InformationMap, stages, schedule: PenaltySchedule, *,
+                 learner: str, eta, seed: int, randomize_init: bool,
+                 mode: str, player: int):
         if mode not in ("exact", "mc"):
             raise ValueError("mode must be 'exact' or 'mc'")
         self.game = game
-        self.info = info
+        self.coarse = coarse
+        self.fine = fine
         self.player = player
         self.mode = mode
-        self.t = tables_for(game, info)
-        self.m = self.t.map_index(info)
+        self.schedule = schedule
+        self.schedule.reset()
+        self.t = tables_for(game, coarse, fine)
+        self.mf = self.t.map_index(fine)
+        self.mc = self.t.map_index(coarse)
+        self.stages = list(stages)
+        # fine -> coarse label index on the stages where fine refines coarse
+        self.f2c = {i: arr for i, arr in enumerate(self.t.refinement(fine, coarse))
+                    if arr is not None}
         self.rng = np.random.default_rng(seed)
-        self.stages = list(range(game.num_stages))
-        self.banks = make_banks(self.t, self.m, self.stages, learner, eta,
+        self.banks = make_banks(self.t, self.mf, self.stages, learner, eta,
                                 self.rng, randomize_init)
-        self.accounting = RegretAccounting(self.t, self.m, self.stages)
-        self.avg_num = {
-            i: np.zeros((len(self.t.labels[self.m][i]), game.stage_actions[i]))
-            for i in self.stages
-        }
-        self.avg_den = {i: np.zeros(len(self.t.labels[self.m][i]))
-                        for i in self.stages}
+        self.accounting = RegretAccounting(self.t, self.mf, self.stages)
         self.iteration = 0
-        self.trace = {"payoff": [], "penalty_mass": [], "sum_pos_local": [],
-                      "lambda": []}
+        self.projected = None  # coarse matrices of the latest iterate
+        self.trace = {k: [] for k in TRACE_KEYS}
 
     # ------------------------------------------------------------------
 
@@ -109,60 +183,123 @@ class CfrRun:
         return [self.banks[i].decide() for i in self.stages]
 
     def iterate(self):
-        """One CFR step; returns the iterate policy in matrix form."""
+        """One step; returns the projected iterate in matrix form."""
+        self.iteration += 1
+        lam = self.schedule.current(self.iteration)
         mats = self.current_mats()
-        if self.mode == "exact":
-            thetas = self._exact_thetas(mats)
-        else:
-            thetas = self._sampled_thetas(mats)
+        gam, q, pf = self._gamma_and_q(mats)
+        pen = self._penalty_cols(mats, gam)
+        if self.mode == "mc":
+            w_idx = self.rng.choice(len(self.game.nature), p=self.game.probs())
+            q = np.where(self.t.nature_idx == w_idx, q, 0.0)
+        thetas = self._local_rewards(mats, gam, q, pf, pen, lam)
         for i in self.stages:
             self.accounting.update(i, thetas[i], mats[i])
             self.banks[i].observe(thetas[i])
-        q_raw, _ = self.t.pushforward(mats, self.m)
-        self._update_average(mats, q_raw)
-        self.iteration += 1
-        self.trace["payoff"].append(
-            self.t.expect(q_raw, self.t.rewards[:, self.player]))
-        self.trace["penalty_mass"].append(0.0)
-        self.trace["sum_pos_local"].append(self.accounting.sum_pos())
-        self.trace["lambda"].append(0.0)
-        return mats
+        self._record(mats, gam, pen, lam)
+        self.projected = gam
+        return gam
 
-    def _exact_thetas(self, mats):
-        fl = floored_mats(mats)
-        qf, pf = self.t.pushforward(fl, self.m)
-        thetas = {}
-        for i in self.stages:
-            vals = self.t.rewards[:, self.game.player_of_stage[i]]
-            thetas[i], _ = counterfactual_matrix(self.t, self.m, i, qf, pf[i], vals)
-        return thetas
+    def _gamma_and_q(self, mats):
+        """Returns (projected mats, floored pushforward, its stage factors)."""
+        qf, pf = self.t.pushforward(floored_mats(mats), self.mf)
+        if self.fine is self.coarse:
+            return mats, qf, pf
+        gam = project_matrices(self.t, mats, self.mf, self.mc, qf,
+                               stages=self.stages)
+        return gam, qf, pf
 
-    def _sampled_thetas(self, mats):
-        """Chance sampling: draw one Nature state per episode and run the
-        exact update restricted to its reachable slice.  Labels with no mass
-        under the draw get a zero reward vector that episode."""
-        w_idx = self.rng.choice(len(self.game.nature), p=self.game.probs())
-        fl = floored_mats(mats)
-        qf, pf = self.t.pushforward(fl, self.m)
-        qm = np.where(self.t.nature_idx == w_idx, qf, 0.0)
-        thetas = {}
+    def _penalty_cols(self, mats, gam):
+        """Per-history squared local distance, one column per own stage."""
+        if gam is mats:
+            return {}
+        cols = {}
         for i in self.stages:
-            vals = self.t.rewards[:, self.game.player_of_stage[i]]
-            mass = self.t.label_mass(qm, self.m, i)
-            num = self.t.segment_sum((qm / pf[i]) * vals, self.m, i)
-            ok = mass > 0.0
-            theta = np.zeros_like(num)
-            theta[ok] = num[ok] / mass[ok, None]
+            diff = (mats[i][self.t.label_idx[self.mf][i]]
+                    - gam[i][self.t.label_idx[self.mc][i]])
+            cols[i] = np.sum(diff * diff, axis=1)
+        return cols
+
+    def _local_rewards(self, mats, gam, q, pf, pen, lam):
+        """Each stage owner's counterfactual reward less the later stages'
+        penalty, minus the linearized penalty of the stage itself."""
+        t, sampled = self.t, self.mode == "mc"
+        suffix = 0.0
+        thetas = {}
+        for i in reversed(self.stages):
+            vals = t.rewards[:, self.game.player_of_stage[i]]
+            if pen:
+                vals = vals - suffix
+                suffix = suffix + lam * pen[i]
+            theta, mass = counterfactual_matrix(t, self.mf, i, q, pf[i], vals,
+                                                sampled)
+            if pen:
+                if i in self.f2c:
+                    centre = gam[i][self.f2c[i]]
+                else:
+                    # conditional average of the projected probability of
+                    # the played action, per (label, action)
+                    played = gam[i][t.label_idx[self.mc][i], t.action_cols[:, i]]
+                    centre, _ = counterfactual_matrix(t, self.mf, i, q, pf[i],
+                                                      played, sampled)
+                lin = 2.0 * lam * (mats[i] - centre)
+                lin[mass <= 0.0] = 0.0
+                theta -= lin
             thetas[i] = theta
         return thetas
 
-    def _update_average(self, mats, q_raw):
-        for i in self.stages:
-            w = self.t.label_mass(q_raw, self.m, i)
-            self.avg_num[i] += w[:, None] * mats[i]
-            self.avg_den[i] += w
+    def _record(self, mats, gam, pen, lam):
+        """Appends one trace row; returns the raw iterate's pushforward."""
+        q_raw, _ = self.t.pushforward(mats, self.mf)
+        q_gam = q_raw if gam is mats else self.t.pushforward(gam, self.mc)[0]
+        rewards = self.t.rewards[:, self.player]
+        payoff = self.t.expect(q_gam, rewards)
+        payoff_mu = self.t.expect(q_raw, rewards)
+        pen_mass = float(q_raw @ sum(pen.values())) if pen else 0.0
+        self.trace["payoff"].append(payoff)
+        self.trace["payoff_mu"].append(payoff_mu)
+        self.trace["penalty_mass"].append(pen_mass)
+        self.trace["sum_pos_local"].append(self.accounting.sum_pos())
+        self.trace["lambda"].append(lam)
+        self.trace["rho_mu"].append(payoff_mu - lam * pen_mass)
+        self.schedule.update(payoff)
+        return q_raw
 
     # ------------------------------------------------------------------
+
+    def projected_policy(self) -> BehavioralPolicy:
+        if self.projected is None:
+            self.projected = self._gamma_and_q(self.current_mats())[0]
+        return self.t.to_policy(self.projected, self.coarse)
+
+    def current_policy(self) -> BehavioralPolicy:
+        return self.t.to_policy(self.current_mats(), self.fine)
+
+
+class CfrRun(SolverLoop):
+    """CFR on one map: the loop with no relaxation and no penalty.  Each
+    stage's learner is fed its owner's reward; the trace reports
+    ``player``'s payoff."""
+
+    def __init__(self, game: ProductGame, info: InformationMap, *,
+                 learner: str = "regret_matching", eta: float = None,
+                 seed: int = 0, randomize_init: bool = False,
+                 mode: str = "exact", player: int = 0):
+        super().__init__(game, info, info, range(game.num_stages),
+                         PenaltySchedule("constant", 0.0), learner=learner,
+                         eta=eta, seed=seed, randomize_init=randomize_init,
+                         mode=mode, player=player)
+        self.avg_num = {i: np.zeros_like(self.accounting.cum_theta[i])
+                        for i in self.stages}
+        self.avg_den = {i: np.zeros_like(self.accounting.cum_real[i])
+                        for i in self.stages}
+
+    def _record(self, mats, gam, pen, lam):
+        q_raw = super()._record(mats, gam, pen, lam)
+        for i in self.stages:
+            w = self.t.label_mass(q_raw, self.mf, i)
+            self.avg_num[i] += w[:, None] * mats[i]
+            self.avg_den[i] += w
 
     def average_policy(self) -> BehavioralPolicy:
         mats = []
@@ -173,10 +310,7 @@ class CfrRun:
             ok = den > 0
             rows[ok] = self.avg_num[i][ok] / den[ok, None]
             mats.append(rows)
-        return self.t.to_policy(mats, self.info)
-
-    def current_policy(self) -> BehavioralPolicy:
-        return self.t.to_policy(self.current_mats(), self.info)
+        return self.t.to_policy(mats, self.coarse)
 
 
 def counterfactual_rewards(game: ProductGame, info: InformationMap,
@@ -201,7 +335,7 @@ def counterfactual_rewards(game: ProductGame, info: InformationMap,
 def cfr_iterate(run: CfrRun):
     """One step of the run; returns the iterate policy."""
     mats = run.iterate()
-    return run.t.to_policy(mats, run.info)
+    return run.t.to_policy(mats, run.coarse)
 
 
 def run_cfr(game: ProductGame, info: InformationMap, iterations: int,

@@ -9,6 +9,7 @@ and the actions played before that stage.  Policies are tables from
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
@@ -98,8 +99,7 @@ class ProductGame:
     """Finite game in product form.
 
     ``reward_fn(nature_value, actions)`` returns one reward per player; in
-    team games all components are equal.  Action counts are per stage; a
-    label-dependent override can be supplied via ``actions_for_label``.
+    team games all components are equal.  Action counts are per stage.
     """
 
     nature: tuple
@@ -110,7 +110,6 @@ class ProductGame:
     stage_actions: tuple
     reward_fn: Callable
     num_players: int = 1
-    actions_for_label: Optional[Callable] = None
     name: str = ""
 
     def __post_init__(self):
@@ -132,11 +131,7 @@ class ProductGame:
                 raise ValueError("per-stage action counts must lie in [1, W]")
 
     def num_actions(self, stage: int, label=None) -> int:
-        if self.actions_for_label is not None and label is not None:
-            n = int(self.actions_for_label(stage, label))
-            if not 1 <= n <= self.max_actions:
-                raise ValueError("action count outside [1, W]")
-            return n
+        """Legal actions at ``stage``; the same for every label."""
         return self.stage_actions[stage]
 
     def probs(self) -> np.ndarray:
@@ -153,33 +148,19 @@ class ProductGame:
 
 
 def enumerate_reachable(game: ProductGame, info: InformationMap, validate: bool = True):
-    """All legal histories, lexicographic in (nature index, action entries).
+    """All histories, lexicographic in (nature index, action entries): the
+    product of the per-stage action ranges for each Nature state.
 
-    Legality is judged through the action count of the stage label.  When
-    ``validate`` is set, labels are checked to ignore the action entries at
-    their own stage and later (maps peeking at the future are rejected):
-    token stages statically by ``check_token_stages``, callable stages by
-    flipping each such entry of every history, O(n·L²·A) label calls.
+    When ``validate`` is set, labels are checked to ignore the action
+    entries at their own stage and later (maps peeking at the future are
+    rejected): token stages statically by ``check_token_stages``, callable
+    stages by flipping each such entry of every history, O(n·L²·A) label
+    calls.
     """
     if info.num_stages != game.num_stages:
         raise ValueError("information map and game disagree on stage count")
-    L = game.num_stages
-    out = []
-    for w in game.nature:
-        prefix = [0] * L
-
-        def extend(depth):
-            if depth == L:
-                out.append(History(w, tuple(prefix)))
-                return
-            g = info.label(depth, w, tuple(prefix))
-            n = game.num_actions(depth, g)
-            for a in range(n):
-                prefix[depth] = a
-                extend(depth + 1)
-            prefix[depth] = 0
-
-        extend(0)
+    plays = list(itertools.product(*(range(a) for a in game.stage_actions)))
+    out = [History(w, acts) for w in game.nature for acts in plays]
     if validate:
         check_token_stages(game, info)
         _check_suffix_independence(game, info, out)

@@ -32,7 +32,6 @@ class Tables:
         self.validate = validate
         self.histories = enumerate_reachable(game, maps[0], validate=validate)
         n = len(self.histories)
-        L = game.num_stages
         nat_index = {w: k for k, w in enumerate(game.nature)}
         self.nature_idx = np.array([nat_index[h.nature] for h in self.histories])
         self.action_cols = np.array([h.actions for h in self.histories], dtype=np.int64)
@@ -49,15 +48,6 @@ class Tables:
         self.label_idx: list[list[np.ndarray]] = []
         for m in maps:
             self.add_map(m)
-
-        # legal action count per stage must not depend on the label when the
-        # engine is used (padded-product invariant)
-        for i in range(L):
-            for g in self.labels[0][i]:
-                if game.num_actions(i, g) != game.stage_actions[i]:
-                    raise ValueError(
-                        "engine requires per-stage constant action counts"
-                    )
 
     # ------------------------------------------------------------------ maps
 
@@ -106,17 +96,16 @@ class Tables:
         return self.add_map(info)
 
     def refinement(self, fine: InformationMap, coarse: InformationMap):
-        """Per-stage array mapping fine label index -> coarse label index.
-
-        Only valid when ``fine`` is finer than ``coarse`` at that stage;
-        callers that allow non-refining relaxations must not use this.
-        """
+        """Per stage, the array mapping fine label index to coarse label
+        index, or ``None`` where ``fine`` does not refine ``coarse``: some
+        fine label holds histories of two coarse labels."""
         mf, mc = self.map_index(fine), self.map_index(coarse)
         out = []
         for i in range(self.game.num_stages):
+            fl, cl = self.label_idx[mf][i], self.label_idx[mc][i]
             arr = np.full(len(self.labels[mf][i]), -1, dtype=np.int64)
-            arr[self.label_idx[mf][i]] = self.label_idx[mc][i]
-            out.append(arr)
+            arr[fl] = cl
+            out.append(arr if np.array_equal(arr[fl], cl) else None)
         return out
 
     # -------------------------------------------------------------- policies

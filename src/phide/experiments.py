@@ -18,7 +18,8 @@ from .engine import tables_for
 from .errors import ConfigError
 from .hiding import PenaltySchedule, PhRun
 from .infomaps import project_matrices
-from .relaxation import RelaxationProblem, proximal_step
+from .relaxation import (RelaxationProblem, _centers_from_gamma, _penalty,
+                         proximal_step)
 from .zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                   random_game)
 
@@ -139,10 +140,7 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
         mats = t.matrices(mu)
         gam = project_matrices(t, mats, problem.mf, problem.mc, problem.q0)
         q_gam, _ = t.pushforward(gam, problem.mc)
-        pen = 0.0
-        for i in range(game.num_stages):
-            d = mats[i] - gam[i][problem.f2c[i]]
-            pen += float(np.sum(problem.weights[i] * np.sum(d * d, axis=1)))
+        pen = _penalty(problem, mats, _centers_from_gamma(problem, gam))
         trace["payoff"].append(t.expect(q_gam, rewards))
         trace["penalty_mass"].append(pen)
         trace["sum_pos_local"].append(float("nan"))  # no local learners

@@ -1,5 +1,5 @@
-"""Operations on games in product form: playouts, pushforwards, expectations,
-policy surgery, and the exact best-response oracle."""
+"""Operations on games in product form: well-posedness of deterministic
+profiles, policy surgery, and the exact best-response oracle."""
 
 from __future__ import annotations
 
@@ -49,22 +49,6 @@ def check_well_posed(game: ProductGame, info: InformationMap,
             )
         out[w] = History(w, found[0])
     return out
-
-
-def pushforward(game: ProductGame, info: InformationMap,
-                policy: BehavioralPolicy) -> dict:
-    """Distribution over reachable histories induced by Nature and the policy."""
-    t = tables_for(game, info, policy.info)
-    q, _ = t.pushforward(t.matrices(policy), t.map_index(policy.info))
-    return {h: float(p) for h, p in zip(t.histories, q)}
-
-
-def expectation(game: ProductGame, info: InformationMap,
-                policy: BehavioralPolicy, f) -> float:
-    t = tables_for(game, info, policy.info)
-    q, _ = t.pushforward(t.matrices(policy), t.map_index(policy.info))
-    vals = np.array([f(h) for h in t.histories])
-    return t.expect(q, vals)
 
 
 def modify_policy(policy: BehavioralPolicy, stage: int, local) -> BehavioralPolicy:

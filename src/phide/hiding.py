@@ -4,65 +4,19 @@ game with a projection penalty.
 Each iteration: every local learner on the relaxed map decides, the joint
 policy is projected onto the original map (epsilon-floored base), and every
 learner observes a penalized, linearized local reward vector.  The projected
-policy is implementable at every step by construction.
+policy is implementable at every step by construction.  ``PhRun`` runs the
+solver loop of ``cfr``, and records its trace keys; CFR is the case with the
+relaxed map equal to the original one and no penalty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .cfr import PenaltySchedule, SolverLoop
 from .core import BehavioralPolicy, InformationMap, ProductGame
-from .engine import Tables, tables_for
 from .errors import EnumerationTooLarge
 from .games import best_response_value
-from .cfr import (EPS_FLOOR, RegretAccounting, counterfactual_matrix,
-                  floored_mats, make_banks)
-from .infomaps import project_matrices
-
-
-@dataclass
-class PenaltySchedule:
-    """Per-iteration penalty weight.
-
-    ``constant`` keeps the base value; ``ramp`` grows it linearly to the base
-    value over the horizon; ``controller`` multiplies it by ``factor`` when
-    the projected payoff exceeds ``target`` and divides otherwise
-    (experimental reconstruction, excluded from the guarantees).
-    """
-
-    kind: str = "constant"
-    value: float = 0.05
-    horizon: int = 0
-    target: float = 0.0
-    factor: float = 1.1
-    _state: float = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "ramp", "controller"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("penalty weight must be nonnegative")
-
-    def reset(self):
-        self._state = self.value
-
-    def current(self, t: int) -> float:
-        """Weight for 1-based iteration t."""
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "ramp":
-            T = max(self.horizon, 1)
-            return self.value * min(t, T) / T
-        return self._state
-
-    def update(self, projected_payoff: float):
-        if self.kind == "controller":
-            if projected_payoff > self.target:
-                self._state *= self.factor
-            else:
-                self._state /= self.factor
 
 
 def penalty_term(lam: float, mu: BehavioralPolicy, gamma: BehavioralPolicy,
@@ -74,180 +28,34 @@ def penalty_term(lam: float, mu: BehavioralPolicy, gamma: BehavioralPolicy,
     return float(lam * np.dot(d, d))
 
 
-def _stage_refines(t: Tables, mf: int, mc: int, stage: int) -> bool:
-    fl, cl = t.label_idx[mf][stage], t.label_idx[mc][stage]
-    n = len(t.labels[mf][stage])
-    mn = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    mx = np.full(n, -1, dtype=np.int64)
-    np.minimum.at(mn, fl, cl)
-    np.maximum.at(mx, fl, cl)
-    return bool(np.all(mn == mx))
+class PhRun(SolverLoop):
+    """Progressive hiding on a team game: learners on ``fine``, projected
+    onto ``coarse``.  ``keep_history`` keeps each projected iterate, which
+    ``regret_report`` needs for its bound."""
 
-
-class PhRun:
     def __init__(self, game: ProductGame, coarse: InformationMap,
                  fine: InformationMap, *, schedule: PenaltySchedule = None,
                  learner: str = "regret_matching", eta: float = None,
                  seed: int = 0, randomize_init: bool = False,
                  mode: str = "exact", player: int = 0,
                  keep_history: bool = True):
-        if mode not in ("exact", "mc"):
-            raise ValueError("mode must be 'exact' or 'mc'")
-        self.game = game
-        self.coarse = coarse
-        self.fine = fine
-        self.player = player
-        self.mode = mode
-        self.keep_history = keep_history
-        self.schedule = schedule or PenaltySchedule()
-        self.schedule.reset()
-        self.t = tables_for(game, coarse, fine)
-        self.mf = self.t.map_index(fine)
-        self.mc = self.t.map_index(coarse)
-        self.stages = list(game.stages_of(player))
-        if self.stages != list(range(game.num_stages)):
+        stages = game.stages_of(player)
+        if list(stages) != list(range(game.num_stages)):
             raise NotImplementedError("progressive hiding runs on team games "
                                       "where one player owns every stage")
-        self.refines = {i: _stage_refines(self.t, self.mf, self.mc, i)
-                        for i in self.stages}
-        self.f2c = {}
-        for i in self.stages:
-            if self.refines[i]:
-                arr = np.full(len(self.t.labels[self.mf][i]), -1, dtype=np.int64)
-                arr[self.t.label_idx[self.mf][i]] = self.t.label_idx[self.mc][i]
-                self.f2c[i] = arr
-        self.rng = np.random.default_rng(seed)
-        self.banks = make_banks(self.t, self.mf, self.stages, learner, eta,
-                                self.rng, randomize_init)
-        self.accounting = RegretAccounting(self.t, self.mf, self.stages)
-        self.iteration = 0
-        self.projected = None  # coarse matrices of the latest gamma
-        self.trace = {"payoff": [], "payoff_mu": [], "penalty_mass": [],
-                      "sum_pos_local": [], "lambda": [], "rho_mu": []}
+        super().__init__(game, coarse, fine, stages,
+                         schedule or PenaltySchedule(), learner=learner,
+                         eta=eta, seed=seed, randomize_init=randomize_init,
+                         mode=mode, player=player)
+        self.refines = {i: i in self.f2c for i in self.stages}
+        self.keep_history = keep_history
         self.history = {"gammas": [], "lambdas": []}
 
-    # ------------------------------------------------------------------
-
-    def current_mats(self):
-        return [self.banks[i].decide() for i in self.stages]
-
-    def _gamma_and_q(self, mats):
-        """Project the iterate; returns (gamma mats, floored pushforward)."""
-        fl = floored_mats(mats, EPS_FLOOR)
-        qf, pf = self.t.pushforward(fl, self.mf)
-        gam = project_matrices(self.t, mats, self.mf, self.mc, qf,
-                               stages=self.stages)
-        return gam, qf, pf
-
-    def _penalty_cols(self, mats, gam):
-        """Per-history squared local distance, one column per own stage."""
-        cols = {}
-        for i in self.stages:
-            diff = (mats[i][self.t.label_idx[self.mf][i]]
-                    - gam[i][self.t.label_idx[self.mc][i]])
-            cols[i] = np.sum(diff * diff, axis=1)
-        return cols
-
-    def iterate(self):
-        self.iteration += 1
-        lam = self.schedule.current(self.iteration)
-        mats = self.current_mats()
-        gam, qf, pf = self._gamma_and_q(mats)
-        pen = self._penalty_cols(mats, gam)
-        if self.mode == "exact":
-            thetas = self._exact_thetas(mats, gam, qf, pf, pen, lam)
-        else:
-            thetas = self._sampled_thetas(mats, gam, qf, pf, pen, lam)
-        for i in self.stages:
-            self.accounting.update(i, thetas[i], mats[i])
-            self.banks[i].observe(thetas[i])
-        self._record(mats, gam, pen, lam)
-        self.projected = gam
-        return gam
-
-    def _exact_thetas(self, mats, gam, qf, pf, pen, lam):
-        rewards = self.t.rewards[:, self.player]
-        suffix = np.zeros(len(self.t.histories))
-        suffixes = {}
-        for i in reversed(self.stages):
-            suffixes[i] = suffix.copy()
-            suffix = suffix + lam * pen[i]
-        thetas = {}
-        for i in self.stages:
-            vals = rewards - suffixes[i]
-            base, mass = counterfactual_matrix(self.t, self.mf, i, qf, pf[i], vals)
-            if self.refines[i]:
-                lin = 2.0 * lam * (mats[i] - gam[i][self.f2c[i]])
-            else:
-                # conditional average of the projected vector at the played
-                # action, per (label, action)
-                played = gam[i][self.t.label_idx[self.mc][i],
-                                self.t.action_cols[:, i]]
-                g_avg = self.t.segment_sum((qf / pf[i]) * played, self.mf, i)
-                lin = 2.0 * lam * (mats[i] - g_avg / mass[:, None])
-            thetas[i] = base - lin
-        return thetas
-
-    def _sampled_thetas(self, mats, gam, qf, pf, pen, lam):
-        """Chance sampling mirroring the Monte Carlo CFR mode: one Nature
-        draw per episode, exact penalized update on its reachable slice."""
-        w_idx = self.rng.choice(len(self.game.nature), p=self.game.probs())
-        qm = np.where(self.t.nature_idx == w_idx, qf, 0.0)
-        rewards = self.t.rewards[:, self.player]
-        suffix = np.zeros(len(self.t.histories))
-        suffixes = {}
-        for i in reversed(self.stages):
-            suffixes[i] = suffix
-            suffix = suffix + lam * pen[i]
-        thetas = {}
-        for i in self.stages:
-            vals = rewards - suffixes[i]
-            mass = self.t.label_mass(qm, self.mf, i)
-            num = self.t.segment_sum((qm / pf[i]) * vals, self.mf, i)
-            ok = mass > 0.0
-            theta = np.zeros_like(num)
-            theta[ok] = num[ok] / mass[ok, None]
-            if self.refines[i]:
-                lin = 2.0 * lam * (mats[i] - gam[i][self.f2c[i]])
-            else:
-                played = gam[i][self.t.label_idx[self.mc][i],
-                                self.t.action_cols[:, i]]
-                g_num = self.t.segment_sum((qm / pf[i]) * played, self.mf, i)
-                g_avg = np.zeros_like(g_num)
-                g_avg[ok] = g_num[ok] / mass[ok, None]
-                lin = 2.0 * lam * (mats[i] - g_avg)
-            theta[ok] -= lin[ok]
-            thetas[i] = theta
-        return thetas
-
     def _record(self, mats, gam, pen, lam):
-        q_raw, _ = self.t.pushforward(mats, self.mf)
-        q_gam, _ = self.t.pushforward(gam, self.mc)
-        rewards = self.t.rewards[:, self.player]
-        payoff_gamma = self.t.expect(q_gam, rewards)
-        payoff_mu = self.t.expect(q_raw, rewards)
-        pen_mass = float(q_raw @ sum(pen[i] for i in self.stages))
-        self.trace["payoff"].append(payoff_gamma)
-        self.trace["payoff_mu"].append(payoff_mu)
-        self.trace["penalty_mass"].append(pen_mass)
-        self.trace["sum_pos_local"].append(self.accounting.sum_pos())
-        self.trace["lambda"].append(lam)
-        self.trace["rho_mu"].append(payoff_mu - lam * pen_mass)
-        self.schedule.update(payoff_gamma)
+        super()._record(mats, gam, pen, lam)
         if self.keep_history:
             self.history["gammas"].append([np.array(gam[i]) for i in self.stages])
             self.history["lambdas"].append(lam)
-
-    # ------------------------------------------------------------------
-
-    def projected_policy(self) -> BehavioralPolicy:
-        if self.projected is None:
-            mats = self.current_mats()
-            self.projected, _, _ = self._gamma_and_q(mats)
-        return self.t.to_policy(self.projected, self.coarse)
-
-    def current_policy(self) -> BehavioralPolicy:
-        return self.t.to_policy(self.current_mats(), self.fine)
 
 
 def local_reward_vector(game: ProductGame, coarse: InformationMap,
@@ -258,8 +66,8 @@ def local_reward_vector(game: ProductGame, coarse: InformationMap,
     run = PhRun(game, coarse, fine, schedule=PenaltySchedule(value=lam))
     mats = run.t.matrices(policy)
     gam, qf, pf = run._gamma_and_q(mats)
-    pen = run._penalty_cols(mats, gam)
-    thetas = run._exact_thetas(mats, gam, qf, pf, pen, lam)
+    thetas = run._local_rewards(mats, gam, qf, pf,
+                                run._penalty_cols(mats, gam), lam)
     row = run.t.labels[run.mf][stage].index(label)
     return thetas[stage][row]
 

@@ -39,17 +39,7 @@ def is_finer(fine: InformationMap, coarse: InformationMap,
     """True iff at every stage, ``coarse`` separating two reachable histories
     implies ``fine`` separates them (same fine label => same coarse label)."""
     t = tables_for(game, coarse, fine)
-    mf, mc = t.map_index(fine), t.map_index(coarse)
-    for i in range(game.num_stages):
-        fl, cl = t.label_idx[mf][i], t.label_idx[mc][i]
-        n = len(t.labels[mf][i])
-        mn = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        mx = np.full(n, -1, dtype=np.int64)
-        np.minimum.at(mn, fl, cl)
-        np.maximum.at(mx, fl, cl)
-        if np.any(mn != mx):
-            return False
-    return True
+    return all(arr is not None for arr in t.refinement(fine, coarse))
 
 
 def has_perfect_recall(game: ProductGame, info: InformationMap,

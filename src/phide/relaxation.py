@@ -11,6 +11,7 @@ program over the simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,12 @@ class RelaxationProblem:
                         for i in range(self.game.num_stages)]
         self.f2c = t.refinement(self.fine, self.coarse)
 
+    @cached_property
+    def fine_has_perfect_recall(self) -> bool:
+        """Whether the relaxed map has perfect recall for the player, judged
+        on first use, since only ``backward_induction`` needs it."""
+        return has_perfect_recall(self.game, self.fine, self.player)
+
     @property
     def mf(self):
         return self._t.map_index(self.fine)
@@ -106,12 +113,8 @@ def lagrangian(problem: RelaxationProblem, policy: BehavioralPolicy) -> float:
 
 
 def _lagrangian_mats(problem: RelaxationProblem, mats) -> float:
-    t = problem._t
-    gam = _project(problem, mats)
-    centers = _centers_from_gamma(problem, gam)
-    q, _ = t.pushforward(mats, problem.mf)
-    payoff = t.expect(q, t.rewards[:, problem.player])
-    return payoff - problem.lam * _penalty(problem, mats, centers)
+    centers = _centers_from_gamma(problem, _project(problem, mats))
+    return _objective(problem, mats, centers)
 
 
 def _objective(problem: RelaxationProblem, mats, centers) -> float:
@@ -136,10 +139,9 @@ def proximal_step(problem: RelaxationProblem, gamma: BehavioralPolicy,
     if mode not in ("backward_induction", "coordinate_ascent"):
         raise ValueError(f"unknown proximal mode {mode!r}")
     game, t, lam = problem.game, problem._t, problem.lam
-    if mode == "backward_induction":
-        if not has_perfect_recall(game, problem.fine, problem.player):
-            raise PerfectRecallRequired(
-                "relaxed map lacks perfect recall; use coordinate_ascent")
+    if mode == "backward_induction" and not problem.fine_has_perfect_recall:
+        raise PerfectRecallRequired(
+            "relaxed map lacks perfect recall; use coordinate_ascent")
     gam_mats = t.matrices(gamma)
     centers = _centers_from_gamma(problem, gam_mats)
     mats = [c.copy() for c in centers]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phide.cfr import CfrRun, cfr_iterate, counterfactual_rewards, run_cfr
-from phide.core import uniform_policy
+from phide.core import InformationMap, ProductGame, uniform_policy
 from phide.engine import tables_for
 from phide.errors import ZeroReachLabel
 from phide.zoo import build_matching_pennies, build_trade_comm
@@ -104,3 +104,25 @@ def test_local_regret_accounting_nonnegative_sum():
     early = run.trace["sum_pos_local"][19] / 20
     late = run.trace["sum_pos_local"][-1] / 200
     assert late <= early + 1e-9
+
+
+def test_each_stage_learns_its_owners_reward():
+    # zero-sum: player 1 moves second, sees player 0's move and gets the
+    # negated reward, so feeding player 0's reward to stage 1 is wrong
+    g = ProductGame(nature=((0,), (1,)), nature_probs=(0.3, 0.7), num_stages=2,
+                    max_actions=2, player_of_stage=(0, 1), stage_actions=(2, 2),
+                    reward_fn=lambda w, a: (lambda r: (r, -r))(
+                        float(a[0] == w[0]) - 0.5 * float(a[1] == a[0])),
+                    num_players=2)
+    info = InformationMap([[("nature", 0)], [("action", 0)]])
+    run = CfrRun(g, info, seed=3, randomize_init=True)
+    pol = run.current_policy()
+    run.iterate()
+    t = tables_for(g, info)
+    for i in range(2):
+        for row, lab in enumerate(t.labels[run.mf][i]):
+            owner = counterfactual_rewards(g, info, pol, i, lab)
+            assert np.array_equal(run.accounting.cum_theta[i][row], owner)
+            if i == 1:
+                other = counterfactual_rewards(g, info, pol, i, lab, player=0)
+                assert not np.allclose(owner, other)

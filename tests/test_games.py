@@ -10,7 +10,7 @@ from phide.engine import tables_for
 from phide.errors import (EnumerationTooLarge, IllegalSupport,
                           WellPosednessViolation)
 from phide.games import (_search, best_response_value, check_well_posed,
-                         expectation, modify_policy, pushforward)
+                         modify_policy)
 from phide.infomaps import has_perfect_recall
 from phide.zoo import build_matching_pennies, build_trade_comm, random_game
 
@@ -54,20 +54,29 @@ def test_check_well_posed_detects_peeking():
         check_well_posed(g, peek, pol)
 
 
+def _pushforward(game, policy):
+    t = tables_for(game, policy.info)
+    q, _ = t.pushforward(t.matrices(policy), t.map_index(policy.info))
+    return t, q
+
+
 def test_pushforward_is_a_distribution():
     g, maps = build_matching_pennies()
     pol = uniform_policy(g, maps["original"])
-    q = pushforward(g, maps["original"], pol)
-    assert abs(sum(q.values()) - 1.0) < 1e-12
-    assert all(v >= 0 for v in q.values())
-    # uniform policy: every history has weight 1/2 * 1/2 * 1/3
-    assert all(abs(v - 1.0 / 12) < 1e-12 for v in q.values())
+    _, q = _pushforward(g, pol)
+    assert abs(q.sum() - 1.0) < 1e-12
+    assert np.all(q >= 0)
+    # uniform policy: each of the 12 histories has weight 1/2 * 1/2 * 1/3
+    assert len(q) == 12
+    assert np.all(np.abs(q - 1.0 / 12) < 1e-12)
 
 
 def test_expectation_matches_manual_sum():
     g, maps = build_matching_pennies()
     pol = uniform_policy(g, maps["original"])
-    val = expectation(g, maps["original"], pol, lambda h: g.reward(h.nature, h.actions)[0])
+    t, q = _pushforward(g, pol)
+    val = t.expect(q, np.array([g.reward(h.nature, h.actions)[0]
+                                for h in t.histories]))
     # uniform: 1/3 pass (0.6), 2/3 coin flip at 0.5
     assert abs(val - (0.6 / 3 + (2 / 3) * 0.5)) < 1e-12
 
@@ -104,8 +113,9 @@ def test_best_response_recovers_policy():
     g, maps = build_matching_pennies()
     val, pol = best_response_value(g, maps["original"], 0, return_policy=True)
     assert abs(val - 1.0) < 1e-12
-    q = pushforward(g, maps["original"], pol)
-    achieved = sum(p * g.reward(h.nature, h.actions)[0] for h, p in q.items())
+    t, q = _pushforward(g, pol)
+    achieved = sum(p * g.reward(h.nature, h.actions)[0]
+                   for h, p in zip(t.histories, q))
     assert abs(achieved - val) < 1e-12
 
 

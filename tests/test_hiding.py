@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phide.cfr import CfrRun, counterfactual_rewards
+from phide.cfr import CfrRun, counterfactual_rewards, run_cfr
 from phide.core import uniform_policy
 from phide.engine import tables_for
 from phide.hiding import (PenaltySchedule, PhRun, local_reward_vector,
@@ -33,23 +33,57 @@ def test_schedule_kinds():
 
 
 def test_reduction_to_cfr_bitwise():
-    # with the relaxed map equal to the original one and a zero penalty, the
-    # run must match plain solver traces bit for bit
+    # with the relaxed map equal to the original one the run must match
+    # plain solver traces bit for bit, in both modes; the penalty is zero
+    # whatever its weight
     for build in (build_matching_pennies, build_trade_comm):
         g, m = build()
+        c = m["original"]
         for kind in ("regret_matching", "ftrl_entropic"):
-            for seed in (0, 1):
-                cfr = CfrRun(g, m["original"], learner=kind, seed=seed,
-                             randomize_init=True)
-                ph = PhRun(g, m["original"], m["original"],
-                           schedule=PenaltySchedule("constant", 0.0),
-                           learner=kind, seed=seed, randomize_init=True)
+            for seed, mode in ((0, "exact"), (1, "exact"), (2, "mc")):
+                kw = dict(learner=kind, seed=seed, randomize_init=True,
+                          mode=mode)
+                cfr = CfrRun(g, c, **kw)
+                ph0 = PhRun(g, c, c, schedule=PenaltySchedule("constant", 0.0),
+                            **kw)
+                ph7 = PhRun(g, c, c, schedule=PenaltySchedule("constant", 0.7),
+                            **kw)
                 for _ in range(40):
                     cfr.iterate()
-                    ph.iterate()
-                assert cfr.trace["payoff"] == ph.trace["payoff"]
-                assert cfr.trace["sum_pos_local"] == ph.trace["sum_pos_local"]
-                assert ph.trace["penalty_mass"] == [0.0] * 40
+                    ph0.iterate()
+                    ph7.iterate()
+                assert cfr.trace == ph0.trace
+                for key in ("payoff", "payoff_mu", "sum_pos_local", "rho_mu"):
+                    assert cfr.trace[key] == ph7.trace[key], key
+                assert ph7.trace["penalty_mass"] == [0.0] * 40
+                assert ph7.trace["lambda"] == [0.7] * 40
+
+
+def test_cfr_and_ph_share_one_trace_schema():
+    g, m = build_matching_pennies()
+    cfr = run_cfr(g, m["original"], 3)
+    ph = run_ph(g, m["original"], m["relaxed"], 3)
+    assert cfr.trace.keys() == ph.trace.keys()
+    assert all(len(v) == 3 for v in cfr.trace.values())
+
+
+def test_traced_spans_resolve_and_stay_separate():
+    # the benchmark's tracer wraps CfrRun.iterate and PhRun.iterate as two
+    # spans; were PhRun a CfrRun, its steps would run inside the cfr span
+    import importlib
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_phide_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, attr_path, _, _ in tracing.SPANS:
+        obj = importlib.import_module(mod_name)
+        for attr in attr_path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), (mod_name, attr_path)
+    assert not issubclass(PhRun, CfrRun)
 
 
 def test_projected_policy_always_implementable():
@@ -163,6 +197,28 @@ def test_mc_mode_deterministic_and_valid():
                schedule=PenaltySchedule("constant", 0.05), randomize_init=True)
     assert a.trace["payoff"] == b.trace["payoff"]
     assert is_implementable(g, m["original"], a.projected_policy())
+
+
+def test_mc_mode_feeds_zero_rows_off_the_drawn_slice():
+    # a label that the drawn Nature state does not reach gets no reward and
+    # no penalty that iteration
+    g, m = build_trade_comm()
+    run = PhRun(g, m["original"], m["cheat"], mode="mc", seed=8,
+                schedule=PenaltySchedule("constant", 0.5))
+    rng = np.random.default_rng(8)  # the uniform start draws nothing
+    draws = [rng.choice(len(g.nature), p=g.probs()) for _ in range(3)]
+    t, skipped = run.t, 0
+    for w in draws:
+        before = {i: run.accounting.cum_theta[i].copy() for i in run.stages}
+        run.iterate()
+        for i in run.stages:
+            n = len(t.labels[run.mf][i])
+            lab = t.label_idx[run.mf][i][t.nature_idx == w]
+            off = np.bincount(lab, minlength=n) == 0
+            fed = run.accounting.cum_theta[i] - before[i]
+            assert np.all(fed[off] == 0.0)
+            skipped += int(off.sum())
+    assert skipped > 0
 
 
 def test_ph_beats_direct_learning_on_matching_pennies():

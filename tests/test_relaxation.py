@@ -96,14 +96,23 @@ def test_proximal_weakly_improves_objective():
         assert info["converged"]
 
 
-def test_backward_induction_requires_perfect_recall():
+def test_backward_induction_requires_perfect_recall(monkeypatch):
+    import phide.relaxation as relaxation
+
+    judged = []
+    real = relaxation.has_perfect_recall
+    monkeypatch.setattr(relaxation, "has_perfect_recall",
+                        lambda *a: judged.append(a) or real(*a))
     g, m = build_matching_pennies()
     # the original map refines itself but lacks perfect recall
     prob = RelaxationProblem(g, m["original"], m["original"], 1.0)
     gamma = uniform_policy(g, m["original"])
-    with pytest.raises(PerfectRecallRequired):
-        proximal_step(prob, gamma, mode="backward_induction")
     proximal_step(prob, gamma, mode="coordinate_ascent").validate()
+    assert judged == []  # only backward induction asks, on first use
+    for _ in range(2):
+        with pytest.raises(PerfectRecallRequired):
+            proximal_step(prob, gamma, mode="backward_induction")
+    assert len(judged) == 1  # once per problem
     with pytest.raises(ValueError):
         proximal_step(prob, gamma, mode="newton")
 
