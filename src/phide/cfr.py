@@ -27,6 +27,9 @@ from .learners import LearnerBank
 
 EPS_FLOOR = 1e-6
 
+MODES = ("exact", "mc")
+SCHEDULE_KINDS = ("constant", "ramp", "controller")
+
 # Per-iteration trace of every run: payoff of the projected iterate, payoff
 # of the raw iterate, reach-weighted penalty, cumulative positive local
 # regret, penalty weight, and the penalized payoff payoff_mu - lambda *
@@ -119,7 +122,7 @@ class PenaltySchedule:
     _state: float = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "ramp", "controller"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.value < 0:
             raise ValueError("penalty weight must be nonnegative")
@@ -153,7 +156,7 @@ class SolverLoop:
                  fine: InformationMap, stages, schedule: PenaltySchedule, *,
                  learner: str, eta, seed: int, randomize_init: bool,
                  mode: str, player: int):
-        if mode not in ("exact", "mc"):
+        if mode not in MODES:
             raise ValueError("mode must be 'exact' or 'mc'")
         self.game = game
         self.coarse = coarse

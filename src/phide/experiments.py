@@ -12,14 +12,13 @@ import os
 
 import numpy as np
 
-from .cfr import CfrRun
+from .cfr import MODES, SCHEDULE_KINDS, CfrRun
 from .core import random_policy, uniform_policy
 from .engine import tables_for
 from .errors import ConfigError
 from .hiding import PenaltySchedule, PhRun
-from .infomaps import project_matrices
-from .relaxation import (RelaxationProblem, _centers_from_gamma, _penalty,
-                         proximal_step)
+from .learners import KINDS
+from .relaxation import PROX_MODES, RelaxationProblem, _penalty, _rir_steps
 from .zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                   random_game)
 
@@ -32,6 +31,10 @@ CONFIG_KEYS = ("algorithm", "iterations", "repeats", "seed", "game", "learner",
                "schedule", "lambda", "target", "factor", "quantiles",
                "threshold", "prox_mode")
 GAME_KEYS = ("name", "n", "m", "seed")
+ALGORITHMS = ("cfr", "ph", "rir")
+# Keys that take one of a fixed set of values, each set kept by its module.
+CHOICES = (("algorithm", ALGORITHMS), ("mode", MODES), ("learner", KINDS),
+           ("schedule", SCHEDULE_KINDS), ("prox_mode", PROX_MODES))
 
 
 def _reject_unknown_keys(record: dict, known: tuple, where: str):
@@ -119,9 +122,7 @@ def _one_run(config, game, maps, seed: int):
             run.iterate()
         return run.trace
 
-    if algo == "rir":
-        return _rir_trace(config, game, coarse, fine, seed, iters)
-    raise ConfigError(f"unknown algorithm {algo!r}")
+    return _rir_trace(config, game, coarse, fine, seed, iters)  # "rir"
 
 
 def _rir_trace(config, game, coarse, fine, seed, iters):
@@ -133,29 +134,23 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
         mu = random_policy(game, fine, rng)
     else:
         mu = uniform_policy(game, fine)
-    mode = config.get("prox_mode", "backward_induction")
+    steps = _rir_steps(problem, t.matrices(mu),
+                       config.get("prox_mode", "backward_induction"))
     trace = {"payoff": [], "penalty_mass": [], "sum_pos_local": [], "lambda": []}
-    rewards = t.rewards[:, 0]
-    for _ in range(iters):
-        mats = t.matrices(mu)
-        gam = project_matrices(t, mats, problem.mf, problem.mc, problem.q0)
-        q_gam, _ = t.pushforward(gam, problem.mc)
-        pen = _penalty(problem, mats, _centers_from_gamma(problem, gam))
-        trace["payoff"].append(t.expect(q_gam, rewards))
-        trace["penalty_mass"].append(pen)
+    for _, (mats, gam) in zip(range(iters), steps):
+        trace["payoff"].append(t.expected_reward(gam, coarse))
+        trace["penalty_mass"].append(_penalty(problem, mats, gam))
         trace["sum_pos_local"].append(float("nan"))  # no local learners
         trace["lambda"].append(lam)
-        gamma = t.to_policy(gam, coarse)
-        mu = proximal_step(problem, gamma, start=mu, mode=mode)
     return trace
 
 
 def run_experiment(config: dict) -> dict:
     """Executes ``repeats`` independent seeded runs and returns records plus
     a summary; see COLUMNS for the per-iteration record fields.  Keys
-    outside CONFIG_KEYS and GAME_KEYS, and a seed, ``iterations`` or
-    ``repeats`` that is not an integer in range, raise ConfigError before
-    the game is built."""
+    outside CONFIG_KEYS and GAME_KEYS, a seed, ``iterations`` or ``repeats``
+    that is not an integer in range, and a value outside its CHOICES raise
+    ConfigError before the game is built."""
     _reject_unknown_keys(config, CONFIG_KEYS, "config")
     if "PHIDE_SEED" in os.environ:
         master = _integer(os.environ["PHIDE_SEED"], "PHIDE_SEED", 0)
@@ -163,6 +158,11 @@ def run_experiment(config: dict) -> dict:
         master = _integer(config.get("seed", 0), "seed", 0)
     repeats = _integer(config.get("repeats", 1), "repeats", 1)
     _integer(_require(config, "iterations"), "iterations", 1)
+    _require(config, "algorithm")
+    for key, allowed in CHOICES:
+        if key in config and config[key] not in allowed:
+            raise ConfigError(f"unknown {key} {config[key]!r}; allowed "
+                              f"values: {', '.join(allowed)}")
     game, maps = load_game(_require(config, "game"))
     seeds = [int(s) for s in np.random.SeedSequence(master).generate_state(repeats)]
     records = []

@@ -6,12 +6,17 @@ reward minus a weighted squared distance to that projection.  The penalty is
 separable across (stage, label) slots because the weights come from a fixed
 full-support base policy, so each block maximization is an exact quadratic
 program over the simplex.
+
+One loop on per-stage matrices serves ``rir_run`` and the ``rir`` experiment;
+policies appear only at the API edge.  Both proximal modes run the same
+sweeps; ``backward_induction`` only adds a perfect-recall precondition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -20,15 +25,12 @@ from .engine import tables_for
 from .errors import PerfectRecallRequired
 from .infomaps import has_perfect_recall, is_finer, project_matrices
 
+PROX_MODES = ("backward_induction", "coordinate_ascent")
+
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    return _rows_to_simplex(np.reshape(v, (1, -1)))[0]
 
 
 def _rows_to_simplex(mat: np.ndarray) -> np.ndarray:
@@ -86,18 +88,14 @@ class RelaxationProblem:
         return self._t.map_index(self.coarse)
 
 
-def _penalty(problem: RelaxationProblem, mats, centers) -> float:
-    """Sum over slots of w(g) times the squared distance to the center."""
+def _penalty(problem: RelaxationProblem, mats, gam) -> float:
+    """Sum over slots of w(g) times the squared distance to the projection
+    ``gam`` read on the relaxed map."""
     total = 0.0
     for i in range(problem.game.num_stages):
-        d = mats[i] - centers[i]
+        d = mats[i] - gam[i][problem.f2c[i]]
         total += float(np.sum(problem.weights[i] * np.sum(d * d, axis=1)))
     return total
-
-
-def _centers_from_gamma(problem: RelaxationProblem, gam_mats):
-    return [gam_mats[i][problem.f2c[i]]
-            for i in range(problem.game.num_stages)]
 
 
 def _project(problem: RelaxationProblem, mats):
@@ -109,19 +107,58 @@ def lagrangian(problem: RelaxationProblem, policy: BehavioralPolicy) -> float:
     """Expected reward minus lam times the weighted squared distance between
     the policy and its projection."""
     mats = problem._t.matrices(policy)
-    return _lagrangian_mats(problem, mats)
+    return _objective(problem, mats, _project(problem, mats))
 
 
-def _lagrangian_mats(problem: RelaxationProblem, mats) -> float:
-    centers = _centers_from_gamma(problem, _project(problem, mats))
-    return _objective(problem, mats, centers)
-
-
-def _objective(problem: RelaxationProblem, mats, centers) -> float:
+def _objective(problem: RelaxationProblem, mats, gam) -> float:
     t = problem._t
     q, _ = t.pushforward(mats, problem.mf)
     payoff = t.expect(q, t.rewards[:, problem.player])
-    return payoff - problem.lam * _penalty(problem, mats, centers)
+    return payoff - problem.lam * _penalty(problem, mats, gam)
+
+
+def _check_mode(problem: RelaxationProblem, mode: str):
+    if mode not in PROX_MODES:
+        raise ValueError(f"unknown proximal mode {mode!r}")
+    if mode == "backward_induction" and not problem.fine_has_perfect_recall:
+        raise PerfectRecallRequired(
+            "relaxed map lacks perfect recall; use coordinate_ascent")
+
+
+def _maximize(problem: RelaxationProblem, gam, start, max_sweeps: int,
+              tol: float = 1e-9):
+    """The proximal step towards the projection ``gam``, on matrices; returns
+    (mats, objective, sweeps, converged).  It starts at the centres, ``gam``
+    read on the relaxed map, or at ``start`` if that scores higher."""
+    t, lam, mf = problem._t, problem.lam, problem.mf
+    L = problem.game.num_stages
+    centers = [gam[i][problem.f2c[i]] for i in range(L)]
+    mats, best = list(centers), _objective(problem, centers, gam)
+    if start is not None:
+        val = _objective(problem, start, gam)
+        if val > best:
+            mats, best = list(start), val
+    rewards = t.rewards[:, problem.player]
+    pf = [t.stage_prob(mats, mf, j) for j in range(L)]
+    sweeps, converged = 0, False
+    while sweeps < max_sweeps:
+        sweeps += 1
+        for i in reversed(range(L)):
+            q_minus = t.nat_prob
+            for j in range(L):
+                if j != i:
+                    q_minus = q_minus * pf[j]
+            c = t.segment_sum(q_minus * rewards, mf, i)
+            w = problem.weights[i]
+            mats[i] = _rows_to_simplex(centers[i] + c / (2.0 * lam * w[:, None]))
+            pf[i] = t.stage_prob(mats, mf, i)
+        val = _objective(problem, mats, gam)
+        if val - best <= tol:
+            converged = True
+            best = max(best, val)
+            break
+        best = val
+    return mats, best, sweeps, converged
 
 
 def proximal_step(problem: RelaxationProblem, gamma: BehavioralPolicy,
@@ -136,45 +173,30 @@ def proximal_step(problem: RelaxationProblem, gamma: BehavioralPolicy,
     relaxed map to have perfect recall; ``coordinate_ascent`` runs on any
     relaxed map but may stop at a local maximum.
     """
-    if mode not in ("backward_induction", "coordinate_ascent"):
-        raise ValueError(f"unknown proximal mode {mode!r}")
-    game, t, lam = problem.game, problem._t, problem.lam
-    if mode == "backward_induction" and not problem.fine_has_perfect_recall:
-        raise PerfectRecallRequired(
-            "relaxed map lacks perfect recall; use coordinate_ascent")
-    gam_mats = t.matrices(gamma)
-    centers = _centers_from_gamma(problem, gam_mats)
-    mats = [c.copy() for c in centers]
-    if start is not None:
-        cand = t.matrices(start)
-        if _objective(problem, cand, centers) > _objective(problem, mats, centers):
-            mats = [c.copy() for c in cand]
-    rewards = t.rewards[:, problem.player]
-    mf = problem.mf
-    best = _objective(problem, mats, centers)
-    sweeps, converged = 0, False
-    while sweeps < max_sweeps:
-        sweeps += 1
-        for i in reversed(range(game.num_stages)):
-            _, pf = t.pushforward(mats, mf)
-            q_minus = t.nat_prob.copy()
-            for j in range(game.num_stages):
-                if j != i:
-                    q_minus = q_minus * pf[j]
-            c = t.segment_sum(q_minus * rewards, mf, i)
-            w = problem.weights[i]
-            mats[i] = _rows_to_simplex(centers[i] + c / (2.0 * lam * w[:, None]))
-        val = _objective(problem, mats, centers)
-        if val - best <= tol:
-            converged = True
-            best = max(best, val)
-            break
-        best = val
+    _check_mode(problem, mode)
+    t = problem._t
+    cand = None if start is None else t.matrices(start)
+    mats, best, sweeps, converged = _maximize(problem, t.matrices(gamma), cand,
+                                              max_sweeps, tol)
     policy = t.to_policy(mats, problem.fine)
     if return_info:
         return policy, {"objective": best, "sweeps": sweeps,
                         "converged": converged}
     return policy
+
+
+def _rir_steps(problem: RelaxationProblem, mats, mode: str,
+               max_sweeps: int = 50):
+    """Yields (iterate, projection) matrices for the start ``mats``, then
+    after each proximal step towards the last projection; ``mode`` is checked
+    once, before the first step."""
+    gam = _project(problem, mats)
+    yield mats, gam
+    _check_mode(problem, mode)
+    while True:
+        mats = _maximize(problem, gam, mats, max_sweeps)[0]
+        gam = _project(problem, mats)
+        yield mats, gam
 
 
 def rir_run(problem: RelaxationProblem, mu0: BehavioralPolicy = None,
@@ -188,14 +210,10 @@ def rir_run(problem: RelaxationProblem, mu0: BehavioralPolicy = None,
     """
     t = problem._t
     mu = mu0 if mu0 is not None else uniform_policy(problem.game, problem.fine)
-    mats = t.matrices(mu)
-    trace = [_lagrangian_mats(problem, mats)]
-    gam = _project(problem, mats)
-    for _ in range(iterations):
-        gamma = t.to_policy(gam, problem.coarse)
-        mu = proximal_step(problem, gamma, start=mu, mode=mode,
-                           max_sweeps=max_sweeps)
-        mats = t.matrices(mu)
-        gam = _project(problem, mats)
-        trace.append(_lagrangian_mats(problem, mats))
+    steps = _rir_steps(problem, t.matrices(mu), mode, max_sweeps)
+    trace = []
+    for mats, gam in islice(steps, max(iterations, 0) + 1):
+        trace.append(_objective(problem, mats, gam))
+    if iterations > 0:
+        mu = t.to_policy(mats, problem.fine)
     return mu, t.to_policy(gam, problem.coarse), trace

@@ -85,6 +85,18 @@ def test_config_errors(monkeypatch):
                           ("seed", "five", "an integer")):
         with pytest.raises(ConfigError, match=f"^{key} must be {msg}"):
             run_experiment({**chess, key: bad})
+    # so are values outside a fixed set, and the message lists the set
+    for key, bad, allowed in (("algorithm", "dqn", "cfr, ph, rir"),
+                              ("mode", "exactly", "exact, mc"),
+                              ("learner", "sgd", "regret_matching, "),
+                              ("schedule", "cosine", "constant, ramp, "),
+                              ("prox_mode", "newton", "backward_induction, "
+                                                      "coordinate_ascent$")):
+        with pytest.raises(ConfigError, match=f"^unknown {key} '{bad}'; "
+                           f"allowed values: {allowed}"):
+            run_experiment({**chess, key: bad})
+    with pytest.raises(ConfigError, match="^missing config key 'algorithm'"):
+        run_experiment({k: v for k, v in chess.items() if k != "algorithm"})
     monkeypatch.setenv("PHIDE_SEED", "abc")
     with pytest.raises(ConfigError, match="^PHIDE_SEED must be an integer"):
         run_experiment(chess)
@@ -154,6 +166,27 @@ def test_rir_regret_column_is_not_applicable(tmp_path):
     assert main(["summarize", "--runs", str(out / "runs.csv"),
                  "--out", str(out2)]) == 0
     assert out2.read_text() == (out / "summary.csv").read_text()
+
+
+def test_rir_experiment_rows_follow_rir_run():
+    # row k of the experiment is the projection rir_run returns after k - 1
+    # rounds from the same start, bit for bit: the two share one loop
+    from phide.core import random_policy
+    from phide.relaxation import RelaxationProblem, rir_run
+    from phide.zoo import build_trade_comm
+    res = run_experiment({**BASE, "game": {"name": "trade_comm"},
+                          "algorithm": "rir", "fine_map": "perfect_recall",
+                          "lambda": 0.5, "iterations": 6, "repeats": 1})
+    payoff = res["records"][0]["trace"]["payoff"]
+    game, maps = build_trade_comm()
+    prob = RelaxationProblem(game, maps["original"], maps["perfect_recall"],
+                             0.5)
+    mu0 = random_policy(game, maps["perfect_recall"],
+                        np.random.default_rng(res["records"][0]["seed"]))
+    t = prob._t
+    for k in range(1, len(payoff) + 1):
+        _, gam, _ = rir_run(prob, mu0, iterations=k - 1)
+        assert payoff[k - 1] == t.expected_reward(gam)
 
 
 def test_cli_seed_flag(tmp_path):

@@ -126,7 +126,26 @@ def test_rir_monotone_and_implementable_output():
         mu, gam, trace = rir_run(prob, mu0, iterations=25)
         assert len(trace) == 26
         assert float(np.min(np.diff(trace))) >= -1e-9
+        assert trace[-1] == lagrangian(prob, mu)
         assert is_implementable(g, m["original"], gam)
+
+
+def test_rir_converts_policies_only_on_entry_and_exit(monkeypatch):
+    from phide.engine import Tables
+    calls = []
+    for name in ("matrices", "to_policy"):
+        real = getattr(Tables, name)
+        monkeypatch.setattr(Tables, name, lambda self, *a, _n=name, _f=real:
+                            calls.append(_n) or _f(self, *a))
+    g, m = build_trade_comm()
+    prob = RelaxationProblem(g, m["original"], m["perfect_recall"], 0.5)
+    mu0 = random_policy(g, m["perfect_recall"], np.random.default_rng(7))
+    counts = []
+    for iterations in (5, 25):
+        calls.clear()
+        rir_run(prob, mu0, iterations=iterations)
+        counts.append((calls.count("matrices"), calls.count("to_policy")))
+    assert counts == [(1, 2), (1, 2)]
 
 
 def test_rir_zero_iterations():
