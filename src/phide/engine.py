@@ -28,7 +28,7 @@ class Tables:
     """
 
     def __init__(self, game: ProductGame, *maps: InformationMap, validate: bool = True):
-        self.game = game
+        self._game = weakref.ref(game)
         self.validate = validate
         self.histories = enumerate_reachable(game, maps[0], validate=validate)
         n = len(self.histories)
@@ -48,6 +48,12 @@ class Tables:
         self.label_idx: list[list[np.ndarray]] = []
         for m in maps:
             self.add_map(m)
+
+    @property
+    def game(self) -> ProductGame:
+        """The game, held weakly, so a dead game's Tables needs no cycle
+        collection."""
+        return self._game()
 
     # ------------------------------------------------------------------ maps
 
@@ -174,8 +180,8 @@ class Tables:
 
 
 # id(game) -> the game's Tables.  The game holds its Tables (attribute
-# ``_tables``), so an entry lives exactly as long as its game.  Keying weakly
-# on the game alone would never evict, since every Tables holds its game.
+# ``_tables``) and the Tables holds its game weakly, so an entry lives as long
+# as its game, unless something else keeps the Tables alive.
 _cache: weakref.WeakValueDictionary[int, Tables] = weakref.WeakValueDictionary()
 
 
@@ -185,7 +191,7 @@ def tables_for(game: ProductGame, *maps: InformationMap) -> Tables:
     the key.  Token stages of every map are checked for peeking; callable
     stages only in the map the Tables was enumerated with."""
     t = _cache.get(id(game))
-    if t is None:
+    if t is None or t.game is not game:  # or the id of a dead game, reused
         t = _cache[id(game)] = Tables(game, maps[0])
         object.__setattr__(game, "_tables", t)  # ProductGame is frozen
     for m in maps:

@@ -1,5 +1,6 @@
 """Operations on games in product form: well-posedness of deterministic
-profiles, policy surgery, and the exact best-response oracle."""
+profiles, policy surgery, and the exact best response, one branch-and-bound
+search over labels bounded by the perfect-recall relaxation of the map."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import numpy as np
 from .core import BehavioralPolicy, History, InformationMap, ProductGame
 from .engine import tables_for
 from .errors import EnumerationTooLarge, IllegalSupport, WellPosednessViolation
-from .infomaps import has_perfect_recall
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -83,23 +83,23 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     ``reward_fn(history) -> float`` overrides the player's game reward, and
     ``values`` does the same with one number per history of
     ``tables_for(game, info).histories``, which lets the same maximization
-    bound arbitrary per-history criteria.
+    bound arbitrary per-history criteria.  ``reward_fn`` is called once per
+    history.
 
-    Two exact routes:
-
-    - when ``info`` has perfect recall for ``player``, backward induction
-      over the engine's arrays (behavioural strategies lose nothing there,
-      Kuhn 1953): O(n·L) on n reachable histories of L stages, with
-      ``reward_fn`` called once per history;
-    - otherwise a lazy search that assigns actions to information labels,
-      branching only on labels reachable under the current partial
-      assignment.  Its cost is exponential in the number of labels (the
-      problem is NP-hard without perfect recall, Koller & Megiddo 1992), and
-      it raises ``EnumerationTooLarge`` after ``cap`` leaf visits.  ``cap``
-      bounds only this search.
+    One branch-and-bound search over the player's labels.  A node's bound
+    is backward induction on the recall closure of ``info`` (its coarsest
+    refinement with perfect recall, where backward induction is exact, Kuhn
+    1953) with the node's labels forced; a finer map can only raise the
+    optimum (information relaxation, Brown, Smith & Sun 2010).  A node whose
+    relaxed optimum plays one action per label of ``info`` is solved; else
+    the search branches on a conflicting label, best bound first, and prunes
+    bounds no better than the best solution.  On a perfect-recall map the
+    root solves the problem, O(n·L) on n histories of L stages.  Otherwise
+    it is NP-hard (Koller & Megiddo 1992), and ``EnumerationTooLarge`` is
+    raised once the children evaluated exceed ``cap`` histories in all.
 
     With ``return_policy`` the maximizing deterministic policy of ``player``
-    is returned too; the backward-induction route covers every label.
+    is returned too; it covers every label.
     """
     t = tables_for(game, info)
     if values is not None:
@@ -110,28 +110,43 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
             raise ValueError(f"values must hold one entry per reachable "
                              f"history ({len(t.histories)}), got shape "
                              f"{values.shape}")
-    if has_perfect_recall(game, info, player):
-        if values is None:
-            values = (t.rewards[:, player] if reward_fn is None else
-                      np.array([float(reward_fn(h)) for h in t.histories]))
-        return _backward_induction(t, info, player, values, fixed,
-                                   return_policy)
-    if values is not None:
-        row = {h: k for k, h in enumerate(t.histories)}
-        reward_fn = lambda h: values[row[h]]
-    return _search(game, info, player, fixed, cap, reward_fn, return_policy)
-
-
-def _backward_induction(t, info, player, values, fixed, return_policy):
-    """Best response on a perfect-recall map, last own stage first.
-
-    Every other player's stage probability is applied up front, since it
-    weighs the histories an own label pools.  Perfect recall makes the
-    earlier own choices along a history a function of its label, so each
-    label's best action is independent of them.
-    """
-    game = t.game
+    elif reward_fn is not None:
+        values = np.array([float(reward_fn(h)) for h in t.histories])
+    else:
+        values = t.rewards[:, player]
     own = game.stages_of(player)
+    weight = _weights(t, own, values, fixed)
+    m = t.map_index(info)
+    closure = _recall_closure(t, m, own)
+    spent, value, choice = 0, -np.inf, None
+    stack = [_relaxed(t, own, closure, weight, {})]
+    while stack:
+        bound, forced, acts, clash = stack.pop()
+        if bound <= value:
+            continue
+        if clash is None:
+            value, choice = bound, acts
+            continue
+        i, g = clash
+        spent += game.stage_actions[i] * len(t.histories)
+        if spent > cap:
+            raise EnumerationTooLarge(
+                f"best-response enumeration exceeded cap={cap}")
+        children = [_relaxed(t, own, closure, weight, {**forced, clash: a})
+                    for a in range(game.stage_actions[i])]
+        # pops the best bound first, the lowest action among equal bounds
+        stack += sorted(children, key=lambda node: node[0], reverse=True)[::-1]
+    if not return_policy:
+        return value
+    table = {(i, g): np.eye(game.stage_actions[i])[a]
+             for i, act in zip(own, choice) for g, a in zip(t.labels[m][i], act)}
+    return value, BehavioralPolicy(info, table)
+
+
+def _weights(t, own, values, fixed):
+    """Each history's ``values`` entry times its Nature probability and every
+    other player's probability of the action it plays, in stage order."""
+    game = t.game
     val = t.nat_prob * values
     others = [i for i in range(game.num_stages) if i not in own]
     if others and fixed is None:
@@ -141,116 +156,52 @@ def _backward_induction(t, info, player, values, fixed, return_policy):
         rows = np.array([fixed.table[(i, g)] for g in t.labels[mx][i]],
                         dtype=float)
         val = val * rows[t.label_idx[mx][i], t.action_cols[:, i]]
-    m = t.map_index(info)
-    best = {}
-    for i in reversed(own):
-        best[i] = np.argmax(t.segment_sum(val, m, i), axis=1)
-        val = np.where(t.action_cols[:, i] == best[i][t.label_idx[m][i]],
-                       val, 0.0)
-    value = float(val.sum())
-    if not return_policy:
-        return value
-    table = {}
+    return val
+
+
+def _recall_closure(t, m, own):
+    """Per own stage, each history's label in the recall closure of map
+    ``m`` (the map's labels at own stages up to this one and the own actions
+    before it) and the map's label of each closure label."""
+    out, key = [], np.zeros(len(t.histories), dtype=np.int64)
     for i in own:
-        onehot = np.eye(game.stage_actions[i])
-        for g, a in zip(t.labels[m][i], best[i]):
-            table[(i, g)] = onehot[a].copy()
-    return value, BehavioralPolicy(info, table)
+        lab = t.label_idx[m][i]
+        _, first, idx = np.unique(key * len(t.labels[m][i]) + lab,
+                                  return_index=True, return_inverse=True)
+        idx = idx.reshape(-1)
+        out.append((idx, lab[first]))
+        key = idx * t.game.stage_actions[i] + t.action_cols[:, i]
+    return out
 
 
-def _search(game, info, player, fixed, cap, reward_fn, return_policy):
-    """The lazy label-assignment search behind ``best_response_value``."""
-    L = game.num_stages
-    nodes = [0]
-
-    def reward(w, acts):
-        h = History(w, tuple(acts))
-        if reward_fn is not None:
-            return float(reward_fn(h))
-        return float(game.reward(w, h.actions)[player])
-
-    def go(jobs, j, assignment):
-        """Max over completions of pending weighted prefixes jobs[j:]."""
-        if j == len(jobs):
-            return 0.0
-        w, acts, wgt = jobs[j]
-        i = len(acts)
-        if i == L:
-            nodes[0] += 1
-            if nodes[0] > cap:
-                raise EnumerationTooLarge(
-                    f"best-response enumeration exceeded cap={cap}"
-                )
-            return wgt * reward(w, acts) + go(jobs, j + 1, assignment)
-        if game.player_of_stage[i] != player:
-            if fixed is None:
-                raise ValueError("fixed policies required for other players")
-            vec = fixed.local(i, w, tuple(acts) + (0,) * (L - i))
-            children = [
-                (w, acts + [a], wgt * float(vec[a]))
-                for a in range(len(vec)) if vec[a] > 0.0
-            ]
-            return go(jobs[:j] + children + jobs[j + 1:], j, assignment)
-        g = info.label(i, w, tuple(acts) + (0,) * (L - i))
-        n = game.num_actions(i, g)
-        if g in assignment:
-            return go(jobs[:j] + [(w, acts + [assignment[g]], wgt)] + jobs[j + 1:],
-                      j, assignment)
-        best = -np.inf
-        for a in range(n):
-            assignment[g] = a
-            v = go(jobs[:j] + [(w, acts + [a], wgt)] + jobs[j + 1:], j, assignment)
-            if v > best:
-                best = v
-            del assignment[g]
-        return best
-
-    jobs = [(w, [], float(p)) for w, p in zip(game.nature, game.probs()) if p > 0.0]
-    value = go(jobs, 0, {})
-    if not return_policy:
-        return value
-    # second pass to recover one maximizing assignment
-    policy = _recover_best_policy(game, info, player, fixed, reward, jobs, value)
-    return value, policy
-
-
-def _recover_best_policy(game, info, player, fixed, reward, jobs, value):
-    """Greedy re-descent: fix each branch to a choice achieving the optimum."""
-    L = game.num_stages
-    assignment = {}
-
-    def go(jobs, j):
-        if j == len(jobs):
-            return 0.0
-        w, acts, wgt = jobs[j]
-        i = len(acts)
-        if i == L:
-            return wgt * reward(w, acts) + go(jobs, j + 1)
-        if game.player_of_stage[i] != player:
-            vec = fixed.local(i, w, tuple(acts) + (0,) * (L - i))
-            children = [
-                (w, acts + [a], wgt * float(vec[a]))
-                for a in range(len(vec)) if vec[a] > 0.0
-            ]
-            return go(jobs[:j] + children + jobs[j + 1:], j)
-        g = info.label(i, w, tuple(acts) + (0,) * (L - i))
-        if g in assignment:
-            return go(jobs[:j] + [(w, acts + [assignment[g]], wgt)] + jobs[j + 1:], j)
-        best, best_a = -np.inf, 0
-        for a in range(game.num_actions(i, g)):
-            assignment[g] = a
-            v = go(jobs[:j] + [(w, acts + [a], wgt)] + jobs[j + 1:], j)
-            del assignment[g]
-            if v > best:
-                best, best_a = v, a
-        assignment[g] = best_a
-        return go(jobs[:j] + [(w, acts + [best_a], wgt)] + jobs[j + 1:], j)
-
-    go(list(jobs), 0)
-    table = {}
-    for g, a in assignment.items():
-        stage = g[0]
-        vec = np.zeros(game.num_actions(stage, g))
-        vec[a] = 1.0
-        table[(stage, g)] = vec
-    return BehavioralPolicy(info, table)
+def _relaxed(t, own, closure, weight, forced):
+    """Backward induction on the recall closure with each (stage, label
+    index) of ``forced`` playing its action.  Returns (value, forced, per own
+    stage the action of each map label, None) when the optimum plays one
+    action per map label on the closure labels its path reaches with nonzero
+    weight, else (value, forced, None, a conflicting (stage, label index))."""
+    val, best = weight, []
+    for i, (idx, orig) in zip(reversed(own), reversed(closure)):
+        A = t.game.stage_actions[i]
+        s = np.bincount(idx * A + t.action_cols[:, i], weights=val,
+                        minlength=len(orig) * A).reshape(-1, A)
+        for (j, g), a in forced.items():
+            if j == i:
+                rows = orig == g
+                s[rows, :a] = s[rows, a + 1:] = -np.inf
+        best.append(np.argmax(s, axis=1))
+        val = np.where(t.action_cols[:, i] == best[-1][idx], val, 0.0)
+    value = float(val.sum())
+    on, acts = weight != 0.0, []
+    for i, (idx, orig), b in zip(own, closure, reversed(best)):
+        live = np.zeros(len(orig), dtype=bool)
+        live[idx[on]] = True
+        act = np.empty(int(orig.max()) + 1, dtype=np.int64)
+        act[orig] = b  # a label off the path keeps a choice of its own
+        act[orig[live]] = b[live]
+        clash = live & (act[orig] != b)
+        if clash.any():
+            return value, forced, None, (i, int(orig[clash].min()))
+        acts.append(act)
+        on &= t.action_cols[:, i] == b[idx]
+    return value, forced, acts, None

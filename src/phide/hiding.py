@@ -30,8 +30,11 @@ def penalty_term(lam: float, mu: BehavioralPolicy, gamma: BehavioralPolicy,
 
 class PhRun(SolverLoop):
     """Progressive hiding on a team game: learners on ``fine``, projected
-    onto ``coarse``.  ``keep_history`` keeps each projected iterate, which
-    ``regret_report`` needs for its bound."""
+    onto ``coarse``.  ``keep_history`` keeps, per stage, the running sum
+    ``penalty_sums[i][c, a] = Σ_t λ_t(1 − 2γ_t[c, a] + ‖γ_t[c]‖²)``: the
+    time-summed penalty of always playing a at coarse label c, which
+    ``regret_report`` needs for its bound.  Its size does not grow with the
+    iterations."""
 
     def __init__(self, game: ProductGame, coarse: InformationMap,
                  fine: InformationMap, *, schedule: PenaltySchedule = None,
@@ -48,14 +51,17 @@ class PhRun(SolverLoop):
                          eta=eta, seed=seed, randomize_init=randomize_init,
                          mode=mode, player=player)
         self.refines = {i: i in self.f2c for i in self.stages}
-        self.keep_history = keep_history
-        self.history = {"gammas": [], "lambdas": []}
+        self.penalty_sums = {
+            i: np.zeros((len(self.t.labels[self.mc][i]), game.stage_actions[i]))
+            for i in self.stages} if keep_history else None
 
     def _record(self, mats, gam, pen, lam):
         super()._record(mats, gam, pen, lam)
-        if self.keep_history:
-            self.history["gammas"].append([np.array(gam[i]) for i in self.stages])
-            self.history["lambdas"].append(lam)
+        if self.penalty_sums is not None:
+            for i in self.stages:
+                G = gam[i]
+                sq = np.sum(G * G, axis=1, keepdims=True)
+                self.penalty_sums[i] += lam * (1.0 - 2.0 * G + sq)
 
 
 def local_reward_vector(game: ProductGame, coarse: InformationMap,
@@ -91,12 +97,13 @@ def regret_report(run: PhRun, *, cap: int = 2_000_000) -> dict:
     """Local regrets, the lower bound on the auxiliary-game regret, and the
     two bound checks (regret decomposition and penalty sizing).
 
-    The bound needs an exact best response on the relaxed map.  When that
-    map has perfect recall for the player (matching pennies' ``relaxed`` and
-    Trade Comm's ``perfect_recall``), it is exact and uncapped, by backward
-    induction; otherwise the label search is used and ``cap`` bounds it.
-    The bound is ``None`` when the search exceeds ``cap`` or the run kept no
-    history."""
+    The bound needs an exact best response on the relaxed map, from
+    ``best_response_value``'s branch-and-bound search with ``cap`` bounding
+    its branching.  When that map has perfect recall for the player
+    (matching pennies' ``relaxed``, Trade Comm's ``perfect_recall``), or its
+    relaxed optimum already fits it (Trade Comm's ``cheat``), the search
+    solves it at the root, which no cap limits.  The bound is ``None`` when
+    the search exceeds ``cap`` or the run kept no history."""
     T = run.iteration
     if T == 0:
         raise ValueError("run has no iterations")
@@ -111,16 +118,10 @@ def regret_report(run: PhRun, *, cap: int = 2_000_000) -> dict:
 
     rt_lower = None
     thm_holds = None
-    if run.history["gammas"]:
-        # S[i][c, a]: time-summed penalty of always playing a at coarse cell c
-        S = {}
-        for k, i in enumerate(run.stages):
-            G = np.stack([g[k] for g in run.history["gammas"]])  # [T, nc, A]
-            sq = np.sum(G * G, axis=2, keepdims=True)
-            S[i] = np.einsum("t,tca->ca", lams, 1.0 - 2.0 * G + sq)
+    if run.penalty_sums is not None:
         v_arr = T * t.rewards[:, run.player].copy()
-        for i in run.stages:
-            v_arr = v_arr - S[i][t.label_idx[run.mc][i], t.action_cols[:, i]]
+        for i, S in run.penalty_sums.items():
+            v_arr = v_arr - S[t.label_idx[run.mc][i], t.action_cols[:, i]]
         try:
             best_sum = best_response_value(run.game, run.fine, run.player,
                                            cap=cap, values=v_arr)

@@ -252,3 +252,34 @@ def test_tables_cache_entry_dies_with_its_game():
     gc.collect()
     assert game_ref() is None
     assert key not in engine._cache
+
+
+def test_tables_freed_with_their_game_without_the_cycle_collector():
+    # the Tables holds its game weakly, so refcounting alone frees both
+    g, maps = build_matching_pennies()
+    t = tables_for(g, maps["original"])
+    key, tables_ref = id(g), weakref.ref(t)
+    assert t.game is g
+    gc.collect()
+    gc.disable()
+    try:
+        del g, t
+        assert tables_ref() is None
+        assert key not in engine._cache
+    finally:
+        gc.enable()
+
+
+def test_tables_for_skips_a_tables_whose_game_died():
+    # a Tables kept alive past its game keeps its cache entry; a new game
+    # that reuses the dead game's id must get a Tables of its own
+    g, maps = build_matching_pennies()
+    stale = tables_for(g, maps["original"])
+    del g
+    gc.collect()
+    assert stale.game is None
+    g2, maps2 = build_matching_pennies()
+    engine._cache[id(g2)] = stale
+    t = tables_for(g2, maps2["original"])
+    assert t is not stale and t.game is g2
+    assert engine._cache[id(g2)] is t

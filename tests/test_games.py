@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +11,7 @@ from phide.core import (BehavioralPolicy, InformationMap, ProductGame,
 from phide.engine import tables_for
 from phide.errors import (EnumerationTooLarge, IllegalSupport,
                           WellPosednessViolation)
-from phide.games import (_search, best_response_value, check_well_posed,
-                         modify_policy)
+from phide.games import best_response_value, check_well_posed, modify_policy
 from phide.infomaps import has_perfect_recall
 from phide.zoo import build_matching_pennies, build_trade_comm, random_game
 
@@ -162,7 +163,36 @@ def test_best_response_opponent_moving_first():
     v, pol = best_response_value(g, info, 0, fixed=fixed, return_policy=True)
     assert abs(v - 0.9) < 1e-12
     assert np.array_equal(pol.table[(1, (1, ()))], [0.0, 1.0])
-    assert abs(_search(g, info, 0, fixed, 10**6, None, False) - v) < 1e-12
+    t = tables_for(g, info)
+    assert abs(_brute_force(t, info, fixed, t.rewards[:, 0]) - v) < 1e-12
+
+
+def _brute_force(t, info, fixed, values, limit=4096):
+    """Max of expected ``values`` over every deterministic policy of player 0
+    on ``info``, every other player following ``fixed``; ``None`` when there
+    are more than ``limit`` such policies."""
+    game = t.game
+    m = t.map_index(info)
+    own = game.stages_of(0)
+    sizes = [game.stage_actions[i] for i in own for _ in t.labels[m][i]]
+    count = math.prod(sizes)
+    if count > limit:
+        return None
+    q = t.nat_prob * values
+    for i in range(game.num_stages):
+        if i not in own:
+            mx = t.map_index(fixed.info)
+            rows = np.array([fixed.table[(i, g)] for g in t.labels[mx][i]])
+            q = q * rows[t.label_idx[mx][i], t.action_cols[:, i]]
+    choices = np.array(list(itertools.product(*map(range, sizes))),
+                       dtype=np.int64).reshape(count, len(sizes))
+    played = np.ones((len(choices), len(q)), dtype=bool)
+    offset = 0
+    for i in own:
+        played &= (choices[:, offset + t.label_idx[m][i]]
+                   == t.action_cols[:, i])
+        offset += len(t.labels[m][i])
+    return float(np.max(played @ q))
 
 
 def _expected(t, info, pol, fixed, values):
@@ -183,6 +213,8 @@ def _expected(t, info, pol, fixed, values):
        two_players=st.booleans(), use_reward_fn=st.booleans())
 def test_backward_induction_equals_search(seed, which, two_players,
                                           use_reward_fn):
+    # with or without perfect recall, the search agrees with brute force
+    # wherever brute force is cheap, and its policy attains its value
     game, coarse, fine = random_game(seed)
     info = coarse if which == "coarse" else fine
     rng = np.random.default_rng(seed)
@@ -193,8 +225,6 @@ def test_backward_induction_equals_search(seed, which, two_players,
             game, player_of_stage=owner, num_players=2,
             reward_fn=lambda w, a, f=game.reward_fn: f(w, a) * 2)
         fixed = random_policy(game, info, rng)
-    if not has_perfect_recall(game, info, 0):
-        return
     t = tables_for(game, info)
     reward_fn = None
     values = t.rewards[:, 0]
@@ -206,15 +236,16 @@ def test_backward_induction_equals_search(seed, which, two_players,
             return values[row[h]]
     v, pol = best_response_value(game, info, 0, fixed, reward_fn=reward_fn,
                                  return_policy=True)
-    assert abs(v - _search(game, info, 0, fixed, 10**8, reward_fn,
-                           False)) <= 1e-12
+    reference = _brute_force(t, info, fixed, values)
+    if reference is not None:
+        assert abs(v - reference) <= 1e-12
     assert abs(v - _expected(t, info, pol, fixed, values)) <= 1e-12
     assert best_response_value(game, info, 0, fixed, values=values) == v
 
 
 def test_values_argument_on_both_routes():
     g, maps = build_matching_pennies()
-    for name in ("original", "relaxed"):  # search, backward induction
+    for name in ("original", "relaxed"):  # without, with perfect recall
         t = tables_for(g, maps[name])
         vals = np.linspace(-1.0, 1.0, len(t.histories))
         row = {h: k for k, h in enumerate(t.histories)}
