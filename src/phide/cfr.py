@@ -58,16 +58,19 @@ def make_banks(t: Tables, map_idx: int, stages, kind: str, eta, rng,
 
 def counterfactual_matrix(t: Tables, map_idx: int, stage: int, q: np.ndarray,
                           pf_stage: np.ndarray, values: np.ndarray,
-                          sampled: bool = False):
+                          sampled: bool = False, mass: np.ndarray = None):
     """Conditional forced-action expectations for every (label, action) of a
     stage: entry [g, d] is E_q[values | label = g] with stage forced to d.
 
     ``q`` holds per-history weights, the floored pushforward whose stage
     factor is ``pf_stage``.  Sampled callers restrict ``q`` to the drawn
     Nature slice; a label with no mass there gets a zero row.  Otherwise a
-    label with no mass raises ZeroReachLabel.  Returns (matrix, label mass).
+    label with no mass raises ZeroReachLabel.  ``mass``, if given, is the
+    label mass of ``q`` from an earlier call, and is not recomputed.
+    Returns (matrix, label mass).
     """
-    mass = t.label_mass(q, map_idx, stage)
+    if mass is None:
+        mass = t.label_mass(q, map_idx, stage)
     ok = mass > 0.0
     if not sampled and not ok.all():
         raise ZeroReachLabel(f"zero conditioning mass at stage {stage}")
@@ -213,14 +216,15 @@ class SolverLoop:
         return gam, qf, pf
 
     def _penalty_cols(self, mats, gam):
-        """Per-history squared local distance, one column per own stage."""
+        """Per-history squared local distance, one column per own stage,
+        computed once per (coarse, fine) label pair."""
         if gam is mats:
             return {}
         cols = {}
         for i in self.stages:
-            diff = (mats[i][self.t.label_idx[self.mf][i]]
-                    - gam[i][self.t.label_idx[self.mc][i]])
-            cols[i] = np.sum(diff * diff, axis=1)
+            pair_idx, coarse, fine, _ = self.t.pairs(self.mf, self.mc, i)
+            diff = mats[i][fine] - gam[i][coarse]
+            cols[i] = np.sum(diff * diff, axis=1)[pair_idx]
         return cols
 
     def _local_rewards(self, mats, gam, q, pf, pen, lam):
@@ -244,7 +248,7 @@ class SolverLoop:
                     # the played action, per (label, action)
                     played = gam[i][t.label_idx[self.mc][i], t.action_cols[:, i]]
                     centre, _ = counterfactual_matrix(t, self.mf, i, q, pf[i],
-                                                      played, sampled)
+                                                      played, sampled, mass)
                 lin = 2.0 * lam * (mats[i] - centre)
                 lin[mass <= 0.0] = 0.0
                 theta -= lin

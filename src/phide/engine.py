@@ -46,6 +46,8 @@ class Tables:
         # n_labels[i]
         self.labels: list[list[list]] = []
         self.label_idx: list[list[np.ndarray]] = []
+        # (fine map, coarse map, stage) -> pair tables; see ``pairs``
+        self._pairs: dict[tuple[int, int, int], tuple] = {}
         for m in maps:
             self.add_map(m)
 
@@ -114,6 +116,26 @@ class Tables:
             out.append(arr if np.array_equal(arr[fl], cl) else None)
         return out
 
+    def pairs(self, m_fine: int, m_coarse: int, i: int):
+        """The (coarse label, fine label) pairs that occur at stage i, built
+        on first use and kept as long as the Tables: at most maps² × stages
+        entries.
+
+        Returns (pair_idx, pair_coarse, pair_fine, offsets): ``pair_idx[n]``
+        is history n's pair, the pairs are sorted by coarse then fine label,
+        and ``offsets[c]:offsets[c + 1]`` are the pairs of coarse label c.
+        """
+        key = (m_fine, m_coarse, i)
+        if key not in self._pairs:
+            fl, cl = self.label_idx[m_fine][i], self.label_idx[m_coarse][i]
+            nf, nc = len(self.labels[m_fine][i]), len(self.labels[m_coarse][i])
+            codes, pair_idx = np.unique(cl * nf + fl, return_inverse=True)
+            pair_coarse, pair_fine = np.divmod(codes, nf)
+            counts = np.bincount(pair_coarse, minlength=nc)
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            self._pairs[key] = (pair_idx, pair_coarse, pair_fine, offsets)
+        return self._pairs[key]
+
     # -------------------------------------------------------------- policies
 
     def matrices(self, policy: BehavioralPolicy) -> list[np.ndarray]:
@@ -148,10 +170,14 @@ class Tables:
     def pushforward(self, mats, map_idx: int):
         """Returns (Q over histories, list of per-stage per-history probs)."""
         pf = [self.stage_prob(mats, map_idx, i) for i in range(self.game.num_stages)]
+        return self.reach(pf), pf
+
+    def reach(self, pf) -> np.ndarray:
+        """Q over histories from the per-stage probabilities ``pf``."""
         q = self.nat_prob.copy()
         for col in pf:
             q = q * col
-        return q, pf
+        return q
 
     def expect(self, q: np.ndarray, values: np.ndarray) -> float:
         return float(q @ values)

@@ -63,36 +63,16 @@ def has_perfect_recall(game: ProductGame, info: InformationMap,
     return True
 
 
-def _fine_groups(t: Tables, m_fine: int, m_coarse: int, i: int):
-    """Flat index of the fine labels feeding each coarse label at stage i.
-
-    Returns (members, offsets, rep): ``members[offsets[c]:offsets[c+1]]`` are
-    the sorted fine label indices under coarse label c, and ``rep[c]`` is the
-    first of them.
-    """
-    cache = getattr(t, "_group_cache", None)
-    if cache is None:
-        cache = t._group_cache = {}
-    key = (m_fine, m_coarse, i)
-    if key not in cache:
-        fl, cl = t.label_idx[m_fine][i], t.label_idx[m_coarse][i]
-        nc = len(t.labels[m_coarse][i])
-        pairs = np.unique(np.stack([cl, fl], axis=1), axis=0)
-        members = pairs[:, 1]
-        counts = np.bincount(pairs[:, 0], minlength=nc)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        rep = members[offsets[:-1]]
-        cache[key] = (members, offsets, rep)
-    return cache[key]
-
-
 def project_matrices(t: Tables, mu_mats, m_fine: int, m_coarse: int,
                      q0: np.ndarray, stages=None):
     """Pushforward-weighted average of fine local vectors per coarse label.
 
-    When every fine vector merged into a coarse label is bit-identical the
-    common vector is returned unchanged, so projecting an implementable
-    policy is an exact fixed point.
+    A stage costs O(n + pairs · A), with n histories and the (coarse, fine)
+    label pairs of ``Tables.pairs``: ``q0`` is binned by pair in one pass,
+    and the average runs over pairs, not histories.  When every fine vector
+    merged into a coarse label is bit-identical the common vector is
+    returned unchanged, so projecting an implementable policy is an exact
+    fixed point.
     """
     L = t.game.num_stages
     if stages is None:
@@ -102,25 +82,23 @@ def project_matrices(t: Tables, mu_mats, m_fine: int, m_coarse: int,
         if i not in stages:
             out.append(None)
             continue
-        fl, cl = t.label_idx[m_fine][i], t.label_idx[m_coarse][i]
-        nc = len(t.labels[m_coarse][i])
-        A = t.game.stage_actions[i]
-        mass = np.bincount(cl, weights=q0, minlength=nc)
+        pair_idx, coarse, fine, offsets = t.pairs(m_fine, m_coarse, i)
+        pm = np.bincount(pair_idx, weights=q0, minlength=len(fine))
+        mass = np.bincount(coarse, weights=pm,
+                           minlength=len(t.labels[m_coarse][i]))
         if np.any(mass <= 0.0):
             raise ZeroReachLabel(
                 f"stage {i}: coarse label with zero base mass; use a "
                 "full-support base policy"
             )
-        flat = (cl[:, None] * A + np.arange(A)[None, :]).ravel()
-        acc = np.bincount(flat, weights=(q0[:, None] * mu_mats[i][fl]).ravel(),
-                          minlength=nc * A).reshape(nc, A)
-        gamma = acc / mass[:, None]
-        members, offsets, rep = _fine_groups(t, m_fine, m_coarse, i)
-        rows = mu_mats[i][members]
-        mn = np.minimum.reduceat(rows, offsets[:-1], axis=0)
-        mx = np.maximum.reduceat(rows, offsets[:-1], axis=0)
+        rows = mu_mats[i][fine]
+        starts = offsets[:-1]
+        gamma = (np.add.reduceat(pm[:, None] * rows, starts, axis=0)
+                 / mass[:, None])
+        mn = np.minimum.reduceat(rows, starts, axis=0)
+        mx = np.maximum.reduceat(rows, starts, axis=0)
         const = np.all(mn == mx, axis=1)
-        gamma[const] = mu_mats[i][rep[const]]
+        gamma[const] = mn[const]
         out.append(gamma)
     return out
 

@@ -110,9 +110,11 @@ def lagrangian(problem: RelaxationProblem, policy: BehavioralPolicy) -> float:
     return _objective(problem, mats, _project(problem, mats))
 
 
-def _objective(problem: RelaxationProblem, mats, gam) -> float:
+def _objective(problem: RelaxationProblem, mats, gam, pf=None) -> float:
+    """``pf``, if given, holds the stage columns of ``mats``, which are then
+    not recomputed."""
     t = problem._t
-    q, _ = t.pushforward(mats, problem.mf)
+    q = t.pushforward(mats, problem.mf)[0] if pf is None else t.reach(pf)
     payoff = t.expect(q, t.rewards[:, problem.player])
     return payoff - problem.lam * _penalty(problem, mats, gam)
 
@@ -152,7 +154,7 @@ def _maximize(problem: RelaxationProblem, gam, start, max_sweeps: int,
             w = problem.weights[i]
             mats[i] = _rows_to_simplex(centers[i] + c / (2.0 * lam * w[:, None]))
             pf[i] = t.stage_prob(mats, mf, i)
-        val = _objective(problem, mats, gam)
+        val = _objective(problem, mats, gam, pf)
         if val - best <= tol:
             converged = True
             best = max(best, val)

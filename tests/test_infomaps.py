@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phide.core import random_policy, uniform_policy
 from phide.engine import tables_for
 from phide.errors import ZeroReachLabel
+from phide.hiding import PhRun
 from phide.infomaps import (has_perfect_recall, is_finer, is_implementable,
-                            project, weighted_sq_distance)
-from phide.zoo import build_matching_pennies, build_trade_comm, random_game
+                            project, project_matrices, weighted_sq_distance)
+from phide.zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
+                       random_game)
 
 
 def lift(game, fine, coarse_policy):
@@ -131,3 +134,98 @@ def test_projection_weights_follow_base():
         rows = [v for (j, gl), v in mu.table.items()
                 if j == 1 and gl[1][1] == lab[1][0]]
         assert np.allclose(vec, np.mean(rows, axis=0), atol=1e-12)
+
+
+def dense_projection(t, mats, mf, mc, q0):
+    """Reference projection, accumulated history by history."""
+    out = []
+    for i in range(t.game.num_stages):
+        fl, cl = t.label_idx[mf][i], t.label_idx[mc][i]
+        nc = len(t.labels[mc][i])
+        acc = np.zeros((nc, mats[i].shape[1]))
+        mass = np.zeros(nc)
+        np.add.at(acc, cl, q0[:, None] * mats[i][fl])
+        np.add.at(mass, cl, q0)
+        out.append(acc / mass[:, None])
+    return out
+
+
+def lifted_pair(t, mf, mc, rng):
+    """Fine-map matrices implementable on the coarse map, and the coarse
+    matrices they equal: one random vector per connected set of (coarse,
+    fine) label pairs, so also where the fine map does not refine."""
+    fine_mats, coarse_mats = [], []
+    for i in range(t.game.num_stages):
+        fl, cl = t.label_idx[mf][i], t.label_idx[mc][i]
+        nc, nf = len(t.labels[mc][i]), len(t.labels[mf][i])
+        root = list(range(nc + nf))  # coarse labels, then fine labels
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for c, f in set(zip(cl.tolist(), fl.tolist())):
+            root[find(nc + f)] = find(c)
+        A = t.game.stage_actions[i]
+        vec = {r: rng.dirichlet(np.ones(A)) for r in set(map(find, root))}
+        coarse_mats.append(np.array([vec[find(c)] for c in range(nc)]))
+        fine_mats.append(np.array([vec[find(nc + f)] for f in range(nf)]))
+    return fine_mats, coarse_mats
+
+
+def check_pairs_against_dense(game, coarse, fine, rng):
+    run = PhRun(game, coarse, fine)
+    t, mf, mc = run.t, run.mf, run.mc
+
+    def random_mats():
+        return [rng.dirichlet(np.ones(t.game.stage_actions[i]),
+                              size=len(t.labels[mf][i]))
+                for i in range(game.num_stages)]
+    q0 = t.pushforward(random_mats(), mf)[0]
+    mats = random_mats()
+    gam = project_matrices(t, mats, mf, mc, q0)
+    for g, ref in zip(gam, dense_projection(t, mats, mf, mc, q0)):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+    pen = run._penalty_cols(mats, gam)
+    for i in range(game.num_stages):
+        diff = mats[i][t.label_idx[mf][i]] - gam[i][t.label_idx[mc][i]]
+        np.testing.assert_allclose(pen[i], np.sum(diff * diff, axis=1),
+                                   rtol=0, atol=1e-12)
+    fine_mats, coarse_mats = lifted_pair(t, mf, mc, rng)
+    gam = project_matrices(t, fine_mats, mf, mc, q0)
+    for g, want in zip(gam, coarse_mats):
+        assert np.array_equal(g, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 499), swap=st.booleans())
+def test_pair_projection_and_penalty_match_dense_reference(seed, swap):
+    # swapped, the learners' map is the coarser one: it does not refine
+    game, coarse, fine = random_game(seed)
+    if swap:
+        coarse, fine = fine, coarse
+    check_pairs_against_dense(game, coarse, fine,
+                              np.random.default_rng(seed))
+
+
+def test_pair_projection_matches_dense_reference_on_cheat_map():
+    game, maps = build_trade_comm(TradeCommSpec(2, 2))
+    assert not is_finer(maps["cheat"], maps["original"], game)
+    check_pairs_against_dense(game, maps["original"], maps["cheat"],
+                              np.random.default_rng(0))
+
+
+def test_pair_cache_is_bounded():
+    game, maps = build_trade_comm()
+    t = tables_for(game, *maps.values())
+    sizes = []
+    for s in range(10):
+        for fine in ("perfect_recall", "cheat"):
+            run = PhRun(game, maps["original"], maps[fine], seed=s,
+                        randomize_init=True)
+            run.iterate()
+        sizes.append(len(t._pairs))
+    assert sizes == [sizes[0]] * len(sizes)
+    assert 0 < sizes[0] <= len(t.maps) ** 2 * game.num_stages
+    assert not hasattr(t, "_group_cache")
