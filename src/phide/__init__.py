@@ -5,8 +5,7 @@ information relaxations."""
 from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
                    enumerate_reachable, floored, random_policy, uniform_policy)
 from .errors import (ConfigError, EnumerationTooLarge, IllegalSupport,
-                     PerfectRecallRequired, PhideError, WellPosednessViolation,
-                     ZeroReachLabel)
+                     PhideError, WellPosednessViolation, ZeroReachLabel)
 from .engine import Tables, tables_for
 from .games import best_response_value, check_well_posed, modify_policy
 from .infomaps import (has_perfect_recall, is_finer, is_implementable, project,
@@ -28,8 +27,7 @@ __all__ = [
     "BehavioralPolicy", "History", "InformationMap", "ProductGame",
     "enumerate_reachable", "floored", "random_policy", "uniform_policy",
     "PhideError", "WellPosednessViolation", "ZeroReachLabel",
-    "EnumerationTooLarge", "PerfectRecallRequired", "IllegalSupport",
-    "ConfigError",
+    "EnumerationTooLarge", "IllegalSupport", "ConfigError",
     "Tables", "tables_for",
     "best_response_value", "check_well_posed", "modify_policy",
     "has_perfect_recall", "is_finer", "is_implementable", "project",

@@ -22,7 +22,7 @@ import numpy as np
 from .core import BehavioralPolicy, InformationMap, ProductGame
 from .engine import Tables, tables_for
 from .errors import ZeroReachLabel
-from .infomaps import project_matrices
+from .infomaps import pair_sq_distance, project_matrices
 from .learners import LearnerBank
 
 EPS_FLOOR = 1e-6
@@ -42,17 +42,17 @@ def floored_mats(mats, eps: float = EPS_FLOOR):
     return [(1.0 - eps) * m + eps / m.shape[1] for m in mats]
 
 
-def make_banks(t: Tables, map_idx: int, stages, kind: str, eta, rng,
+def make_banks(t: Tables, map_idx: int, kind: str, eta, rng,
                randomize_init: bool):
     """One learner bank per stage; rows follow the engine's label order."""
-    banks = {}
-    for i in stages:
+    banks = []
+    for i in range(t.game.num_stages):
         n_labels = len(t.labels[map_idx][i])
         A = t.game.stage_actions[i]
         warm = None
         if randomize_init:
             warm = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(n_labels)])
-        banks[i] = LearnerBank(kind, n_labels, A, eta=eta, warm=warm)
+        banks.append(LearnerBank(kind, n_labels, A, eta=eta, warm=warm))
     return banks
 
 
@@ -83,7 +83,8 @@ def counterfactual_matrix(t: Tables, map_idx: int, stage: int, q: np.ndarray,
 class RegretAccounting:
     """Tracks cumulative fed rewards and realized values per label."""
 
-    def __init__(self, t: Tables, map_idx: int, stages):
+    def __init__(self, t: Tables, map_idx: int):
+        stages = range(t.game.num_stages)
         self.cum_theta = {
             i: np.zeros((len(t.labels[map_idx][i]), t.game.stage_actions[i]))
             for i in stages
@@ -153,10 +154,11 @@ class PenaltySchedule:
 class SolverLoop:
     """Learners on ``fine``, projected each step onto ``coarse`` and fed
     penalized local rewards.  With ``fine is coarse`` the projection is the
-    identity and the penalty zero, bit for bit, so both are skipped."""
+    identity and the penalty zero, bit for bit, so both are skipped.  Every
+    stage has a learner; ``player`` names whose payoff the trace records."""
 
     def __init__(self, game: ProductGame, coarse: InformationMap,
-                 fine: InformationMap, stages, schedule: PenaltySchedule, *,
+                 fine: InformationMap, schedule: PenaltySchedule, *,
                  learner: str, eta, seed: int, randomize_init: bool,
                  mode: str, player: int):
         if mode not in MODES:
@@ -171,14 +173,16 @@ class SolverLoop:
         self.t = tables_for(game, coarse, fine)
         self.mf = self.t.map_index(fine)
         self.mc = self.t.map_index(coarse)
-        self.stages = list(stages)
-        # fine -> coarse label index on the stages where fine refines coarse
-        self.f2c = {i: arr for i, arr in enumerate(self.t.refinement(fine, coarse))
-                    if arr is not None}
+        self.stages = range(game.num_stages)
+        # fine -> coarse label index on the stages where fine refines coarse;
+        # unused, so not built, when fine is coarse
+        self.f2c = {} if fine is coarse else {
+            i: arr for i, arr in enumerate(self.t.refinement(fine, coarse))
+            if arr is not None}
         self.rng = np.random.default_rng(seed)
-        self.banks = make_banks(self.t, self.mf, self.stages, learner, eta,
-                                self.rng, randomize_init)
-        self.accounting = RegretAccounting(self.t, self.mf, self.stages)
+        self.banks = make_banks(self.t, self.mf, learner, eta, self.rng,
+                                randomize_init)
+        self.accounting = RegretAccounting(self.t, self.mf)
         self.iteration = 0
         self.projected = None  # coarse matrices of the latest iterate
         self.trace = {k: [] for k in TRACE_KEYS}
@@ -186,7 +190,7 @@ class SolverLoop:
     # ------------------------------------------------------------------
 
     def current_mats(self):
-        return [self.banks[i].decide() for i in self.stages]
+        return [bank.decide() for bank in self.banks]
 
     def iterate(self):
         """One step; returns the projected iterate in matrix form."""
@@ -211,9 +215,7 @@ class SolverLoop:
         qf, pf = self.t.pushforward(floored_mats(mats), self.mf)
         if self.fine is self.coarse:
             return mats, qf, pf
-        gam = project_matrices(self.t, mats, self.mf, self.mc, qf,
-                               stages=self.stages)
-        return gam, qf, pf
+        return project_matrices(self.t, mats, self.mf, self.mc, qf), qf, pf
 
     def _penalty_cols(self, mats, gam):
         """Per-history squared local distance, one column per own stage,
@@ -222,9 +224,9 @@ class SolverLoop:
             return {}
         cols = {}
         for i in self.stages:
-            pair_idx, coarse, fine, _ = self.t.pairs(self.mf, self.mc, i)
-            diff = mats[i][fine] - gam[i][coarse]
-            cols[i] = np.sum(diff * diff, axis=1)[pair_idx]
+            d, pair_idx = pair_sq_distance(self.t, mats, gam, self.mf,
+                                           self.mc, i)
+            cols[i] = d[pair_idx]
         return cols
 
     def _local_rewards(self, mats, gam, q, pf, pen, lam):
@@ -292,10 +294,10 @@ class CfrRun(SolverLoop):
                  learner: str = "regret_matching", eta: float = None,
                  seed: int = 0, randomize_init: bool = False,
                  mode: str = "exact", player: int = 0):
-        super().__init__(game, info, info, range(game.num_stages),
-                         PenaltySchedule("constant", 0.0), learner=learner,
-                         eta=eta, seed=seed, randomize_init=randomize_init,
-                         mode=mode, player=player)
+        super().__init__(game, info, info, PenaltySchedule("constant", 0.0),
+                         learner=learner, eta=eta, seed=seed,
+                         randomize_init=randomize_init, mode=mode,
+                         player=player)
         self.avg_num = {i: np.zeros_like(self.accounting.cum_theta[i])
                         for i in self.stages}
         self.avg_den = {i: np.zeros_like(self.accounting.cum_real[i])

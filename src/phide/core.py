@@ -27,7 +27,9 @@ class History(NamedTuple):
 
 # Tokens for declaratively built information maps: ("nature", k) reveals the
 # k-th component of the nature value, ("action", j) reveals the action taken
-# at stage j (0-based, must satisfy j < stage).
+# at stage j (0-based; a negative index counts from the end).  Whether an
+# index exists and whether j lies before the stage depend on the game, so
+# ``check_token_stages`` judges both when the map meets one.
 RevealToken = tuple
 
 
@@ -173,21 +175,30 @@ def _peek_error(i: int, j: int) -> WellPosednessViolation:
 
 
 def check_token_stages(game: ProductGame, info: InformationMap):
-    """Static suffix-independence verdict for the token stages of ``info``.
+    """Static verdict for the token stages of ``info``, smallest stage first.
 
-    A token stage i peeks if and only if it reveals ``("action", j)`` for a
-    stage j >= i with at least two legal actions (a negative j counts from
-    the end, as in the label).  Flipping that action changes the label on
-    every history, so the per-history probe would fail on the first one;
-    this raises the same error, smallest i then smallest j, without
-    computing a label.  Callable stages are not judged here.
+    A token whose index names no nature component or no stage (the valid
+    range is -len to len - 1, as for a tuple) raises a
+    ``WellPosednessViolation`` that names the stage and the token.  A token
+    stage i peeks if and only if it reveals ``("action", j)`` for a stage
+    j >= i with at least two legal actions (a negative j counts from the
+    end, as in the label).  Flipping that action changes the label on every
+    history, so the per-history probe would fail on the first one; this
+    raises the same error, smallest i then smallest j, without computing a
+    label.  Callable stages are not judged here.
     """
     L = game.num_stages
     for i, tokens in enumerate(info.revealed):
         if tokens is None:
             continue
+        for kind, j in tokens:
+            size = L if kind == "action" else min(len(w) for w in game.nature)
+            if not -size <= j < size:
+                raise WellPosednessViolation(
+                    f"stage-{i} token {(kind, j)!r} is out of range: {kind} "
+                    f"indices run from {-size} to {size - 1}")
         peeked = [j % L for kind, j in tokens
-                  if kind == "action" and -L <= j < L and j % L >= i
+                  if kind == "action" and j % L >= i
                   and game.stage_actions[j % L] >= 2]
         if peeked:
             raise _peek_error(i, min(peeked))

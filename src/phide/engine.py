@@ -20,17 +20,16 @@ class Tables:
     """A game's reachable histories, enumerated with ``maps[0]``, and the
     per-stage labels of every map added.
 
-    With ``validate`` set, ``maps[0]`` is checked for peeking in full, and
-    the token stages of every later map statically when it is added.
-    Callable stages of maps added after the first are not probed.  Token
-    stages compile to array gathers with one label call per distinct label;
-    callable stages cost one label call per history.
+    ``maps[0]`` is checked for peeking in full, and the token stages of
+    every later map statically when it is added.  Callable stages of maps
+    added after the first are not probed.  Token stages compile to array
+    gathers with one label call per distinct label; callable stages cost
+    one label call per history.
     """
 
-    def __init__(self, game: ProductGame, *maps: InformationMap, validate: bool = True):
+    def __init__(self, game: ProductGame, *maps: InformationMap):
         self._game = weakref.ref(game)
-        self.validate = validate
-        self.histories = enumerate_reachable(game, maps[0], validate=validate)
+        self.histories = enumerate_reachable(game, maps[0])
         n = len(self.histories)
         nat_index = {w: k for k, w in enumerate(game.nature)}
         self.nature_idx = np.array([nat_index[h.nature] for h in self.histories])
@@ -62,8 +61,7 @@ class Tables:
     def add_map(self, info: InformationMap) -> int:
         if id(info) in self._map_ids:
             return self._map_ids[id(info)]
-        if self.validate:
-            check_token_stages(self.game, info)
+        check_token_stages(self.game, info)
         labels, idx = zip(*(self._stage_labels(info, i)
                             for i in range(self.game.num_stages)))
         self._map_ids[id(info)] = len(self.maps)
@@ -106,14 +104,16 @@ class Tables:
     def refinement(self, fine: InformationMap, coarse: InformationMap):
         """Per stage, the array mapping fine label index to coarse label
         index, or ``None`` where ``fine`` does not refine ``coarse``: some
-        fine label holds histories of two coarse labels."""
+        fine label occurs in two (coarse, fine) label pairs."""
         mf, mc = self.map_index(fine), self.map_index(coarse)
         out = []
         for i in range(self.game.num_stages):
-            fl, cl = self.label_idx[mf][i], self.label_idx[mc][i]
-            arr = np.full(len(self.labels[mf][i]), -1, dtype=np.int64)
-            arr[fl] = cl
-            out.append(arr if np.array_equal(arr[fl], cl) else None)
+            _, pair_coarse, pair_fine, _ = self.pairs(mf, mc, i)
+            arr = None
+            if len(pair_fine) == len(self.labels[mf][i]):
+                arr = np.empty(len(pair_fine), dtype=np.int64)
+                arr[pair_fine] = pair_coarse
+            out.append(arr)
         return out
 
     def pairs(self, m_fine: int, m_coarse: int, i: int):
@@ -135,6 +135,21 @@ class Tables:
             offsets = np.concatenate([[0], np.cumsum(counts)])
             self._pairs[key] = (pair_idx, pair_coarse, pair_fine, offsets)
         return self._pairs[key]
+
+    def recall_closure(self, m: int, own):
+        """Per stage of ``own``, each history's label in the recall closure
+        of map ``m`` (the map's labels at ``own`` stages so far and the
+        actions at the earlier ones: its coarsest refinement with perfect
+        recall) and the map's label of each closure label."""
+        out, key = [], np.zeros(len(self.histories), dtype=np.int64)
+        for i in own:
+            lab = self.label_idx[m][i]
+            _, first, idx = np.unique(key * len(self.labels[m][i]) + lab,
+                                      return_index=True, return_inverse=True)
+            idx = idx.reshape(-1)
+            out.append((idx, lab[first]))
+            key = idx * self.game.stage_actions[i] + self.action_cols[:, i]
+        return out
 
     # -------------------------------------------------------------- policies
 

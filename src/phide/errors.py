@@ -7,7 +7,8 @@ class PhideError(Exception):
 
 class WellPosednessViolation(PhideError):
     """The fixed-point relation (omega, mu(h)) = h fails: no history, several
-    histories, or an information map that peeks at future components."""
+    histories, or an information map that peeks at future components or
+    reveals a component the histories do not have."""
 
 
 class ZeroReachLabel(PhideError):
@@ -16,10 +17,6 @@ class ZeroReachLabel(PhideError):
 
 class EnumerationTooLarge(PhideError):
     """A deterministic-policy enumeration exceeded the configured cap."""
-
-
-class PerfectRecallRequired(PhideError):
-    """Backward-induction mode needs the relaxed map to satisfy perfect recall."""
 
 
 class IllegalSupport(PhideError):

@@ -18,7 +18,7 @@ from .engine import tables_for
 from .errors import ConfigError
 from .hiding import PenaltySchedule, PhRun
 from .learners import KINDS
-from .relaxation import PROX_MODES, RelaxationProblem, _penalty, _rir_steps
+from .relaxation import RelaxationProblem, _penalty, _rir_steps
 from .zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                   random_game)
 
@@ -29,12 +29,12 @@ COLUMNS = ("run", "seed", "t", "expected_payoff_projected", "penalty_mass",
 CONFIG_KEYS = ("algorithm", "iterations", "repeats", "seed", "game", "learner",
                "eta", "randomize_init", "mode", "coarse_map", "fine_map",
                "schedule", "lambda", "target", "factor", "quantiles",
-               "threshold", "prox_mode")
+               "threshold")
 GAME_KEYS = ("name", "n", "m", "seed")
 ALGORITHMS = ("cfr", "ph", "rir")
 # Keys that take one of a fixed set of values, each set kept by its module.
 CHOICES = (("algorithm", ALGORITHMS), ("mode", MODES), ("learner", KINDS),
-           ("schedule", SCHEDULE_KINDS), ("prox_mode", PROX_MODES))
+           ("schedule", SCHEDULE_KINDS))
 
 
 def _reject_unknown_keys(record: dict, known: tuple, where: str):
@@ -134,8 +134,7 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
         mu = random_policy(game, fine, rng)
     else:
         mu = uniform_policy(game, fine)
-    steps = _rir_steps(problem, t.matrices(mu),
-                       config.get("prox_mode", "backward_induction"))
+    steps = _rir_steps(problem, t.matrices(mu))
     trace = {"payoff": [], "penalty_mass": [], "sum_pos_local": [], "lambda": []}
     for _, (mats, gam) in zip(range(iters), steps):
         trace["payoff"].append(t.expected_reward(gam, coarse))

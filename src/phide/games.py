@@ -117,7 +117,7 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     own = game.stages_of(player)
     weight = _weights(t, own, values, fixed)
     m = t.map_index(info)
-    closure = _recall_closure(t, m, own)
+    closure = t.recall_closure(m, own)
     spent, value, choice = 0, -np.inf, None
     stack = [_relaxed(t, own, closure, weight, {})]
     while stack:
@@ -157,21 +157,6 @@ def _weights(t, own, values, fixed):
                         dtype=float)
         val = val * rows[t.label_idx[mx][i], t.action_cols[:, i]]
     return val
-
-
-def _recall_closure(t, m, own):
-    """Per own stage, each history's label in the recall closure of map
-    ``m`` (the map's labels at own stages up to this one and the own actions
-    before it) and the map's label of each closure label."""
-    out, key = [], np.zeros(len(t.histories), dtype=np.int64)
-    for i in own:
-        lab = t.label_idx[m][i]
-        _, first, idx = np.unique(key * len(t.labels[m][i]) + lab,
-                                  return_index=True, return_inverse=True)
-        idx = idx.reshape(-1)
-        out.append((idx, lab[first]))
-        key = idx * t.game.stage_actions[i] + t.action_cols[:, i]
-    return out
 
 
 def _relaxed(t, own, closure, weight, forced):

@@ -42,15 +42,13 @@ class PhRun(SolverLoop):
                  seed: int = 0, randomize_init: bool = False,
                  mode: str = "exact", player: int = 0,
                  keep_history: bool = True):
-        stages = game.stages_of(player)
-        if list(stages) != list(range(game.num_stages)):
+        if game.stages_of(player) != tuple(range(game.num_stages)):
             raise NotImplementedError("progressive hiding runs on team games "
                                       "where one player owns every stage")
-        super().__init__(game, coarse, fine, stages,
-                         schedule or PenaltySchedule(), learner=learner,
-                         eta=eta, seed=seed, randomize_init=randomize_init,
-                         mode=mode, player=player)
-        self.refines = {i: i in self.f2c for i in self.stages}
+        super().__init__(game, coarse, fine, schedule or PenaltySchedule(),
+                         learner=learner, eta=eta, seed=seed,
+                         randomize_init=randomize_init, mode=mode,
+                         player=player)
         self.penalty_sums = {
             i: np.zeros((len(self.t.labels[self.mc][i]), game.stage_actions[i]))
             for i in self.stages} if keep_history else None

@@ -1,5 +1,10 @@
 """Non-anticipativity, refinement and perfect-recall checks, the projector,
-and the reweighted squared distance between policies."""
+and the reweighted squared distance between policies.
+
+Every question about label structure is read off two ``Tables``
+primitives: the (coarse, fine) label pairs of ``Tables.pairs`` and the
+recall closure of ``Tables.recall_closure``.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,23 @@ import numpy as np
 from .core import BehavioralPolicy, InformationMap, ProductGame
 from .engine import Tables, tables_for
 from .errors import ZeroReachLabel
+
+
+def _label_range(rows: np.ndarray, offsets: np.ndarray):
+    """Per coarse label, the elementwise min and max of ``rows``, one row per
+    (coarse, fine) pair of ``Tables.pairs``, over the label's pairs."""
+    starts = offsets[:-1]
+    return (np.minimum.reduceat(rows, starts, axis=0),
+            np.maximum.reduceat(rows, starts, axis=0))
+
+
+def pair_sq_distance(t: Tables, mats, gam, m_fine: int, m_coarse: int, i: int):
+    """Squared Euclidean distance between the fine row ``mats[i]`` and the
+    coarse row ``gam[i]`` of each (coarse, fine) label pair at stage i, and
+    each history's pair index."""
+    pair_idx, coarse, fine, _ = t.pairs(m_fine, m_coarse, i)
+    diff = mats[i][fine] - gam[i][coarse]
+    return np.sum(diff * diff, axis=1), pair_idx
 
 
 def is_implementable(game: ProductGame, info: InformationMap,
@@ -19,16 +41,10 @@ def is_implementable(game: ProductGame, info: InformationMap,
     """
     t = tables_for(game, info, policy.info)
     mats = t.matrices(policy)
-    mp = t.map_index(policy.info)
-    mc = t.map_index(info)
+    mp, mc = t.map_index(policy.info), t.map_index(info)
     for i in range(game.num_stages):
-        rows = mats[i][t.label_idx[mp][i]]
-        idx = t.label_idx[mc][i]
-        n = len(t.labels[mc][i])
-        mn = np.full((n, rows.shape[1]), np.inf)
-        mx = np.full((n, rows.shape[1]), -np.inf)
-        np.minimum.at(mn, idx, rows)
-        np.maximum.at(mx, idx, rows)
+        _, _, fine, offsets = t.pairs(mp, mc, i)
+        mn, mx = _label_range(mats[i][fine], offsets)
         if np.max(mx - mn) > atol:
             return False
     return True
@@ -44,27 +60,23 @@ def is_finer(fine: InformationMap, coarse: InformationMap,
 
 def has_perfect_recall(game: ProductGame, info: InformationMap,
                        player: int) -> bool:
-    """The two recall conditions for every ordered pair of the player's stages:
-    distinctions once made persist, and own past actions are remembered."""
+    """True iff at every stage of ``player`` the recall closure of ``info``
+    (``Tables.recall_closure``) has exactly as many labels as ``info``.
+
+    A closure label encodes the map's labels at the player's stages so far
+    and the player's earlier actions, so equal counts mean each label
+    determines both: distinctions once made persist, and own past actions
+    are remembered.
+    """
     t = tables_for(game, info)
     m = t.map_index(info)
     own = game.stages_of(player)
-    for a, i in enumerate(own):
-        for j in own[a + 1:]:
-            lj = t.label_idx[m][j]
-            n = len(t.labels[m][j])
-            for vals in (t.label_idx[m][i], t.action_cols[:, i]):
-                mn = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-                mx = np.full(n, -1, dtype=np.int64)
-                np.minimum.at(mn, lj, vals)
-                np.maximum.at(mx, lj, vals)
-                if np.any(mn != mx):
-                    return False
-    return True
+    return all(len(orig) == len(t.labels[m][i])
+               for i, (_, orig) in zip(own, t.recall_closure(m, own)))
 
 
 def project_matrices(t: Tables, mu_mats, m_fine: int, m_coarse: int,
-                     q0: np.ndarray, stages=None):
+                     q0: np.ndarray):
     """Pushforward-weighted average of fine local vectors per coarse label.
 
     A stage costs O(n + pairs · A), with n histories and the (coarse, fine)
@@ -74,14 +86,8 @@ def project_matrices(t: Tables, mu_mats, m_fine: int, m_coarse: int,
     returned unchanged, so projecting an implementable policy is an exact
     fixed point.
     """
-    L = t.game.num_stages
-    if stages is None:
-        stages = range(L)
     out = []
-    for i in range(L):
-        if i not in stages:
-            out.append(None)
-            continue
+    for i in range(t.game.num_stages):
         pair_idx, coarse, fine, offsets = t.pairs(m_fine, m_coarse, i)
         pm = np.bincount(pair_idx, weights=q0, minlength=len(fine))
         mass = np.bincount(coarse, weights=pm,
@@ -92,11 +98,9 @@ def project_matrices(t: Tables, mu_mats, m_fine: int, m_coarse: int,
                 "full-support base policy"
             )
         rows = mu_mats[i][fine]
-        starts = offsets[:-1]
-        gamma = (np.add.reduceat(pm[:, None] * rows, starts, axis=0)
+        gamma = (np.add.reduceat(pm[:, None] * rows, offsets[:-1], axis=0)
                  / mass[:, None])
-        mn = np.minimum.reduceat(rows, starts, axis=0)
-        mx = np.maximum.reduceat(rows, starts, axis=0)
+        mn, mx = _label_range(rows, offsets)
         const = np.all(mn == mx, axis=1)
         gamma[const] = mn[const]
         out.append(gamma)
@@ -105,39 +109,27 @@ def project_matrices(t: Tables, mu_mats, m_fine: int, m_coarse: int,
 
 def project(game: ProductGame, info_coarse: InformationMap,
             info_fine: InformationMap, base: BehavioralPolicy,
-            policy: BehavioralPolicy, stages=None) -> BehavioralPolicy:
+            policy: BehavioralPolicy) -> BehavioralPolicy:
     """Conditional expectation of ``policy`` onto ``info_coarse`` under the
     pushforward of ``base``; always yields an implementable policy."""
     t = tables_for(game, info_coarse, info_fine, base.info, policy.info)
     q0, _ = t.pushforward(t.matrices(base), t.map_index(base.info))
-    mats = t.matrices(policy)
-    gam = project_matrices(
-        t, mats, t.map_index(policy.info), t.map_index(info_coarse), q0,
-        stages=stages,
-    )
-    table = {}
-    mc = t.map_index(info_coarse)
-    for i in range(game.num_stages):
-        if gam[i] is None:
-            continue
-        for r, g in enumerate(t.labels[mc][i]):
-            table[(i, g)] = np.array(gam[i][r])
-    return BehavioralPolicy(info_coarse, table)
+    gam = project_matrices(t, t.matrices(policy), t.map_index(policy.info),
+                           t.map_index(info_coarse), q0)
+    return t.to_policy(gam, info_coarse)
 
 
 def weighted_sq_distance(game: ProductGame, base: BehavioralPolicy,
-                         mu: BehavioralPolicy, gamma: BehavioralPolicy,
-                         stages=None) -> float:
+                         mu: BehavioralPolicy,
+                         gamma: BehavioralPolicy) -> float:
     """Sum over stages of the base-pushforward expectation of the squared
     Euclidean distance between the two local action distributions."""
     t = tables_for(game, base.info, mu.info, gamma.info)
     q0, _ = t.pushforward(t.matrices(base), t.map_index(base.info))
     mm, mg = t.matrices(mu), t.matrices(gamma)
     im, ig = t.map_index(mu.info), t.map_index(gamma.info)
-    if stages is None:
-        stages = range(game.num_stages)
     total = 0.0
-    for i in stages:
-        diff = mm[i][t.label_idx[im][i]] - mg[i][t.label_idx[ig][i]]
-        total += float(q0 @ np.sum(diff * diff, axis=1))
+    for i in range(game.num_stages):
+        d, pair_idx = pair_sq_distance(t, mm, mg, im, ig, i)
+        total += float(np.bincount(pair_idx, weights=q0, minlength=len(d)) @ d)
     return total

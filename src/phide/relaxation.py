@@ -8,24 +8,25 @@ full-support base policy, so each block maximization is an exact quadratic
 program over the simplex.
 
 One loop on per-stage matrices serves ``rir_run`` and the ``rir`` experiment;
-policies appear only at the API edge.  Both proximal modes run the same
-sweeps; ``backward_induction`` only adds a perfect-recall precondition.
+policies appear only at the API edge.  The sweeps need no perfect recall of
+the relaxed map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 from .core import BehavioralPolicy, InformationMap, ProductGame, uniform_policy
 from .engine import tables_for
-from .errors import PerfectRecallRequired
-from .infomaps import has_perfect_recall, is_finer, project_matrices
+from .infomaps import project_matrices
 
-PROX_MODES = ("backward_induction", "coordinate_ascent")
+# A proximal step stops after MAX_SWEEPS sweeps, or once a sweep raises the
+# objective by at most SWEEP_TOL.
+MAX_SWEEPS = 50
+SWEEP_TOL = 1e-9
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -58,26 +59,19 @@ class RelaxationProblem:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("penalty weight must be positive")
-        if not is_finer(self.fine, self.coarse, self.game):
+        self._t = tables_for(self.game, self.coarse, self.fine)
+        self.f2c = self._t.refinement(self.fine, self.coarse)
+        if any(arr is None for arr in self.f2c):
             raise ValueError("the relaxed map must be finer than the original")
         if self.base is None:
             self.base = uniform_policy(self.game, self.fine)
-        self._t = tables_for(self.game, self.coarse, self.fine, self.base.info)
         q0, _ = self._t.pushforward(
             self._t.matrices(self.base), self._t.map_index(self.base.info))
         if np.min(q0) <= 0.0:
             raise ValueError("base policy must have full support")
         self.q0 = q0
-        t, mf, mc = self._t, self.mf, self.mc
-        self.weights = [t.label_mass(q0, mf, i)
+        self.weights = [self._t.label_mass(q0, self.mf, i)
                         for i in range(self.game.num_stages)]
-        self.f2c = t.refinement(self.fine, self.coarse)
-
-    @cached_property
-    def fine_has_perfect_recall(self) -> bool:
-        """Whether the relaxed map has perfect recall for the player, judged
-        on first use, since only ``backward_induction`` needs it."""
-        return has_perfect_recall(self.game, self.fine, self.player)
 
     @property
     def mf(self):
@@ -119,16 +113,7 @@ def _objective(problem: RelaxationProblem, mats, gam, pf=None) -> float:
     return payoff - problem.lam * _penalty(problem, mats, gam)
 
 
-def _check_mode(problem: RelaxationProblem, mode: str):
-    if mode not in PROX_MODES:
-        raise ValueError(f"unknown proximal mode {mode!r}")
-    if mode == "backward_induction" and not problem.fine_has_perfect_recall:
-        raise PerfectRecallRequired(
-            "relaxed map lacks perfect recall; use coordinate_ascent")
-
-
-def _maximize(problem: RelaxationProblem, gam, start, max_sweeps: int,
-              tol: float = 1e-9):
+def _maximize(problem: RelaxationProblem, gam, start):
     """The proximal step towards the projection ``gam``, on matrices; returns
     (mats, objective, sweeps, converged).  It starts at the centres, ``gam``
     read on the relaxed map, or at ``start`` if that scores higher."""
@@ -143,7 +128,7 @@ def _maximize(problem: RelaxationProblem, gam, start, max_sweeps: int,
     rewards = t.rewards[:, problem.player]
     pf = [t.stage_prob(mats, mf, j) for j in range(L)]
     sweeps, converged = 0, False
-    while sweeps < max_sweeps:
+    while sweeps < MAX_SWEEPS:
         sweeps += 1
         for i in reversed(range(L)):
             q_minus = t.nat_prob
@@ -155,7 +140,7 @@ def _maximize(problem: RelaxationProblem, gam, start, max_sweeps: int,
             mats[i] = _rows_to_simplex(centers[i] + c / (2.0 * lam * w[:, None]))
             pf[i] = t.stage_prob(mats, mf, i)
         val = _objective(problem, mats, gam, pf)
-        if val - best <= tol:
+        if val - best <= SWEEP_TOL:
             converged = True
             best = max(best, val)
             break
@@ -164,22 +149,18 @@ def _maximize(problem: RelaxationProblem, gam, start, max_sweeps: int,
 
 
 def proximal_step(problem: RelaxationProblem, gamma: BehavioralPolicy,
-                  start: BehavioralPolicy = None,
-                  mode: str = "backward_induction", max_sweeps: int = 50,
-                  tol: float = 1e-9, return_info: bool = False):
+                  start: BehavioralPolicy = None, return_info: bool = False):
     """Maximize expected reward minus lam * weighted distance to ``gamma``.
 
     Reverse-stage sweeps of exact per-stage block maximizations, repeated to
-    a fixed point: on return no single (stage, label) deviation improves the
-    objective by more than ``tol``.  ``backward_induction`` requires the
-    relaxed map to have perfect recall; ``coordinate_ascent`` runs on any
-    relaxed map but may stop at a local maximum.
+    a fixed point: on return, unless ``MAX_SWEEPS`` sweeps ran out, no
+    single (stage, label) deviation improves the objective by more than
+    ``SWEEP_TOL``.  The sweeps run on any relaxed map but may stop at a
+    local maximum.
     """
-    _check_mode(problem, mode)
     t = problem._t
     cand = None if start is None else t.matrices(start)
-    mats, best, sweeps, converged = _maximize(problem, t.matrices(gamma), cand,
-                                              max_sweeps, tol)
+    mats, best, sweeps, converged = _maximize(problem, t.matrices(gamma), cand)
     policy = t.to_policy(mats, problem.fine)
     if return_info:
         return policy, {"objective": best, "sweeps": sweeps,
@@ -187,23 +168,19 @@ def proximal_step(problem: RelaxationProblem, gamma: BehavioralPolicy,
     return policy
 
 
-def _rir_steps(problem: RelaxationProblem, mats, mode: str,
-               max_sweeps: int = 50):
+def _rir_steps(problem: RelaxationProblem, mats):
     """Yields (iterate, projection) matrices for the start ``mats``, then
-    after each proximal step towards the last projection; ``mode`` is checked
-    once, before the first step."""
+    after each proximal step towards the last projection."""
     gam = _project(problem, mats)
     yield mats, gam
-    _check_mode(problem, mode)
     while True:
-        mats = _maximize(problem, gam, mats, max_sweeps)[0]
+        mats = _maximize(problem, gam, mats)[0]
         gam = _project(problem, mats)
         yield mats, gam
 
 
 def rir_run(problem: RelaxationProblem, mu0: BehavioralPolicy = None,
-            iterations: int = 100, mode: str = "backward_induction",
-            max_sweeps: int = 50):
+            iterations: int = 100):
     """Alternate projection and proximal maximization for a number of rounds.
 
     Returns (final iterate, its projection, per-round Lagrangian trace); the
@@ -212,7 +189,7 @@ def rir_run(problem: RelaxationProblem, mu0: BehavioralPolicy = None,
     """
     t = problem._t
     mu = mu0 if mu0 is not None else uniform_policy(problem.game, problem.fine)
-    steps = _rir_steps(problem, t.matrices(mu), mode, max_sweeps)
+    steps = _rir_steps(problem, t.matrices(mu))
     trace = []
     for mats, gam in islice(steps, max(iterations, 0) + 1):
         trace.append(_objective(problem, mats, gam))

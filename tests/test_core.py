@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -241,6 +242,26 @@ def test_every_token_map_added_is_checked():
                        match="stage-1 label depends on the action at stage 1"):
         t.add_map(peek)
     assert t.maps == [maps["original"]]
+
+
+def test_out_of_range_token_rejected():
+    # each kind just past and far past either end of its range, at a stage
+    # after the first
+    g, maps = build_trade_comm()  # 4 stages, nature values of 2 components
+    for token, bound in ((("action", 4), "-4 to 3"),
+                         (("action", 7), "-4 to 3"),
+                         (("action", -5), "-4 to 3"),
+                         (("action", -9), "-4 to 3"),
+                         (("nature", 2), "-2 to 1"),
+                         (("nature", 5), "-2 to 1"),
+                         (("nature", -3), "-2 to 1")):
+        info = InformationMap([[], [("nature", 0), token], [], []])
+        msg = (f"^stage-1 token {re.escape(repr(token))} is out of range: "
+               f"{token[0]} indices run from {bound}$")
+        with pytest.raises(WellPosednessViolation, match=msg):
+            Tables(g, info)
+        with pytest.raises(WellPosednessViolation, match=msg):
+            tables_for(g, maps["original"], info)
 
 
 def test_tables_cache_entry_dies_with_its_game():

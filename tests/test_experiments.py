@@ -63,9 +63,11 @@ def test_config_errors(monkeypatch):
         run_experiment({**BASE, "algorithm": "dqn"})
     with pytest.raises(ConfigError):
         run_experiment({k: v for k, v in BASE.items() if k != "algorithm"})
-    with pytest.raises(ConfigError, match="unknown config key 'lamda'"):
-        run_experiment({**BASE, "algorithm": "ph", "fine_map": "relaxed",
-                        "lamda": 5})
+    # a typo, and the proximal-mode key, which selected nothing and is gone
+    for key, value in (("lamda", 5), ("prox_mode", "coordinate_ascent")):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            run_experiment({**BASE, "algorithm": "ph", "fine_map": "relaxed",
+                            key: value})
     with pytest.raises(ConfigError, match="unknown game key 'size'"):
         run_experiment({**BASE, "game": {"name": "trade_comm", "size": 3}})
     with pytest.raises(ConfigError, match="unknown coarse_map 'orignal'; "
@@ -89,9 +91,7 @@ def test_config_errors(monkeypatch):
     for key, bad, allowed in (("algorithm", "dqn", "cfr, ph, rir"),
                               ("mode", "exactly", "exact, mc"),
                               ("learner", "sgd", "regret_matching, "),
-                              ("schedule", "cosine", "constant, ramp, "),
-                              ("prox_mode", "newton", "backward_induction, "
-                                                      "coordinate_ascent$")):
+                              ("schedule", "cosine", "constant, ramp, ")):
         with pytest.raises(ConfigError, match=f"^unknown {key} '{bad}'; "
                            f"allowed values: {allowed}"):
             run_experiment({**chess, key: bad})
@@ -151,6 +151,12 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     a = (out / "summary.csv").read_text()
     b = out2.read_text()
     assert a == b
+
+
+def test_cli_verify(capsys):
+    assert main(["verify", "--games", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "all checks passed" in out
 
 
 def test_rir_regret_column_is_not_applicable(tmp_path):

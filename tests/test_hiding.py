@@ -144,7 +144,7 @@ def test_non_refining_relaxation_runs():
     run = run_ph(g, m["original"], m["cheat"], 15,
                  schedule=PenaltySchedule("constant", 0.5), seed=3,
                  randomize_init=True)
-    assert not all(run.refines[i] for i in run.stages)
+    assert len(run.f2c) < g.num_stages  # some stage does not refine
     gam = run.projected_policy()
     gam.validate()
     assert is_implementable(g, m["original"], gam)

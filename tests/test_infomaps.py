@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,3 +231,95 @@ def test_pair_cache_is_bounded():
     assert sizes == [sizes[0]] * len(sizes)
     assert 0 < sizes[0] <= len(t.maps) ** 2 * game.num_stages
     assert not hasattr(t, "_group_cache")
+
+
+# Per-history reference definitions of the label-structure checks: plain
+# loops over the reachable histories and the maps' own labels.
+
+def reference_refinement(t, fine, coarse):
+    """Per stage, fine label index -> coarse label index, or None where a
+    fine label holds histories of two coarse labels."""
+    mf, mc = t.map_index(fine), t.map_index(coarse)
+    out = []
+    for i in range(t.game.num_stages):
+        f_row = {g: k for k, g in enumerate(t.labels[mf][i])}
+        c_row = {g: k for k, g in enumerate(t.labels[mc][i])}
+        seen = {}
+        for h in t.histories:
+            f, c = fine.label(i, *h), coarse.label(i, *h)
+            seen.setdefault(f_row[f], set()).add(c_row[c])
+        if all(len(cs) == 1 for cs in seen.values()):
+            out.append(np.array([min(seen[k]) for k in range(len(f_row))]))
+        else:
+            out.append(None)
+    return out
+
+
+def reference_is_implementable(t, info, policy, atol=1e-12):
+    """Equal ``info`` labels carry local vectors within ``atol``."""
+    for i in range(t.game.num_stages):
+        rows = {}
+        for h in t.histories:
+            rows.setdefault(info.label(i, *h), []).append(policy.local(i, *h))
+        for vecs in rows.values():
+            if np.max(np.ptp(np.array(vecs), axis=0)) > atol:
+                return False
+    return True
+
+
+def reference_has_perfect_recall(t, info, player):
+    """For every ordered pair i < j of the player's stages, the stage-j
+    label determines the stage-i label and the action played at i."""
+    own = t.game.stages_of(player)
+    for a, i in enumerate(own):
+        for j in own[a + 1:]:
+            seen = {}
+            for h in t.histories:
+                past = (info.label(i, *h), h.actions[i])
+                if seen.setdefault(info.label(j, *h), past) != past:
+                    return False
+    return True
+
+
+def two_player_twin(game):
+    """The game with its stages dealt alternately to two players."""
+    owners = tuple(i % 2 for i in range(game.num_stages))
+    return replace(game, num_players=2, player_of_stage=owners,
+                   reward_fn=lambda w, a: tuple(game.reward_fn(w, a)) * 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 399))
+def test_label_structure_matches_per_history_reference(seed):
+    game, coarse, fine = random_game(seed)
+    rng = np.random.default_rng(seed)
+    t = tables_for(game, coarse, fine)
+    for a, b in ((fine, coarse), (coarse, fine), (coarse, coarse)):
+        got, want = t.refinement(a, b), reference_refinement(t, a, b)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            assert g is None or (g.dtype == np.int64 and np.array_equal(g, w))
+        assert is_finer(a, b, game) == all(w is not None for w in want)
+    # the policy's map refines the judged map, is refined by it, or is it;
+    # lifted coarse policies are implementable, and nudging one of their
+    # rows by just below or above atol probes the tolerance
+    lifted = lift(game, fine, random_policy(game, coarse, rng))
+    cases = [(coarse, random_policy(game, fine, rng)), (coarse, lifted),
+             (fine, random_policy(game, coarse, rng)),
+             (coarse, random_policy(game, coarse, rng))]
+    for eps in (1e-13, 1e-11):
+        nudged = lifted.copy()
+        key = list(nudged.table)[int(rng.integers(len(nudged.table)))]
+        nudged.table[key] = nudged.table[key] + eps * np.eye(
+            len(nudged.table[key]))[0]
+        cases.append((coarse, nudged))
+    for info, policy in cases:
+        assert (is_implementable(game, info, policy)
+                == reference_is_implementable(t, info, policy))
+    twin = two_player_twin(game)
+    t2 = tables_for(twin, coarse, fine)
+    for g, tt, players in ((game, t, (0,)), (twin, t2, (0, 1))):
+        for info in (coarse, fine):
+            for p in players:
+                assert (has_perfect_recall(g, info, p)
+                        == reference_has_perfect_recall(tt, info, p))

@@ -3,7 +3,6 @@ import pytest
 
 from phide.core import random_policy, uniform_policy
 from phide.engine import tables_for
-from phide.errors import PerfectRecallRequired
 from phide.infomaps import is_implementable, weighted_sq_distance
 from phide.relaxation import (RelaxationProblem, lagrangian, project_to_simplex,
                               proximal_step, rir_run)
@@ -96,25 +95,19 @@ def test_proximal_weakly_improves_objective():
         assert info["converged"]
 
 
-def test_backward_induction_requires_perfect_recall(monkeypatch):
-    import phide.relaxation as relaxation
-
-    judged = []
-    real = relaxation.has_perfect_recall
-    monkeypatch.setattr(relaxation, "has_perfect_recall",
-                        lambda *a: judged.append(a) or real(*a))
+def test_proximal_method_runs_without_perfect_recall():
     g, m = build_matching_pennies()
     # the original map refines itself but lacks perfect recall
     prob = RelaxationProblem(g, m["original"], m["original"], 1.0)
     gamma = uniform_policy(g, m["original"])
-    proximal_step(prob, gamma, mode="coordinate_ascent").validate()
-    assert judged == []  # only backward induction asks, on first use
-    for _ in range(2):
-        with pytest.raises(PerfectRecallRequired):
-            proximal_step(prob, gamma, mode="backward_induction")
-    assert len(judged) == 1  # once per problem
-    with pytest.raises(ValueError):
-        proximal_step(prob, gamma, mode="newton")
+    mu, info = proximal_step(prob, gamma, return_info=True)
+    mu.validate()
+    assert info["converged"]
+    _, gam, trace = rir_run(prob, random_policy(g, m["original"],
+                                                np.random.default_rng(8)),
+                            iterations=10)
+    assert float(np.min(np.diff(trace))) >= -1e-9
+    assert is_implementable(g, m["original"], gam)
 
 
 def test_rir_monotone_and_implementable_output():
