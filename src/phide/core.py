@@ -9,7 +9,6 @@ and the actions played before that stage.  Policies are tables from
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
@@ -41,10 +40,10 @@ class InformationMap:
     actions played before that stage.  Labels are tagged with the stage index
     so that labels from different stages never collide.
 
-    Prefer tokens: a token stage is checked for peeking statically and
-    compiled by the engine to array gathers, while a callable stage is
-    probed history by history, which costs O(n·L²·A) label calls on n
-    histories of L stages with A actions each.
+    A map meets a game in ``Tables.add_map``, which checks every map the
+    same way, first or later.  Prefer tokens: a token stage compiles to
+    array gathers, one label call per distinct label, while a callable
+    stage costs one label call per history.
     """
 
     def __init__(self, stages, name: str = ""):
@@ -151,22 +150,22 @@ class ProductGame:
 
 def enumerate_reachable(game: ProductGame, info: InformationMap, validate: bool = True):
     """All histories, lexicographic in (nature index, action entries): the
-    product of the per-stage action ranges for each Nature state.
+    product of the per-stage action ranges for each Nature state, whatever
+    the map.  The stage count is always checked; with ``validate``, ``info``
+    gets the one map check, ``Tables.add_map``."""
+    from .engine import tables_for  # the engine builds on this module
 
-    When ``validate`` is set, labels are checked to ignore the action
-    entries at their own stage and later (maps peeking at the future are
-    rejected): token stages statically by ``check_token_stages``, callable
-    stages by flipping each such entry of every history, O(n·L²·A) label
-    calls.
-    """
+    t = tables_for(game, info) if validate else tables_for(game)
+    check_stage_count(game, info)
+    return list(t.histories)
+
+
+def check_stage_count(game: ProductGame, info: InformationMap):
+    """A ``ValueError`` naming the map and both counts unless they agree."""
     if info.num_stages != game.num_stages:
-        raise ValueError("information map and game disagree on stage count")
-    plays = list(itertools.product(*(range(a) for a in game.stage_actions)))
-    out = [History(w, acts) for w in game.nature for acts in plays]
-    if validate:
-        check_token_stages(game, info)
-        _check_suffix_independence(game, info, out)
-    return out
+        raise ValueError(f"information map {info.name or hex(id(info))} has "
+                         f"{info.num_stages} stages, game "
+                         f"{game.name or hex(id(game))} has {game.num_stages}")
 
 
 def _peek_error(i: int, j: int) -> WellPosednessViolation:
@@ -182,10 +181,8 @@ def check_token_stages(game: ProductGame, info: InformationMap):
     ``WellPosednessViolation`` that names the stage and the token.  A token
     stage i peeks if and only if it reveals ``("action", j)`` for a stage
     j >= i with at least two legal actions (a negative j counts from the
-    end, as in the label).  Flipping that action changes the label on every
-    history, so the per-history probe would fail on the first one; this
-    raises the same error, smallest i then smallest j, without computing a
-    label.  Callable stages are not judged here.
+    end, as in the label); the error names the smallest such i, then the
+    smallest j, and no label is computed.
     """
     L = game.num_stages
     for i, tokens in enumerate(info.revealed):
@@ -204,22 +201,25 @@ def check_token_stages(game: ProductGame, info: InformationMap):
             raise _peek_error(i, min(peeked))
 
 
-def _check_suffix_independence(game, info, histories):
-    """The per-history probe, run over the callable stages only."""
-    L = game.num_stages
-    stages = [i for i in range(L) if info.revealed[i] is None]
-    for h in histories:
-        for i in stages:
-            base = info.label(i, h.nature, h.actions)
-            for j in range(i, L):
-                acts = list(h.actions)
-                for a in range(game.stage_actions[j]):
-                    if a == h.actions[j]:
-                        continue
-                    acts[j] = a
-                    if info.label(i, h.nature, tuple(acts)) != base:
-                        raise _peek_error(i, j)
-                acts[j] = h.actions[j]
+def check_callable_stages(game: ProductGame, info: InformationMap, label_idx):
+    """Verdict for the callable stages of ``info`` from ``label_idx[i]``,
+    each history's stage-i label index in the order of ``enumerate_reachable``
+    (history k has the mixed-radix digits (nature, a_0, ..., a_{L-1})).
+
+    A stage-i label peeks if and only if it differs between two histories
+    that differ only in the action at one stage j >= i: it is not constant
+    along axis j + 1 of the indices shaped to the radices.  The error names
+    the smallest such i, then the smallest j, as ``check_token_stages``
+    does.  O(n·L²) array work, no label call.
+    """
+    shape = (len(game.nature),) + tuple(game.stage_actions)
+    for i, tokens in enumerate(info.revealed):
+        if tokens is not None:
+            continue
+        lab = label_idx[i].reshape(shape)
+        for j in range(i, game.num_stages):  # one action: constant axis
+            if (lab != lab.take([0], axis=j + 1)).any():
+                raise _peek_error(i, j)
 
 
 @dataclass

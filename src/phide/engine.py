@@ -1,6 +1,6 @@
 """Vectorized tables over the reachable set of a game.
 
-Compiles a game plus one or more information maps into flat numpy arrays:
+Compiles a game, and each information map added, into flat numpy arrays:
 per-history nature index, action entries, rewards, and per-stage label
 indices for each map.  Every exact-enumeration computation in the library
 (pushforwards, conditional expectations, projections) runs off these arrays.
@@ -8,41 +8,38 @@ indices for each map.  Every exact-enumeration computation in the library
 
 from __future__ import annotations
 
+import itertools
 import weakref
 
 import numpy as np
 
-from .core import (BehavioralPolicy, InformationMap, ProductGame,
-                   check_token_stages, enumerate_reachable)
+from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
+                   check_callable_stages, check_stage_count,
+                   check_token_stages)
 
 
 class Tables:
-    """A game's reachable histories, enumerated with ``maps[0]``, and the
-    per-stage labels of every map added.
-
-    ``maps[0]`` is checked for peeking in full, and the token stages of
-    every later map statically when it is added.  Callable stages of maps
-    added after the first are not probed.  Token stages compile to array
-    gathers with one label call per distinct label; callable stages cost
-    one label call per history.
-    """
+    """A game's histories, the full product Omega x prod_i [A_i] in the
+    order of ``enumerate_reachable`` whatever the map, and the per-stage
+    labels of every map added.  ``add_map`` checks every map the same way,
+    first or later.  Token stages compile to array gathers with one label
+    call per distinct label; callable stages cost one label call per
+    history."""
 
     def __init__(self, game: ProductGame, *maps: InformationMap):
         self._game = weakref.ref(game)
-        self.histories = enumerate_reachable(game, maps[0])
-        n = len(self.histories)
-        nat_index = {w: k for k, w in enumerate(game.nature)}
-        self.nature_idx = np.array([nat_index[h.nature] for h in self.histories])
-        self.action_cols = np.array([h.actions for h in self.histories], dtype=np.int64)
-        probs = game.probs()
-        self.nat_prob = probs[self.nature_idx]
-        self.rewards = np.array([game.reward(h.nature, h.actions) for h in self.histories])
-        self.reward_inf_norm = float(np.max(np.abs(self.rewards))) if n else 0.0
+        shape = (len(game.nature),) + tuple(game.stage_actions)
+        grid = np.indices(shape, dtype=np.int64).reshape(len(shape), -1)
+        self.nature_idx, self.action_cols = grid[0], grid[1:].T
+        self.nat_prob = game.probs()[self.nature_idx]
+        plays = list(itertools.product(*map(range, game.stage_actions)))
+        self.histories = [History(w, a) for w in game.nature for a in plays]
+        self.rewards = _rewards(game, plays)
+        self.reward_inf_norm = float(np.max(np.abs(self.rewards)))
 
         self._map_ids: dict[int, int] = {}
         self.maps: list[InformationMap] = []
-        # per map: labels[i] (first-seen order), label_idx[i] (int array [n]),
-        # n_labels[i]
+        # per map: labels[i] (first-seen order), label_idx[i] (int array [n])
         self.labels: list[list[list]] = []
         self.label_idx: list[list[np.ndarray]] = []
         # (fine map, coarse map, stage) -> pair tables; see ``pairs``
@@ -59,11 +56,16 @@ class Tables:
     # ------------------------------------------------------------------ maps
 
     def add_map(self, info: InformationMap) -> int:
+        """The map's index.  On first sight, the one map check: the stage
+        count, ``check_token_stages``, then ``check_callable_stages`` on the
+        labels; a map that fails is not added."""
         if id(info) in self._map_ids:
             return self._map_ids[id(info)]
+        check_stage_count(self.game, info)
         check_token_stages(self.game, info)
         labels, idx = zip(*(self._stage_labels(info, i)
                             for i in range(self.game.num_stages)))
+        check_callable_stages(self.game, info, idx)
         self._map_ids[id(info)] = len(self.maps)
         self.maps.append(info)
         self.labels.append(list(labels))
@@ -220,6 +222,21 @@ class Tables:
         return self.expect(q, self.rewards[:, player])
 
 
+def _rewards(game: ProductGame, plays: list) -> np.ndarray:
+    """[n, players] rewards from one ``reward_fn`` call per history, with
+    the shape check of ``ProductGame.reward``; one player may get a scalar."""
+    vals = [game.reward_fn(w, a) for w in game.nature for a in plays]
+    try:
+        r = np.array(vals, dtype=float)
+    except ValueError:  # ragged
+        r = None
+    if r is not None and r.ndim == 1:
+        r = r[:, None]
+    if r is None or r.shape[1:] != (game.num_players,):
+        raise ValueError("reward_fn must return one value per player")
+    return r
+
+
 # id(game) -> the game's Tables.  The game holds its Tables (attribute
 # ``_tables``) and the Tables holds its game weakly, so an entry lives as long
 # as its game, unless something else keeps the Tables alive.
@@ -227,13 +244,12 @@ _cache: weakref.WeakValueDictionary[int, Tables] = weakref.WeakValueDictionary()
 
 
 def tables_for(game: ProductGame, *maps: InformationMap) -> Tables:
-    """The game's cached Tables, enumerated with the first map it was asked
-    for, with ``maps`` added.  Games and maps are immutable, so identity is
-    the key.  Token stages of every map are checked for peeking; callable
-    stages only in the map the Tables was enumerated with."""
+    """The game's cached Tables with ``maps`` added, each checked by
+    ``Tables.add_map``.  Games and maps are immutable, so identity is the
+    key."""
     t = _cache.get(id(game))
     if t is None or t.game is not game:  # or the id of a dead game, reused
-        t = _cache[id(game)] = Tables(game, maps[0])
+        t = _cache[id(game)] = Tables(game)
         object.__setattr__(game, "_tables", t)  # ProductGame is frozen
     for m in maps:
         t.add_map(m)

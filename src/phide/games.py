@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BehavioralPolicy, History, InformationMap, ProductGame
+from .core import BehavioralPolicy, InformationMap, ProductGame
 from .engine import tables_for
 from .errors import EnumerationTooLarge, IllegalSupport, WellPosednessViolation
 
@@ -22,33 +22,17 @@ def check_well_posed(game: ProductGame, info: InformationMap,
     """
     if not profile.is_deterministic():
         raise ValueError("check_well_posed needs a deterministic profile")
-    L = game.num_stages
-    out = {}
-    for w in game.nature:
-        found = []
-
-        def scan(depth, acts):
-            if depth == L:
-                h = tuple(acts)
-                ok = True
-                for i in range(L):
-                    vec = profile.local(i, w, h)
-                    if int(np.argmax(vec)) != h[i]:
-                        ok = False
-                        break
-                if ok:
-                    found.append(h)
-                return
-            for a in range(game.stage_actions[depth]):
-                scan(depth + 1, acts + [a])
-
-        scan(0, [])
-        if len(found) != 1:
+    found = {w: [] for w in game.nature}
+    for h in tables_for(game).histories:
+        if all(int(np.argmax(profile.local(i, *h))) == a
+               for i, a in enumerate(h.actions)):
+            found[h.nature].append(h)
+    for w, points in found.items():
+        if len(points) != 1:
             raise WellPosednessViolation(
-                f"nature state {w!r} admits {len(found)} fixed points"
+                f"nature state {w!r} admits {len(points)} fixed points"
             )
-        out[w] = History(w, found[0])
-    return out
+    return {w: points[0] for w, points in found.items()}
 
 
 def modify_policy(policy: BehavioralPolicy, stage: int, local) -> BehavioralPolicy:
@@ -74,17 +58,15 @@ def modify_policy(policy: BehavioralPolicy, stage: int, local) -> BehavioralPoli
 
 def best_response_value(game: ProductGame, info: InformationMap, player: int,
                         fixed: BehavioralPolicy = None, *,
-                        cap: int = DEFAULT_ENUM_CAP, reward_fn=None,
-                        values=None, return_policy: bool = False):
+                        cap: int = DEFAULT_ENUM_CAP, values=None,
+                        return_policy: bool = False):
     """Exact max over deterministic implementable policies of ``player``.
 
     Other players follow ``fixed`` (may be randomized); a deterministic best
     response exists because the objective is linear in each local component.
-    ``reward_fn(history) -> float`` overrides the player's game reward, and
-    ``values`` does the same with one number per history of
-    ``tables_for(game, info).histories``, which lets the same maximization
-    bound arbitrary per-history criteria.  ``reward_fn`` is called once per
-    history.
+    ``values``, one number per history of ``tables_for(game,
+    info).histories``, overrides the player's game reward, which lets the
+    same maximization bound arbitrary per-history criteria.
 
     One branch-and-bound search over the player's labels.  A node's bound
     is backward induction on the recall closure of ``info`` (its coarsest
@@ -103,15 +85,11 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     """
     t = tables_for(game, info)
     if values is not None:
-        if reward_fn is not None:
-            raise ValueError("pass reward_fn or values, not both")
         values = np.asarray(values, dtype=float)
         if values.shape != (len(t.histories),):
             raise ValueError(f"values must hold one entry per reachable "
                              f"history ({len(t.histories)}), got shape "
                              f"{values.shape}")
-    elif reward_fn is not None:
-        values = np.array([float(reward_fn(h)) for h in t.histories])
     else:
         values = t.rewards[:, player]
     own = game.stages_of(player)

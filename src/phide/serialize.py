@@ -9,11 +9,11 @@ in-memory structure exactly up to float formatting of the text itself.
 from __future__ import annotations
 
 import json
-from itertools import product
 
 import numpy as np
 
 from .core import InformationMap, ProductGame
+from .engine import tables_for
 
 
 def game_to_json(game: ProductGame, maps: dict = None) -> str:
@@ -40,12 +40,10 @@ def game_to_json(game: ProductGame, maps: dict = None) -> str:
         doc["maps"][name] = [
             [[kind, idx] for kind, idx in spec] for spec in m.revealed
         ]
-    for w in game.nature:
-        for acts in product(*[range(a) for a in game.stage_actions]):
-            r = game.reward(w, acts)
-            doc["rewards"].append(
-                {"nature": list(w), "actions": list(acts), "r": [float(x) for x in r]}
-            )
+    t = tables_for(game)
+    for h, r in zip(t.histories, t.rewards.tolist()):
+        doc["rewards"].append(
+            {"nature": list(h.nature), "actions": list(h.actions), "r": r})
     return json.dumps(doc, indent=1)
 
 
@@ -87,11 +85,7 @@ def games_equal(a: ProductGame, b: ProductGame) -> bool:
         return False
     if not np.allclose(a.probs(), b.probs(), rtol=0, atol=0):
         return False
-    for w in a.nature:
-        for acts in product(*[range(k) for k in a.stage_actions]):
-            if not np.array_equal(a.reward(w, acts), b.reward(w, acts)):
-                return False
-    return True
+    return np.array_equal(tables_for(a).rewards, tables_for(b).rewards)
 
 
 def maps_equal(a: InformationMap, b: InformationMap) -> bool:

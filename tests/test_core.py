@@ -1,9 +1,12 @@
+import dataclasses
 import gc
+import itertools
 import re
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phide import engine
 from phide.core import (BehavioralPolicy, History, InformationMap,
@@ -11,6 +14,8 @@ from phide.core import (BehavioralPolicy, History, InformationMap,
                         random_policy, uniform_policy)
 from phide.engine import Tables, tables_for
 from phide.errors import IllegalSupport, WellPosednessViolation
+from phide.hiding import run_ph
+from phide.infomaps import is_finer
 from phide.serialize import game_from_json, game_to_json
 from phide.zoo import (TradeCommSpec, build_matching_pennies,
                        build_trade_comm, random_game)
@@ -304,3 +309,134 @@ def test_tables_for_skips_a_tables_whose_game_died():
     t = tables_for(g2, maps2["original"])
     assert t is not stale and t.game is g2
     assert engine._cache[id(g2)] is t
+
+
+def _peek_message(i, j):
+    return f"^stage-{i} label depends on the action at stage {j}$"
+
+
+def test_peeking_callable_map_rejected_in_every_position():
+    g, maps = build_matching_pennies()
+    original = maps["original"]
+    peek = InformationMap([[("nature", 0)], lambda w, a: a[1]])
+    tables_for(g, original)
+    for call in (lambda: Tables(g, original).add_map(peek),
+                 lambda: Tables(g, peek),
+                 lambda: tables_for(g, original, peek),
+                 lambda: tables_for(g, peek),
+                 lambda: is_finer(peek, original, g),
+                 lambda: run_ph(g, original, peek, 1)):
+        with pytest.raises(WellPosednessViolation, match=_peek_message(1, 1)):
+            call()
+    assert tables_for(g).maps == [original]
+
+
+def test_wrong_stage_count_rejected_in_every_position():
+    g, maps = build_matching_pennies()
+    original = maps["original"]
+    for stages in ([[("nature", 0)]],
+                   [[("nature", 0)], [("action", 0)], [("action", 1)]]):
+        bad = InformationMap(stages, name="bad")
+        msg = (f"^information map bad has {len(stages)} stages, "
+               f"game matching_pennies has 2$")
+        for call in (lambda: Tables(g, bad),
+                     lambda: Tables(g, original).add_map(bad),
+                     lambda: tables_for(g, original, bad),
+                     lambda: enumerate_reachable(g, bad),
+                     lambda: enumerate_reachable(g, bad, validate=False)):
+            with pytest.raises(ValueError, match=msg):
+                call()
+
+
+def test_tables_and_tables_for_need_no_map():
+    g, maps = build_matching_pennies()
+    t = Tables(g)
+    assert t.maps == [] and len(t.nature_idx) == 12
+    cached = tables_for(g)
+    assert cached.maps == [] and tables_for(g, maps["original"]) is cached
+
+
+def _flip_probe(game, info):
+    """Reference verdict: flip every action at or after each callable stage
+    in every history; the smallest peeking (stage, action stage), or None."""
+    L, found = game.num_stages, set()
+    for h in enumerate_reachable(game, info, validate=False):
+        for i in range(L):
+            if info.revealed[i] is not None:
+                continue
+            base = info.label(i, *h)
+            for j in range(i, L):
+                for a in range(game.stage_actions[j]):
+                    acts = h.actions[:j] + (a,) + h.actions[j + 1:]
+                    if info.label(i, h.nature, acts) != base:
+                        found.add((i, j))
+    return min(found, default=None)
+
+
+def _random_callable_map(game, rng, peek):
+    """A callable label per stage: a hash of Nature and a few actions, folded
+    into at most three values, so a read action may not show in the label.
+    With ``peek`` a stage may read its own and later actions."""
+    L, stages = game.num_stages, []
+    for i in range(L):
+        hi = L if peek else i
+        reads = sorted({int(j) for j in rng.integers(0, hi, size=3)}) if hi else []
+        reads = reads[:int(rng.integers(0, len(reads) + 1))]
+        width, salt = int(rng.integers(1, 4)), int(rng.integers(1 << 30))
+        stages.append(lambda w, a, reads=reads, width=width, salt=salt:
+                      hash((salt, w, tuple(a[j] for j in reads))) % width)
+    return InformationMap(stages)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 399), peek=st.booleans(), second=st.booleans())
+def test_callable_check_agrees_with_flip_probe(seed, peek, second):
+    game, coarse, _ = random_game(seed, max_nature=3, max_actions=3)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        info = _random_callable_map(game, rng, peek)
+        want = _flip_probe(game, info)
+        t = Tables(game, coarse) if second else Tables(game)
+        if want is None:
+            t.add_map(info)
+            continue
+        with pytest.raises(WellPosednessViolation,
+                           match=_peek_message(*want)):
+            t.add_map(info)
+        assert info not in t.maps
+
+
+def test_tables_arrays_match_per_history_walk():
+    g, _ = build_matching_pennies()
+    scalar = dataclasses.replace(g, reward_fn=lambda w, a: g.reward_fn(w, a)[0])
+    two = dataclasses.replace(
+        g, num_players=2,
+        reward_fn=lambda w, a: (g.reward_fn(w, a)[0], float(a[1] - w[0])))
+    games = [g, scalar, two, build_trade_comm()[0], random_game(7)[0]]
+    for game in games:
+        t = Tables(game)
+        hs = [(k, w, a) for k, w in enumerate(game.nature) for a in
+              itertools.product(*(range(A) for A in game.stage_actions))]
+        assert t.histories == [History(w, a) for _, w, a in hs]
+        assert np.array_equal(t.nature_idx, [k for k, _, _ in hs])
+        assert t.action_cols.dtype == np.int64
+        assert np.array_equal(t.action_cols, [a for _, _, a in hs])
+        assert np.array_equal(t.nat_prob, [game.nature_probs[k]
+                                           for k, _, _ in hs])
+        want = np.array([game.reward(w, a) for _, w, a in hs])
+        assert t.rewards.shape == (len(hs), game.num_players)
+        assert np.array_equal(t.rewards, want)
+        assert t.reward_inf_norm == float(np.max(np.abs(want)))
+
+
+def test_reward_shape_checked_by_tables():
+    g, _ = build_matching_pennies()
+    msg = "^reward_fn must return one value per player$"
+    for bad in (dataclasses.replace(g, reward_fn=lambda w, a: (1.0, 2.0)),
+                dataclasses.replace(g, reward_fn=lambda w, a: (1.0,) * (1 + a[0])),
+                dataclasses.replace(g, reward_fn=lambda w, a: ((1.0,),)),
+                dataclasses.replace(g, num_players=2)):
+        with pytest.raises(ValueError, match=msg):
+            bad.reward((1,), (1, 0))
+        with pytest.raises(ValueError, match=msg):
+            Tables(bad)

@@ -120,10 +120,12 @@ def test_best_response_recovers_policy():
     assert abs(achieved - val) < 1e-12
 
 
-def test_best_response_reward_fn_override():
+def test_best_response_values_override():
     g, maps = build_matching_pennies()
     # constant reward: any policy achieves it
-    v = best_response_value(g, maps["original"], 0, reward_fn=lambda h: 2.5)
+    t = tables_for(g, maps["original"])
+    v = best_response_value(g, maps["original"], 0,
+                            values=[2.5 for _ in t.histories])
     assert abs(v - 2.5) < 1e-12
 
 
@@ -210,9 +212,9 @@ def _expected(t, info, pol, fixed, values):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 299), which=st.sampled_from(["coarse", "fine"]),
-       two_players=st.booleans(), use_reward_fn=st.booleans())
+       two_players=st.booleans(), random_values=st.booleans())
 def test_backward_induction_equals_search(seed, which, two_players,
-                                          use_reward_fn):
+                                          random_values):
     # with or without perfect recall, the search agrees with brute force
     # wherever brute force is cheap, and its policy attains its value
     game, coarse, fine = random_game(seed)
@@ -226,15 +228,11 @@ def test_backward_induction_equals_search(seed, which, two_players,
             reward_fn=lambda w, a, f=game.reward_fn: f(w, a) * 2)
         fixed = random_policy(game, info, rng)
     t = tables_for(game, info)
-    reward_fn = None
+    override = None
     values = t.rewards[:, 0]
-    if use_reward_fn:
-        values = rng.uniform(-1.0, 1.0, len(t.histories))
-        row = {h: k for k, h in enumerate(t.histories)}
-
-        def reward_fn(h):
-            return values[row[h]]
-    v, pol = best_response_value(game, info, 0, fixed, reward_fn=reward_fn,
+    if random_values:
+        values = override = rng.uniform(-1.0, 1.0, len(t.histories))
+    v, pol = best_response_value(game, info, 0, fixed, values=override,
                                  return_policy=True)
     reference = _brute_force(t, info, fixed, values)
     if reference is not None:
@@ -247,13 +245,12 @@ def test_values_argument_on_both_routes():
     g, maps = build_matching_pennies()
     for name in ("original", "relaxed"):  # without, with perfect recall
         t = tables_for(g, maps[name])
-        vals = np.linspace(-1.0, 1.0, len(t.histories))
-        row = {h: k for k, h in enumerate(t.histories)}
-        by_fn = best_response_value(g, maps[name], 0,
-                                    reward_fn=lambda h: vals[row[h]])
-        assert best_response_value(g, maps[name], 0, values=vals) == by_fn
+        vals = np.array([h.actions[0] - h.nature[0] for h in t.histories],
+                        dtype=float)
+        v, pol = best_response_value(g, maps[name], 0, values=vals,
+                                     return_policy=True)
+        _, q = _pushforward(g, pol)
+        assert abs(v - q @ vals) <= 1e-12
+        assert abs(v - _brute_force(t, maps[name], None, vals)) <= 1e-12
         with pytest.raises(ValueError):
             best_response_value(g, maps[name], 0, values=vals[:-1])
-        with pytest.raises(ValueError):
-            best_response_value(g, maps[name], 0, values=vals,
-                                reward_fn=lambda h: 0.0)
