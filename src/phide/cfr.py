@@ -8,9 +8,24 @@ the case with no relaxation: the fine map is the coarse one, so the
 projection is the identity and the penalty is zero, and the loop skips both.
 ``hiding.PhRun`` is the general case.
 
-Exact mode enumerates the reachable set; the optional Monte Carlo mode does
-chance sampling: one Nature draw per iteration, and the exact update
-restricted to its slice.  Runs are deterministic given the seed.
+An iteration is passes over the stage prefixes of ``engine.Tables``: a
+forward pass gives each prefix's reach under the floored iterate, the pair
+masses of that reach give the projection, and one backward pass per stage
+owner carries the expected reward of each prefix's suffix, less the
+penalty of the later stages, down the stages; each stage's local reward is
+the reach-weighted mean of that suffix value per (label, action).  The
+trace's payoffs and penalty mass come from forward passes of the raw and
+the projected iterate.
+
+Exact mode enumerates the reachable set.  The optional Monte Carlo mode
+does chance sampling: one Nature draw w per iteration, and the backward
+pass runs on w's block of the prefixes alone.  A label's reward row is
+then E[v | label, w], the value conditioned on the drawn state; a label
+that w does not reach gets a zero row.  Its mean over the draw weights
+Nature states by the prior, not by the posterior given the label, so it
+is not an unbiased estimate of the exact row (ROADMAP item 2, open).  The
+projection and the trace stay exact.  Runs are deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -20,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BehavioralPolicy, InformationMap, ProductGame
-from .engine import Tables, tables_for
+from .engine import Tables, label_cells, tables_for
 from .errors import ZeroReachLabel
 from .infomaps import pair_sq_distance, project_matrices
 from .learners import LearnerBank
@@ -51,33 +66,58 @@ def make_banks(t: Tables, map_idx: int, kind: str, eta, rng,
         A = t.game.stage_actions[i]
         warm = None
         if randomize_init:
-            warm = np.vstack([rng.dirichlet(np.ones(A)) for _ in range(n_labels)])
+            warm = rng.dirichlet(np.ones(A), size=n_labels)
         banks.append(LearnerBank(kind, n_labels, A, eta=eta, warm=warm))
     return banks
 
 
-def counterfactual_matrix(t: Tables, map_idx: int, stage: int, q: np.ndarray,
-                          pf_stage: np.ndarray, values: np.ndarray,
-                          sampled: bool = False, mass: np.ndarray = None):
-    """Conditional forced-action expectations for every (label, action) of a
-    stage: entry [g, d] is E_q[values | label = g] with stage forced to d.
+def counterfactual_matrix(stage: int, labels: np.ndarray, cells: np.ndarray,
+                          n_labels: int, weight: np.ndarray,
+                          values: np.ndarray, mass: np.ndarray = None,
+                          sampled: bool = False):
+    """Per label, the ``weight``-weighted mean of the rows of ``values``:
+    entry [g, d] is sum(weight[k] * values[k, d]) / mass[g] over the rows k
+    with ``labels[k] == g``; ``cells`` is ``engine.label_cells(labels, A)``,
+    the (label, action) bin of each entry of ``values``.
 
-    ``q`` holds per-history weights, the floored pushforward whose stage
-    factor is ``pf_stage``.  Sampled callers restrict ``q`` to the drawn
-    Nature slice; a label with no mass there gets a zero row.  Otherwise a
-    label with no mass raises ZeroReachLabel.  ``mass``, if given, is the
-    label mass of ``q`` from an earlier call, and is not recomputed.
+    In the solver loop a row is a stage-``stage`` prefix, ``weight`` its
+    floored reach and ``values[k, d]`` the value of its suffix with the
+    stage forced to d, so the entry is the conditional forced-action
+    expectation given the label.  ``mass``, if given, is the label mass of
+    ``weight`` from an earlier call, and is not recomputed.  A label with
+    no mass raises ZeroReachLabel, or gets a zero row when ``sampled``.
     Returns (matrix, label mass).
     """
     if mass is None:
-        mass = t.label_mass(q, map_idx, stage)
+        mass = np.bincount(labels, weights=weight, minlength=n_labels)
     ok = mass > 0.0
     if not sampled and not ok.all():
         raise ZeroReachLabel(f"zero conditioning mass at stage {stage}")
-    num = t.segment_sum(q / pf_stage * values, map_idx, stage)
-    theta = np.zeros_like(num)
-    theta[ok] = num[ok] / mass[ok, None]
+    A = values.shape[1]
+    num = np.bincount(cells, weights=(weight[:, None] * values).reshape(-1),
+                      minlength=n_labels * A).reshape(n_labels, A)
+    theta = np.divide(num, mass[:, None], out=np.zeros_like(num),
+                      where=ok[:, None])
     return theta, mass
+
+
+def suffix_values(t: Tables, map_idx: int, mats, values: np.ndarray, w=None,
+                  pen=None, lam: float = 0.0):
+    """The backward pass.  Yields (i, after) for i = L - 1 down to 0, where
+    ``after[p, d]`` is the expectation of the per-history ``values`` over
+    the suffix of stage-i prefix p with action d at stage i, the later
+    stages played by ``mats`` of map ``map_idx``, less ``lam * pen[j][q]``
+    for every later stage j, with q the stage-j prefix passed.  With ``w``,
+    Nature state w's block alone."""
+    u = t.block(values, w)
+    for i in reversed(range(t.game.num_stages)):
+        lab = t.block(t.prefix_label[map_idx][i], w)
+        after = u.reshape(len(lab), -1)
+        yield i, after
+        if i:
+            u = np.einsum("pa,pa->p", mats[i][lab], after)
+            if pen:
+                u = u - lam * t.block(pen[i], w)
 
 
 class RegretAccounting:
@@ -179,6 +219,9 @@ class SolverLoop:
         self.f2c = {} if fine is coarse else {
             i: arr for i, arr in enumerate(self.t.refinement(fine, coarse))
             if arr is not None}
+        # each stage owner and its stages, for one backward pass per owner
+        self.owners = {p: game.stages_of(p)
+                       for p in sorted(set(game.player_of_stage))}
         self.rng = np.random.default_rng(seed)
         self.banks = make_banks(self.t, self.mf, learner, eta, self.rng,
                                 randomize_init)
@@ -197,74 +240,94 @@ class SolverLoop:
         self.iteration += 1
         lam = self.schedule.current(self.iteration)
         mats = self.current_mats()
-        gam, q, pf = self._gamma_and_q(mats)
-        pen = self._penalty_cols(mats, gam)
+        w = None
         if self.mode == "mc":
-            w_idx = self.rng.choice(len(self.game.nature), p=self.game.probs())
-            q = np.where(self.t.nature_idx == w_idx, q, 0.0)
-        thetas = self._local_rewards(mats, gam, q, pf, pen, lam)
+            w = self.rng.choice(len(self.game.nature), p=self.game.probs())
+        gam, pen, thetas = self._step(mats, lam, w)
         for i in self.stages:
             self.accounting.update(i, thetas[i], mats[i])
-            self.banks[i].observe(thetas[i])
+            self.banks[i].observe(thetas[i], mats[i])
         self._record(mats, gam, pen, lam)
         self.projected = gam
         return gam
 
-    def _gamma_and_q(self, mats):
-        """Returns (projected mats, floored pushforward, its stage factors)."""
-        qf, pf = self.t.pushforward(floored_mats(mats), self.mf)
+    def _step(self, mats, lam, w=None):
+        """Returns the projected mats, each stage's per-prefix penalty (none
+        when ``fine is coarse``), and the local rewards; with ``w``, those
+        of Nature state w's block."""
+        fl = floored_mats(mats)
         if self.fine is self.coarse:
-            return mats, qf, pf
-        return project_matrices(self.t, mats, self.mf, self.mc, qf), qf, pf
-
-    def _penalty_cols(self, mats, gam):
-        """Per-history squared local distance, one column per own stage,
-        computed once per (coarse, fine) label pair."""
-        if gam is mats:
-            return {}
-        cols = {}
+            before = self.t.forward(fl[:-1], self.mf, w)
+            return mats, {}, self._local_rewards(mats, fl, before, w)
+        before, gam, pm = self._project(mats, fl)
+        pen = {}
         for i in self.stages:
             d, pair_idx = pair_sq_distance(self.t, mats, gam, self.mf,
                                            self.mc, i)
-            cols[i] = d[pair_idx]
-        return cols
+            pen[i] = d[pair_idx]
+        if w is not None:
+            before = [self.t.block(b, w) for b in before]
+            pm = self.t.pair_masses(before, self.mf, self.mc, w)
+        return gam, pen, self._local_rewards(mats, fl, before, w, lam, gam,
+                                             pm, pen)
 
-    def _local_rewards(self, mats, gam, q, pf, pen, lam):
+    def _project(self, mats, fl):
+        """Returns the forward pass of the floored mats ``fl`` up to stage
+        L - 1, where the backward pass starts, the projection of ``mats``
+        under it, and its pair masses."""
+        before = self.t.forward(fl[:-1], self.mf)
+        pm = self.t.pair_masses(before, self.mf, self.mc)
+        return before, project_matrices(self.t, mats, self.mf, self.mc,
+                                        pm), pm
+
+    def _local_rewards(self, mats, fl, before, w, lam=0.0, gam=None, pm=None,
+                       pen=None):
         """Each stage owner's counterfactual reward less the later stages'
-        penalty, minus the linearized penalty of the stage itself."""
-        t, sampled = self.t, self.mode == "mc"
-        suffix = 0.0
+        penalty, minus the linearized penalty of the stage itself.
+        ``before`` is the forward pass of the floored mats ``fl`` and
+        ``pm`` its pair masses, of Nature state w's block when ``w`` is
+        given."""
+        t, sampled = self.t, w is not None
         thetas = {}
-        for i in reversed(self.stages):
-            vals = t.rewards[:, self.game.player_of_stage[i]]
-            if pen:
-                vals = vals - suffix
-                suffix = suffix + lam * pen[i]
-            theta, mass = counterfactual_matrix(t, self.mf, i, q, pf[i], vals,
-                                                sampled)
-            if pen:
-                if i in self.f2c:
-                    centre = gam[i][self.f2c[i]]
-                else:
-                    # conditional average of the projected probability of
-                    # the played action, per (label, action)
-                    played = gam[i][t.label_idx[self.mc][i], t.action_cols[:, i]]
-                    centre, _ = counterfactual_matrix(t, self.mf, i, q, pf[i],
-                                                      played, sampled, mass)
-                lin = 2.0 * lam * (mats[i] - centre)
-                lin[mass <= 0.0] = 0.0
-                theta -= lin
-            thetas[i] = theta
+        for p, own in self.owners.items():
+            for i, after in suffix_values(t, self.mf, fl, t.rewards[:, p], w,
+                                          pen, lam):
+                if i not in own:
+                    continue
+                lab = t.block(t.prefix_label[self.mf][i], w)
+                n_labels = len(t.labels[self.mf][i])
+                mass = None
+                if pen:
+                    _, coarse, fine, _ = t.pairs(self.mf, self.mc, i)
+                    mass = np.bincount(fine, weights=pm[i],
+                                       minlength=n_labels)
+                theta, mass = counterfactual_matrix(
+                    i, lab, t.block(t.prefix_cell[self.mf][i], w), n_labels,
+                    before[i], after, mass, sampled)
+                if pen:
+                    if i in self.f2c:
+                        centre = gam[i][self.f2c[i]]
+                    else:
+                        # the pair-mass-weighted projected row per label
+                        centre, _ = counterfactual_matrix(
+                            i, fine, label_cells(fine, gam[i].shape[1]),
+                            n_labels, pm[i], gam[i][coarse], mass, sampled)
+                    lin = 2.0 * lam * (mats[i] - centre)
+                    lin[mass <= 0.0] = 0.0
+                    theta -= lin
+                thetas[i] = theta
+                if i == own[0]:
+                    break
         return thetas
 
     def _record(self, mats, gam, pen, lam):
-        """Appends one trace row; returns the raw iterate's pushforward."""
-        q_raw, _ = self.t.pushforward(mats, self.mf)
-        q_gam = q_raw if gam is mats else self.t.pushforward(gam, self.mc)[0]
+        """Appends one trace row; returns the raw iterate's forward pass."""
+        raw = self.t.forward(mats, self.mf)
+        q_gam = raw[-1] if gam is mats else self.t.forward(gam, self.mc)[-1]
         rewards = self.t.rewards[:, self.player]
         payoff = self.t.expect(q_gam, rewards)
-        payoff_mu = self.t.expect(q_raw, rewards)
-        pen_mass = float(q_raw @ sum(pen.values())) if pen else 0.0
+        payoff_mu = self.t.expect(raw[-1], rewards)
+        pen_mass = float(sum(raw[i] @ pen[i] for i in pen)) if pen else 0.0
         self.trace["payoff"].append(payoff)
         self.trace["payoff_mu"].append(payoff_mu)
         self.trace["penalty_mass"].append(pen_mass)
@@ -272,13 +335,15 @@ class SolverLoop:
         self.trace["lambda"].append(lam)
         self.trace["rho_mu"].append(payoff_mu - lam * pen_mass)
         self.schedule.update(payoff)
-        return q_raw
+        return raw
 
     # ------------------------------------------------------------------
 
     def projected_policy(self) -> BehavioralPolicy:
         if self.projected is None:
-            self.projected = self._gamma_and_q(self.current_mats())[0]
+            mats = self.current_mats()
+            self.projected = (mats if self.fine is self.coarse else
+                              self._project(mats, floored_mats(mats))[1])
         return self.t.to_policy(self.projected, self.coarse)
 
     def current_policy(self) -> BehavioralPolicy:
@@ -304,9 +369,9 @@ class CfrRun(SolverLoop):
                         for i in self.stages}
 
     def _record(self, mats, gam, pen, lam):
-        q_raw = super()._record(mats, gam, pen, lam)
+        raw = super()._record(mats, gam, pen, lam)
         for i in self.stages:
-            w = self.t.label_mass(q_raw, self.mf, i)
+            w = self.t.label_mass(raw[i], self.mf, i)
             self.avg_num[i] += w[:, None] * mats[i]
             self.avg_den[i] += w
 
@@ -328,12 +393,17 @@ def counterfactual_rewards(game: ProductGame, info: InformationMap,
     """Exact counterfactual reward vector of one (stage, label) slot under an
     epsilon-floored version of ``policy``."""
     t = tables_for(game, info, policy.info)
-    m = t.map_index(info)
+    m, mp = t.map_index(info), t.map_index(policy.info)
     mats = floored_mats(t.matrices(policy))
-    qf, pf = t.pushforward(mats, t.map_index(policy.info))
+    before = t.forward(mats, mp)
     p = game.player_of_stage[stage] if player is None else player
-    theta, _ = counterfactual_matrix(t, m, stage, qf, pf[stage],
-                                     t.rewards[:, p])
+    for i, after in suffix_values(t, mp, mats, t.rewards[:, p]):
+        if i == stage:
+            break
+    theta, _ = counterfactual_matrix(stage, t.prefix_label[m][stage],
+                                     t.prefix_cell[m][stage],
+                                     len(t.labels[m][stage]), before[stage],
+                                     after)
     try:
         row = t.labels[m][stage].index(label)
     except ValueError:

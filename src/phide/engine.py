@@ -4,10 +4,22 @@ Compiles a game, and each information map added, into flat numpy arrays:
 per-history nature index, action entries, rewards, and per-stage label
 indices for each map.  Every exact-enumeration computation in the library
 (pushforwards, conditional expectations, projections) runs off these arrays.
+
+The histories are the product Omega x prod_i [A_i] in mixed-radix order, so
+the stage-i prefixes (w, a_0, ..., a_{i-1}) are in the same order, and
+history k has prefix k // stride_i with stride_i = prod_{j>=i} A_j.  Every
+map that ``add_map`` accepts is non-anticipative, so its stage-i label is a
+function of the prefix: ``prefix_label[m][i]`` holds it, one entry per
+prefix, |Omega|·prod_{j<i} A_j in all.  The solver loop runs on these: a
+forward pass (``forward``) gives the reach of every prefix, stage by stage,
+and the (coarse, fine) label pairs of ``pairs`` and their masses
+(``pair_masses``) are indexed by prefix too.  Nature state w's prefixes are
+the w-th of |Omega| equal blocks of each prefix array (``block``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 
@@ -17,31 +29,42 @@ from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
                    check_callable_stages, check_stage_count,
                    check_token_stages)
 
+# A mixed-radix label key is ranked down to dense codes before it could
+# pass this bound.
+_KEY_BOUND = 2 ** 62
+
 
 class Tables:
     """A game's histories, the full product Omega x prod_i [A_i] in the
     order of ``enumerate_reachable`` whatever the map, and the per-stage
     labels of every map added.  ``add_map`` checks every map the same way,
-    first or later.  Token stages compile to array gathers with one label
-    call per distinct label; callable stages cost one label call per
-    history."""
+    first or later.  Token stages compile to array work on the prefixes
+    with one label call per distinct label; callable stages cost one label
+    call per history."""
 
     def __init__(self, game: ProductGame, *maps: InformationMap):
         self._game = weakref.ref(game)
         shape = (len(game.nature),) + tuple(game.stage_actions)
         grid = np.indices(shape, dtype=np.int64).reshape(len(shape), -1)
         self.nature_idx, self.action_cols = grid[0], grid[1:].T
-        self.nat_prob = game.probs()[self.nature_idx]
-        plays = list(itertools.product(*map(range, game.stage_actions)))
-        self.histories = [History(w, a) for w in game.nature for a in plays]
-        self.rewards = _rewards(game, plays)
+        self.nature_probs = game.probs()
+        self.nat_prob = self.nature_probs[self.nature_idx]
+        # stride[i] histories share each stage-i prefix; stride[L] is 1
+        self.stride = [int(np.prod(shape[i + 1:], dtype=np.int64))
+                       for i in range(len(shape))]
+        self.rewards = _rewards(game)
         self.reward_inf_norm = float(np.max(np.abs(self.rewards)))
 
         self._map_ids: dict[int, int] = {}
         self.maps: list[InformationMap] = []
-        # per map: labels[i] (first-seen order), label_idx[i] (int array [n])
+        # per map: labels[i] (first-seen order), label_idx[i] (int array
+        # [n]), prefix_label[i] (one entry per stage-i prefix) and
+        # prefix_cell[i] (label * A_i + action, one entry per stage-(i + 1)
+        # prefix: the bin of a segment sum by stage-i label and action)
         self.labels: list[list[list]] = []
         self.label_idx: list[list[np.ndarray]] = []
+        self.prefix_label: list[list[np.ndarray]] = []
+        self.prefix_cell: list[list[np.ndarray]] = []
         # (fine map, coarse map, stage) -> pair tables; see ``pairs``
         self._pairs: dict[tuple[int, int, int], tuple] = {}
         for m in maps:
@@ -53,12 +76,23 @@ class Tables:
         collection."""
         return self._game()
 
+    @functools.cached_property
+    def histories(self) -> list[History]:
+        """One ``History`` per history, built on first read: callable
+        stages, ``check_well_posed`` and serialization read it, the array
+        work does not."""
+        game = self.game
+        plays = list(itertools.product(*map(range, game.stage_actions)))
+        return [History(w, a) for w in game.nature for a in plays]
+
     # ------------------------------------------------------------------ maps
 
     def add_map(self, info: InformationMap) -> int:
         """The map's index.  On first sight, the one map check: the stage
         count, ``check_token_stages``, then ``check_callable_stages`` on the
-        labels; a map that fails is not added."""
+        labels; a map that fails is not added.  The check makes every stage
+        label a function of the prefix, which ``prefix_label`` reads off
+        the prefix's first history."""
         if id(info) in self._map_ids:
             return self._map_ids[id(info)]
         check_stage_count(self.game, info)
@@ -70,6 +104,10 @@ class Tables:
         self.maps.append(info)
         self.labels.append(list(labels))
         self.label_idx.append(list(idx))
+        prefix = [lab[::self.stride[i]].copy() for i, lab in enumerate(idx)]
+        self.prefix_label.append(prefix)
+        self.prefix_cell.append([label_cells(lab, A) for lab, A
+                                 in zip(prefix, self.game.stage_actions)])
         return self._map_ids[id(info)]
 
     def _stage_labels(self, info: InformationMap, i: int):
@@ -77,28 +115,46 @@ class Tables:
         tokens = info.revealed[i]
         if tokens is None:
             seen: dict = {}
-            idx = np.empty(len(self.histories), dtype=np.int64)
+            idx = np.empty(len(self.nature_idx), dtype=np.int64)
             for k, h in enumerate(self.histories):
                 idx[k] = seen.setdefault(info.label(i, h.nature, h.actions),
                                          len(seen))
             return list(seen), idx
-        # One integer column per token; equal rows are equal labels.
-        cols = np.empty((len(self.histories), len(tokens)), dtype=np.int64)
-        for c, (kind, j) in enumerate(tokens):
+        # One mixed-radix key per prefix row; equal keys are equal labels.
+        # Prefix order is history order, so first-seen order is unchanged.
+        game, L = self.game, self.game.num_stages
+        first_hist = np.arange(len(self.nature_idx) // self.stride[i],
+                               dtype=np.int64) * self.stride[i]
+        key, bound = np.zeros(len(first_hist), dtype=np.int64), 1
+        for kind, j in tokens:
             if kind == "action":
-                cols[:, c] = self.action_cols[:, j]
+                radix = game.stage_actions[j % L]
+                col = self.action_cols[first_hist, j % L]
             else:
                 codes: dict = {}
                 per_w = [codes.setdefault(w[j], len(codes))
-                         for w in self.game.nature]
-                cols[:, c] = np.array(per_w, dtype=np.int64)[self.nature_idx]
-        _, first, inverse = np.unique(cols, axis=0, return_index=True,
+                         for w in game.nature]
+                radix = len(codes)
+                col = np.array(per_w, dtype=np.int64)[
+                    self.nature_idx[first_hist]]
+            if bound * radix >= _KEY_BOUND:
+                key = np.unique(key, return_inverse=True)[1].reshape(-1)
+                bound = int(key.max()) + 1
+            key, bound = key * radix + col, bound * radix
+        _, first, inverse = np.unique(key, return_index=True,
                                       return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        labels = [info.label(i, *self.histories[k]) for k in first[order]]
-        return labels, rank[inverse.reshape(-1)]  # numpy 2.0.0 gives [n, 1]
+        labels = [info.label(i, game.nature[self.nature_idx[k]],
+                             tuple(self.action_cols[k].tolist()))
+                  for k in first_hist[first[order]]]
+        return labels, np.repeat(rank[inverse.reshape(-1)], self.stride[i])
+
+    def block(self, arr: np.ndarray, w=None) -> np.ndarray:
+        """Nature state w's block of a prefix-indexed array (all of it when
+        ``w`` is None)."""
+        return arr if w is None else arr.reshape(len(self.nature_probs), -1)[w]
 
     def map_index(self, info: InformationMap) -> int:
         return self.add_map(info)
@@ -123,13 +179,15 @@ class Tables:
         on first use and kept as long as the Tables: at most maps² × stages
         entries.
 
-        Returns (pair_idx, pair_coarse, pair_fine, offsets): ``pair_idx[n]``
-        is history n's pair, the pairs are sorted by coarse then fine label,
-        and ``offsets[c]:offsets[c + 1]`` are the pairs of coarse label c.
+        Returns (pair_idx, pair_coarse, pair_fine, offsets): ``pair_idx[p]``
+        is stage-i prefix p's pair, the pairs are sorted by coarse then fine
+        label, and ``offsets[c]:offsets[c + 1]`` are the pairs of coarse
+        label c.
         """
         key = (m_fine, m_coarse, i)
         if key not in self._pairs:
-            fl, cl = self.label_idx[m_fine][i], self.label_idx[m_coarse][i]
+            fl = self.prefix_label[m_fine][i]
+            cl = self.prefix_label[m_coarse][i]
             nf, nc = len(self.labels[m_fine][i]), len(self.labels[m_coarse][i])
             codes, pair_idx = np.unique(cl * nf + fl, return_inverse=True)
             pair_coarse, pair_fine = np.divmod(codes, nf)
@@ -143,7 +201,7 @@ class Tables:
         of map ``m`` (the map's labels at ``own`` stages so far and the
         actions at the earlier ones: its coarsest refinement with perfect
         recall) and the map's label of each closure label."""
-        out, key = [], np.zeros(len(self.histories), dtype=np.int64)
+        out, key = [], np.zeros(len(self.nature_idx), dtype=np.int64)
         for i in own:
             lab = self.label_idx[m][i]
             _, first, idx = np.unique(key * len(self.labels[m][i]) + lab,
@@ -184,6 +242,31 @@ class Tables:
         """Per-history probability of the action actually played at stage i."""
         return mats[i][self.label_idx[map_idx][i], self.action_cols[:, i]]
 
+    def forward(self, mats, map_idx: int, w=None) -> list[np.ndarray]:
+        """The forward pass through the stages of ``mats``, the per-stage
+        matrices of map ``map_idx``: ``before[i][p]``, for i = 0 to
+        len(mats), is the reach of stage-i prefix p.  With all L stages,
+        ``before[L]`` is the pushforward over histories, bit for bit as
+        ``pushforward`` computes it.  With ``w``, Nature state w's block of
+        each (``block``)."""
+        before = [self.block(self.nature_probs, w)]
+        for mat, lab in zip(mats, self.prefix_label[map_idx]):
+            rows = mat[self.block(lab, w)]
+            rows *= before[-1][:, None]
+            before.append(rows.reshape(-1))
+        return before
+
+    def pair_masses(self, before, m_fine: int, m_coarse: int, w=None):
+        """Per stage, the mass of each (coarse, fine) label pair of ``pairs``
+        under the forward pass ``before``, of Nature state w's block when
+        ``w`` is given."""
+        out = []
+        for i in range(self.game.num_stages):
+            pair_idx, _, fine, _ = self.pairs(m_fine, m_coarse, i)
+            out.append(np.bincount(self.block(pair_idx, w), weights=before[i],
+                                   minlength=len(fine)))
+        return out
+
     def pushforward(self, mats, map_idx: int):
         """Returns (Q over histories, list of per-stage per-history probs)."""
         pf = [self.stage_prob(mats, map_idx, i) for i in range(self.game.num_stages)]
@@ -199,9 +282,13 @@ class Tables:
     def expect(self, q: np.ndarray, values: np.ndarray) -> float:
         return float(q @ values)
 
-    def label_mass(self, q: np.ndarray, map_idx: int, i: int) -> np.ndarray:
+    def label_mass(self, before_i: np.ndarray, map_idx: int,
+                   i: int) -> np.ndarray:
+        """Mass of each stage-i label under ``before_i``, the stage-i reach
+        of a forward pass."""
         n = len(self.labels[map_idx][i])
-        return np.bincount(self.label_idx[map_idx][i], weights=q, minlength=n)
+        return np.bincount(self.prefix_label[map_idx][i], weights=before_i,
+                           minlength=n)
 
     def segment_sum(self, values: np.ndarray, map_idx: int, i: int) -> np.ndarray:
         """Sum per (label at stage i, action at stage i): [n_labels, A]."""
@@ -218,13 +305,19 @@ class Tables:
         else:
             mats = policy_or_mats
             m = self.map_index(info)
-        q, _ = self.pushforward(mats, m)
-        return self.expect(q, self.rewards[:, player])
+        return self.expect(self.forward(mats, m)[-1], self.rewards[:, player])
 
 
-def _rewards(game: ProductGame, plays: list) -> np.ndarray:
+def label_cells(labels: np.ndarray, A: int) -> np.ndarray:
+    """The (label, action) bin ``labels[k] * A + a`` of each row k and
+    action a, flat in row-major order."""
+    return (labels[:, None] * A + np.arange(A)).reshape(-1)
+
+
+def _rewards(game: ProductGame) -> np.ndarray:
     """[n, players] rewards from one ``reward_fn`` call per history, with
     the shape check of ``ProductGame.reward``; one player may get a scalar."""
+    plays = list(itertools.product(*map(range, game.stage_actions)))
     vals = [game.reward_fn(w, a) for w in game.nature for a in plays]
     try:
         r = np.array(vals, dtype=float)

@@ -86,9 +86,9 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     t = tables_for(game, info)
     if values is not None:
         values = np.asarray(values, dtype=float)
-        if values.shape != (len(t.histories),):
+        if values.shape != t.nature_idx.shape:
             raise ValueError(f"values must hold one entry per reachable "
-                             f"history ({len(t.histories)}), got shape "
+                             f"history ({len(t.nature_idx)}), got shape "
                              f"{values.shape}")
     else:
         values = t.rewards[:, player]
@@ -106,7 +106,7 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
             value, choice = bound, acts
             continue
         i, g = clash
-        spent += game.stage_actions[i] * len(t.histories)
+        spent += game.stage_actions[i] * len(t.nature_idx)
         if spent > cap:
             raise EnumerationTooLarge(
                 f"best-response enumeration exceeded cap={cap}")

@@ -68,10 +68,7 @@ def local_reward_vector(game: ProductGame, coarse: InformationMap,
     """Penalized, linearized local reward vector of one (stage, label) slot
     for the given relaxed-map policy."""
     run = PhRun(game, coarse, fine, schedule=PenaltySchedule(value=lam))
-    mats = run.t.matrices(policy)
-    gam, qf, pf = run._gamma_and_q(mats)
-    thetas = run._local_rewards(mats, gam, qf, pf,
-                                run._penalty_cols(mats, gam), lam)
+    thetas = run._step(run.t.matrices(policy), lam)[2]
     row = run.t.labels[run.mf][stage].index(label)
     return thetas[stage][row]
 

@@ -26,7 +26,7 @@ def _label_range(rows: np.ndarray, offsets: np.ndarray):
 def pair_sq_distance(t: Tables, mats, gam, m_fine: int, m_coarse: int, i: int):
     """Squared Euclidean distance between the fine row ``mats[i]`` and the
     coarse row ``gam[i]`` of each (coarse, fine) label pair at stage i, and
-    each history's pair index."""
+    each stage-i prefix's pair index."""
     pair_idx, coarse, fine, _ = t.pairs(m_fine, m_coarse, i)
     diff = mats[i][fine] - gam[i][coarse]
     return np.sum(diff * diff, axis=1), pair_idx
@@ -76,20 +76,19 @@ def has_perfect_recall(game: ProductGame, info: InformationMap,
 
 
 def project_matrices(t: Tables, mu_mats, m_fine: int, m_coarse: int,
-                     q0: np.ndarray):
-    """Pushforward-weighted average of fine local vectors per coarse label.
+                     pair_mass):
+    """Reach-weighted average of fine local vectors per coarse label.
 
-    A stage costs O(n + pairs · A), with n histories and the (coarse, fine)
-    label pairs of ``Tables.pairs``: ``q0`` is binned by pair in one pass,
-    and the average runs over pairs, not histories.  When every fine vector
-    merged into a coarse label is bit-identical the common vector is
-    returned unchanged, so projecting an implementable policy is an exact
-    fixed point.
+    ``pair_mass[i]`` is the base reach of each (coarse, fine) label pair of
+    ``Tables.pairs`` at stage i (``Tables.pair_masses`` of a forward pass),
+    so a stage costs O(pairs · A), whatever the number of histories.  When
+    every fine vector merged into a coarse label is bit-identical the common
+    vector is returned unchanged, so projecting an implementable policy is
+    an exact fixed point.
     """
     out = []
-    for i in range(t.game.num_stages):
-        pair_idx, coarse, fine, offsets = t.pairs(m_fine, m_coarse, i)
-        pm = np.bincount(pair_idx, weights=q0, minlength=len(fine))
+    for i, pm in enumerate(pair_mass):
+        _, coarse, fine, offsets = t.pairs(m_fine, m_coarse, i)
         mass = np.bincount(coarse, weights=pm,
                            minlength=len(t.labels[m_coarse][i]))
         if np.any(mass <= 0.0):
@@ -113,9 +112,10 @@ def project(game: ProductGame, info_coarse: InformationMap,
     """Conditional expectation of ``policy`` onto ``info_coarse`` under the
     pushforward of ``base``; always yields an implementable policy."""
     t = tables_for(game, info_coarse, info_fine, base.info, policy.info)
-    q0, _ = t.pushforward(t.matrices(base), t.map_index(base.info))
-    gam = project_matrices(t, t.matrices(policy), t.map_index(policy.info),
-                           t.map_index(info_coarse), q0)
+    mf, mc = t.map_index(policy.info), t.map_index(info_coarse)
+    before = t.forward(t.matrices(base), t.map_index(base.info))
+    gam = project_matrices(t, t.matrices(policy), mf, mc,
+                           t.pair_masses(before, mf, mc))
     return t.to_policy(gam, info_coarse)
 
 
@@ -125,11 +125,10 @@ def weighted_sq_distance(game: ProductGame, base: BehavioralPolicy,
     """Sum over stages of the base-pushforward expectation of the squared
     Euclidean distance between the two local action distributions."""
     t = tables_for(game, base.info, mu.info, gamma.info)
-    q0, _ = t.pushforward(t.matrices(base), t.map_index(base.info))
+    before = t.forward(t.matrices(base), t.map_index(base.info))
     mm, mg = t.matrices(mu), t.matrices(gamma)
     im, ig = t.map_index(mu.info), t.map_index(gamma.info)
     total = 0.0
-    for i in range(game.num_stages):
-        d, pair_idx = pair_sq_distance(t, mm, mg, im, ig, i)
-        total += float(np.bincount(pair_idx, weights=q0, minlength=len(d)) @ d)
+    for i, pm in enumerate(t.pair_masses(before, im, ig)):
+        total += float(pm @ pair_sq_distance(t, mm, mg, im, ig, i)[0])
     return total

@@ -70,13 +70,17 @@ class LearnerBank:
             return ftrl_decide(self.cum, self.eta)
         return rm_decide(self.cum)
 
-    def observe(self, reward: np.ndarray):
+    def observe(self, reward: np.ndarray, play: np.ndarray = None):
+        """Feeds one reward row per label.  ``play``, the rows ``decide``
+        returned since the last observe, spares regret matching computing
+        them again."""
         reward = np.asarray(reward, dtype=float)
         _check_rewards(reward)
         if self.kind == "ftrl_entropic":
             self.cum = self.cum + reward
             return
-        play = rm_decide(self.cum)
+        if play is None:
+            play = rm_decide(self.cum)
         inst = reward - np.sum(play * reward, axis=-1, keepdims=True)
         self.cum = self.cum + inst
         if self.kind == "regret_matching_plus":

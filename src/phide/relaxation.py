@@ -65,12 +65,13 @@ class RelaxationProblem:
             raise ValueError("the relaxed map must be finer than the original")
         if self.base is None:
             self.base = uniform_policy(self.game, self.fine)
-        q0, _ = self._t.pushforward(
+        before = self._t.forward(
             self._t.matrices(self.base), self._t.map_index(self.base.info))
-        if np.min(q0) <= 0.0:
+        if np.min(before[-1]) <= 0.0:
             raise ValueError("base policy must have full support")
-        self.q0 = q0
-        self.weights = [self._t.label_mass(q0, self.mf, i)
+        # the base reach of each (coarse, fine) label pair and fine label
+        self.pair_mass = self._t.pair_masses(before, self.mf, self.mc)
+        self.weights = [self._t.label_mass(before[i], self.mf, i)
                         for i in range(self.game.num_stages)]
 
     @property
@@ -94,7 +95,7 @@ def _penalty(problem: RelaxationProblem, mats, gam) -> float:
 
 def _project(problem: RelaxationProblem, mats):
     return project_matrices(problem._t, mats, problem.mf, problem.mc,
-                            problem.q0)
+                            problem.pair_mass)
 
 
 def lagrangian(problem: RelaxationProblem, policy: BehavioralPolicy) -> float:

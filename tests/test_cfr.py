@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from phide.cfr import CfrRun, cfr_iterate, counterfactual_rewards, run_cfr
+from phide.cfr import (CfrRun, cfr_iterate, counterfactual_rewards, make_banks,
+                       run_cfr)
 from phide.core import InformationMap, ProductGame, uniform_policy
 from phide.engine import tables_for
 from phide.errors import ZeroReachLabel
@@ -126,3 +127,20 @@ def test_each_stage_learns_its_owners_reward():
             if i == 1:
                 other = counterfactual_rewards(g, info, pol, i, lab, player=0)
                 assert not np.allclose(owner, other)
+
+
+def test_make_banks_draws_the_rows_of_one_dirichlet_call_per_row():
+    # one Dirichlet call per stage gives the rows, and leaves the generator
+    # in the state, of one call per label row
+    g, m = build_trade_comm()
+    t = tables_for(g, m["perfect_recall"])
+    mi = t.map_index(m["perfect_recall"])
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    banks = make_banks(t, mi, "regret_matching", None, rng, True)
+    for i, bank in enumerate(banks):
+        A = g.stage_actions[i]
+        rows = np.vstack([ref.dirichlet(np.ones(A))
+                          for _ in range(len(t.labels[mi][i]))])
+        assert np.array_equal(bank.cum, rows)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()

@@ -200,6 +200,10 @@ def _assert_labels_match_reference(t, info):
         assert [type(g) for g in got] == [type(w) for w in want]
     for got, want in zip(t.label_idx[m], idx):
         assert got.dtype == np.int64 and np.array_equal(got, want)
+    # history k's stage-i prefix is k // stride[i]
+    k = np.arange(len(t.nature_idx))
+    for i, want in enumerate(idx):
+        assert np.array_equal(t.prefix_label[m][i][k // t.stride[i]], want)
 
 
 def test_token_verdict_and_labels_match_per_history_probe():
@@ -237,6 +241,25 @@ def test_tables_labels_match_per_history_reference():
             t = Tables(g, *ms.values())
             for info in ms.values():
                 _assert_labels_match_reference(t, info)
+
+
+def test_token_labels_when_the_mixed_radix_key_outgrows_int64():
+    # 2**140 key values before ranking: the key is ranked down on the way
+    g, _ = build_matching_pennies()
+    wide = [("action", 0)] * 70 + [("nature", 0)] * 70
+    info = InformationMap([[("nature", 0)], wide])
+    t = Tables(g, info)
+    _assert_labels_match_reference(t, info)
+    assert len(t.labels[0][1]) == 4
+
+
+def test_histories_built_on_first_read():
+    g, maps = build_trade_comm()
+    t = tables_for(g, *maps.values())
+    run_ph(g, maps["original"], maps["cheat"], 3)
+    assert "histories" not in vars(t)
+    assert len(t.histories) == len(t.nature_idx)
+    assert t.histories is t.histories
 
 
 def test_every_token_map_added_is_checked():

@@ -184,18 +184,22 @@ def check_pairs_against_dense(game, coarse, fine, rng):
         return [rng.dirichlet(np.ones(t.game.stage_actions[i]),
                               size=len(t.labels[mf][i]))
                 for i in range(game.num_stages)]
-    q0 = t.pushforward(random_mats(), mf)[0]
+    before = t.forward(random_mats(), mf)
+    q0, pair_mass = before[-1], t.pair_masses(before, mf, mc)
     mats = random_mats()
-    gam = project_matrices(t, mats, mf, mc, q0)
+    gam = project_matrices(t, mats, mf, mc, pair_mass)
     for g, ref in zip(gam, dense_projection(t, mats, mf, mc, q0)):
         np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
-    pen = run._penalty_cols(mats, gam)
+    # the solver step's penalty, one entry per prefix, read per history
+    gam, pen, _ = run._step(mats, 1.0)
+    prefix = np.arange(len(q0))
     for i in range(game.num_stages):
         diff = mats[i][t.label_idx[mf][i]] - gam[i][t.label_idx[mc][i]]
-        np.testing.assert_allclose(pen[i], np.sum(diff * diff, axis=1),
+        np.testing.assert_allclose(pen[i][prefix // t.stride[i]],
+                                   np.sum(diff * diff, axis=1),
                                    rtol=0, atol=1e-12)
     fine_mats, coarse_mats = lifted_pair(t, mf, mc, rng)
-    gam = project_matrices(t, fine_mats, mf, mc, q0)
+    gam = project_matrices(t, fine_mats, mf, mc, pair_mass)
     for g, want in zip(gam, coarse_mats):
         assert np.array_equal(g, want)
 

@@ -73,6 +73,19 @@ def test_bank_matches_single_learner_bitwise():
             bank.observe(np.vstack([r, r]))
 
 
+def test_observe_with_the_decided_rows_matches_recomputing_them():
+    rng = np.random.default_rng(3)
+    for kind in KINDS:
+        warm = rng.dirichlet(np.ones(3), size=4)
+        fresh = LearnerBank(kind, 4, 3, eta=0.3, warm=warm)
+        reuse = LearnerBank(kind, 4, 3, eta=0.3, warm=warm)
+        for _ in range(100):
+            r = rng.normal(size=(4, 3))
+            fresh.observe(r)
+            reuse.observe(r, reuse.decide())
+            assert np.array_equal(fresh.cum, reuse.cum), kind
+
+
 def test_warm_start_matches_first_decision():
     warm = np.array([0.7, 0.2, 0.1])
     for kind in KINDS:
