@@ -11,11 +11,11 @@ from .games import best_response_value, check_well_posed, modify_policy
 from .infomaps import (has_perfect_recall, is_finer, is_implementable, project,
                        weighted_sq_distance)
 from .learners import KINDS, LearnerBank, RegretMinimizer, external_regret
-from .cfr import CfrRun, cfr_iterate, counterfactual_rewards, run_cfr
+from .cfr import CfrRun, counterfactual_rewards, run_cfr
 from .relaxation import (RelaxationProblem, lagrangian, project_to_simplex,
                          proximal_step, rir_run)
 from .hiding import (PenaltySchedule, PhRun, local_reward_vector, penalty_term,
-                     ph_iterate, regret_report, run_ph)
+                     regret_report, run_ph)
 from .zoo import (MatchingPenniesSpec, TradeCommSpec, build_matching_pennies,
                   build_trade_comm, random_game, trade_comm_optimal_value)
 from .serialize import game_from_json, game_to_json, games_equal, maps_equal
@@ -33,11 +33,11 @@ __all__ = [
     "has_perfect_recall", "is_finer", "is_implementable", "project",
     "weighted_sq_distance",
     "KINDS", "LearnerBank", "RegretMinimizer", "external_regret",
-    "CfrRun", "cfr_iterate", "counterfactual_rewards", "run_cfr",
+    "CfrRun", "counterfactual_rewards", "run_cfr",
     "RelaxationProblem", "lagrangian", "project_to_simplex", "proximal_step",
     "rir_run",
     "PenaltySchedule", "PhRun", "local_reward_vector", "penalty_term",
-    "ph_iterate", "regret_report", "run_ph",
+    "regret_report", "run_ph",
     "MatchingPenniesSpec", "TradeCommSpec", "build_matching_pennies",
     "build_trade_comm", "random_game", "trade_comm_optimal_value",
     "game_from_json", "game_to_json", "games_equal", "maps_equal",

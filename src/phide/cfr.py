@@ -411,12 +411,6 @@ def counterfactual_rewards(game: ProductGame, info: InformationMap,
     return theta[row]
 
 
-def cfr_iterate(run: CfrRun):
-    """One step of the run; returns the iterate policy."""
-    mats = run.iterate()
-    return run.t.to_policy(mats, run.coarse)
-
-
 def run_cfr(game: ProductGame, info: InformationMap, iterations: int,
             **kwargs) -> CfrRun:
     run = CfrRun(game, info, **kwargs)

@@ -238,17 +238,13 @@ class Tables:
 
     # ------------------------------------------------------------- operators
 
-    def stage_prob(self, mats, map_idx: int, i: int) -> np.ndarray:
-        """Per-history probability of the action actually played at stage i."""
-        return mats[i][self.label_idx[map_idx][i], self.action_cols[:, i]]
-
     def forward(self, mats, map_idx: int, w=None) -> list[np.ndarray]:
         """The forward pass through the stages of ``mats``, the per-stage
         matrices of map ``map_idx``: ``before[i][p]``, for i = 0 to
         len(mats), is the reach of stage-i prefix p.  With all L stages,
-        ``before[L]`` is the pushforward over histories, bit for bit as
-        ``pushforward`` computes it.  With ``w``, Nature state w's block of
-        each (``block``)."""
+        ``before[L]`` is the pushforward over histories: Nature's
+        probability times each stage's, multiplied in stage order.  With
+        ``w``, Nature state w's block of each (``block``)."""
         before = [self.block(self.nature_probs, w)]
         for mat, lab in zip(mats, self.prefix_label[map_idx]):
             rows = mat[self.block(lab, w)]
@@ -267,17 +263,10 @@ class Tables:
                                    minlength=len(fine)))
         return out
 
-    def pushforward(self, mats, map_idx: int):
-        """Returns (Q over histories, list of per-stage per-history probs)."""
-        pf = [self.stage_prob(mats, map_idx, i) for i in range(self.game.num_stages)]
-        return self.reach(pf), pf
-
-    def reach(self, pf) -> np.ndarray:
-        """Q over histories from the per-stage probabilities ``pf``."""
-        q = self.nat_prob.copy()
-        for col in pf:
-            q = q * col
-        return q
+    def pushforward(self, mats, map_idx: int) -> np.ndarray:
+        """The distribution over histories under the per-stage matrices
+        ``mats`` of map ``map_idx``."""
+        return self.forward(mats, map_idx)[-1]
 
     def expect(self, q: np.ndarray, values: np.ndarray) -> float:
         return float(q @ values)

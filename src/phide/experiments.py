@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
+from itertools import islice
 
 import numpy as np
 
@@ -136,7 +137,7 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
         mu = uniform_policy(game, fine)
     steps = _rir_steps(problem, t.matrices(mu))
     trace = {"payoff": [], "penalty_mass": [], "sum_pos_local": [], "lambda": []}
-    for _, (mats, gam) in zip(range(iters), steps):
+    for mats, gam, _ in islice(steps, iters):
         trace["payoff"].append(t.expected_reward(gam, coarse))
         trace["penalty_mass"].append(_penalty(problem, mats, gam))
         trace["sum_pos_local"].append(float("nan"))  # no local learners

@@ -73,13 +73,6 @@ def local_reward_vector(game: ProductGame, coarse: InformationMap,
     return thetas[stage][row]
 
 
-def ph_iterate(run: PhRun) -> BehavioralPolicy:
-    """One step of Algorithm: decide-all, project, observe-all; returns the
-    implementable projected policy."""
-    gam = run.iterate()
-    return run.t.to_policy(gam, run.coarse)
-
-
 def run_ph(game: ProductGame, coarse: InformationMap, fine: InformationMap,
            iterations: int, **kwargs) -> PhRun:
     run = PhRun(game, coarse, fine, **kwargs)

@@ -8,17 +8,22 @@ full-support base policy, so each block maximization is an exact quadratic
 program over the simplex.
 
 One loop on per-stage matrices serves ``rir_run`` and the ``rir`` experiment;
-policies appear only at the API edge.  The sweeps need no perfect recall of
-the relaxed map.
+policies appear only at the API edge.  A sweep of the proximal step runs on
+the stage prefixes of ``engine.Tables``: one forward pass and one backward
+pass, O(L) passes over prefixes and not O(L^2 n) work over histories, and
+its objective comes from the same passes.  The sweeps need no perfect
+recall of the relaxed map.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
+from .cfr import suffix_values
 from .core import BehavioralPolicy, InformationMap, ProductGame, uniform_policy
 from .engine import tables_for
 from .infomaps import project_matrices
@@ -34,16 +39,30 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return _rows_to_simplex(np.reshape(v, (1, -1)))[0]
 
 
+@functools.lru_cache(maxsize=32)
+def _ranks(n: int) -> np.ndarray:
+    """1.0, ..., n, read only."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _rows_to_simplex(mat: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection."""
+    """Row-wise simplex projection: each row less the threshold tau of its
+    largest rho + 1 entries, clamped at zero, where tau is (sum of those
+    entries - 1) / (rho + 1) and rho is the last rank whose entry exceeds
+    its threshold."""
     v = np.asarray(mat, dtype=float)
-    n = v.shape[1]
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    cond = u - css / np.arange(1, n + 1) > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(len(v)), rho] / (rho + 1.0)
-    return np.maximum(v - tau[:, None], 0.0)
+    rows, n = v.shape
+    u = v.copy()
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    avg = u.cumsum(axis=1)
+    avg -= 1.0
+    avg /= _ranks(n)
+    rho = n - 1 - (u > avg)[:, ::-1].argmax(axis=1)
+    out = v - avg[np.arange(rows), rho][:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass
@@ -83,13 +102,21 @@ class RelaxationProblem:
         return self._t.map_index(self.coarse)
 
 
+def _stage_penalty(w: np.ndarray, mat: np.ndarray, centre: np.ndarray) -> float:
+    """Sum over one stage's labels g of w(g) times the squared distance
+    between the rows of ``mat`` and ``centre``."""
+    d = mat - centre
+    d *= d
+    return float((w * d.sum(axis=1)).sum())
+
+
 def _penalty(problem: RelaxationProblem, mats, gam) -> float:
     """Sum over slots of w(g) times the squared distance to the projection
     ``gam`` read on the relaxed map."""
     total = 0.0
     for i in range(problem.game.num_stages):
-        d = mats[i] - gam[i][problem.f2c[i]]
-        total += float(np.sum(problem.weights[i] * np.sum(d * d, axis=1)))
+        total += _stage_penalty(problem.weights[i], mats[i],
+                                gam[i][problem.f2c[i]])
     return total
 
 
@@ -105,42 +132,69 @@ def lagrangian(problem: RelaxationProblem, policy: BehavioralPolicy) -> float:
     return _objective(problem, mats, _project(problem, mats))
 
 
-def _objective(problem: RelaxationProblem, mats, gam, pf=None) -> float:
-    """``pf``, if given, holds the stage columns of ``mats``, which are then
-    not recomputed."""
+def _objective(problem: RelaxationProblem, mats, gam) -> float:
+    """``lagrangian`` on matrices, with the payoff from one forward pass."""
     t = problem._t
-    q = t.pushforward(mats, problem.mf)[0] if pf is None else t.reach(pf)
+    q = t.forward(mats, problem.mf)[-1]
     payoff = t.expect(q, t.rewards[:, problem.player])
     return payoff - problem.lam * _penalty(problem, mats, gam)
 
 
-def _maximize(problem: RelaxationProblem, gam, start):
+def _linear_term(t, mf: int, i: int, before_i: np.ndarray,
+                 after: np.ndarray) -> np.ndarray:
+    """Entry [g, a]: the expected reward over the histories whose stage-i
+    label is g, with stage i forced to a; ``before_i`` is the reach of each
+    stage-i prefix and ``after`` its suffix value per action."""
+    n, A = len(t.labels[mf][i]), after.shape[1]
+    return np.bincount(t.prefix_cell[mf][i],
+                       weights=(before_i[:, None] * after).reshape(-1),
+                       minlength=n * A).reshape(n, A)
+
+
+def _sweep(problem: RelaxationProblem, mats, centers, scale) -> float:
+    """One reverse-stage sweep: each stage of ``mats``, in place, becomes
+    the exact maximizer of the objective given the others, the simplex
+    projection of its centre plus its linear term over ``scale``, that is
+    2 lam w.  Returns the objective of the updated ``mats``.
+
+    The forward pass runs once, before any update: a stage's reach depends
+    only on the earlier stages, which are updated after it.  The backward
+    pass (``cfr.suffix_values``) reads ``mats[i]`` only after stage i is
+    updated, so each suffix value is under the stages already updated.
+    """
+    t, mf = problem._t, problem.mf
+    before = t.forward(mats[:-1], mf)
+    pen = 0.0
+    for i, after in suffix_values(t, mf, mats, t.rewards[:, problem.player]):
+        c = _linear_term(t, mf, i, before[i], after)
+        mats[i] = _rows_to_simplex(centers[i] + c / scale[i])
+        pen += _stage_penalty(problem.weights[i], mats[i], centers[i])
+    # the pass ends at stage 0's suffix values; under the new stage 0 they
+    # give each Nature state's value
+    u = np.einsum("pa,pa->p", mats[0][t.prefix_label[mf][0]], after)
+    return float(t.nature_probs @ u) - problem.lam * pen
+
+
+def _maximize(problem: RelaxationProblem, gam, start, start_val):
     """The proximal step towards the projection ``gam``, on matrices; returns
     (mats, objective, sweeps, converged).  It starts at the centres, ``gam``
-    read on the relaxed map, or at ``start`` if that scores higher."""
-    t, lam, mf = problem._t, problem.lam, problem.mf
+    read on the relaxed map, or at ``start``, whose objective is
+    ``start_val``, if that scores higher.  The centres' penalty is exactly
+    zero, so their objective is their payoff.  Each sweep (``_sweep``) is
+    one forward and one backward pass over the stage prefixes."""
+    t, lam = problem._t, problem.lam
     L = problem.game.num_stages
     centers = [gam[i][problem.f2c[i]] for i in range(L)]
-    mats, best = list(centers), _objective(problem, centers, gam)
-    if start is not None:
-        val = _objective(problem, start, gam)
-        if val > best:
-            mats, best = list(start), val
-    rewards = t.rewards[:, problem.player]
-    pf = [t.stage_prob(mats, mf, j) for j in range(L)]
+    mats = list(centers)
+    best = t.expect(t.forward(centers, problem.mf)[-1],
+                    t.rewards[:, problem.player])
+    if start is not None and start_val > best:
+        mats, best = list(start), start_val
+    scale = [2.0 * lam * w[:, None] for w in problem.weights]
     sweeps, converged = 0, False
     while sweeps < MAX_SWEEPS:
         sweeps += 1
-        for i in reversed(range(L)):
-            q_minus = t.nat_prob
-            for j in range(L):
-                if j != i:
-                    q_minus = q_minus * pf[j]
-            c = t.segment_sum(q_minus * rewards, mf, i)
-            w = problem.weights[i]
-            mats[i] = _rows_to_simplex(centers[i] + c / (2.0 * lam * w[:, None]))
-            pf[i] = t.stage_prob(mats, mf, i)
-        val = _objective(problem, mats, gam, pf)
+        val = _sweep(problem, mats, centers, scale)
         if val - best <= SWEEP_TOL:
             converged = True
             best = max(best, val)
@@ -156,12 +210,17 @@ def proximal_step(problem: RelaxationProblem, gamma: BehavioralPolicy,
     Reverse-stage sweeps of exact per-stage block maximizations, repeated to
     a fixed point: on return, unless ``MAX_SWEEPS`` sweeps ran out, no
     single (stage, label) deviation improves the objective by more than
-    ``SWEEP_TOL``.  The sweeps run on any relaxed map but may stop at a
+    ``SWEEP_TOL``.  A sweep is one forward and one backward pass over the
+    stage prefixes.  The sweeps run on any relaxed map but may stop at a
     local maximum.
     """
     t = problem._t
-    cand = None if start is None else t.matrices(start)
-    mats, best, sweeps, converged = _maximize(problem, t.matrices(gamma), cand)
+    gam = t.matrices(gamma)
+    cand = val = None
+    if start is not None:
+        cand = t.matrices(start)
+        val = _objective(problem, cand, gam)
+    mats, best, sweeps, converged = _maximize(problem, gam, cand, val)
     policy = t.to_policy(mats, problem.fine)
     if return_info:
         return policy, {"objective": best, "sweeps": sweeps,
@@ -170,14 +229,15 @@ def proximal_step(problem: RelaxationProblem, gamma: BehavioralPolicy,
 
 
 def _rir_steps(problem: RelaxationProblem, mats):
-    """Yields (iterate, projection) matrices for the start ``mats``, then
-    after each proximal step towards the last projection."""
-    gam = _project(problem, mats)
-    yield mats, gam
+    """Yields (iterate, projection, objective) for the start ``mats``, then
+    after each proximal step towards the last projection; the iterate and
+    projection are matrices, and the step starts from the objective
+    yielded."""
     while True:
-        mats = _maximize(problem, gam, mats)[0]
         gam = _project(problem, mats)
-        yield mats, gam
+        val = _objective(problem, mats, gam)
+        yield mats, gam, val
+        mats = _maximize(problem, gam, mats, val)[0]
 
 
 def rir_run(problem: RelaxationProblem, mu0: BehavioralPolicy = None,
@@ -192,8 +252,8 @@ def rir_run(problem: RelaxationProblem, mu0: BehavioralPolicy = None,
     mu = mu0 if mu0 is not None else uniform_policy(problem.game, problem.fine)
     steps = _rir_steps(problem, t.matrices(mu))
     trace = []
-    for mats, gam in islice(steps, max(iterations, 0) + 1):
-        trace.append(_objective(problem, mats, gam))
+    for mats, gam, val in islice(steps, max(iterations, 0) + 1):
+        trace.append(val)
     if iterations > 0:
         mu = t.to_policy(mats, problem.fine)
     return mu, t.to_policy(gam, problem.coarse), trace

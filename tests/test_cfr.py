@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from phide.cfr import (CfrRun, cfr_iterate, counterfactual_rewards, make_banks,
-                       run_cfr)
+from phide.cfr import CfrRun, counterfactual_rewards, make_banks, run_cfr
 from phide.core import InformationMap, ProductGame, uniform_policy
 from phide.engine import tables_for
 from phide.errors import ZeroReachLabel
@@ -79,14 +78,6 @@ def test_mc_mode_reaches_pass_value():
     t = tables_for(g, m["original"])
     v = t.expected_reward(run.average_policy())
     assert abs(v - 0.6) < 0.05
-
-
-def test_cfr_iterate_returns_policy():
-    g, m = build_matching_pennies()
-    run = CfrRun(g, m["original"], seed=1)
-    pol = cfr_iterate(run)
-    pol.validate()
-    assert run.iteration == 1
 
 
 def test_invalid_mode():

@@ -57,7 +57,7 @@ def test_check_well_posed_detects_peeking():
 
 def _pushforward(game, policy):
     t = tables_for(game, policy.info)
-    q, _ = t.pushforward(t.matrices(policy), t.map_index(policy.info))
+    q = t.pushforward(t.matrices(policy), t.map_index(policy.info))
     return t, q
 
 

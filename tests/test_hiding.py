@@ -5,7 +5,7 @@ from phide.cfr import CfrRun, counterfactual_rewards, run_cfr
 from phide.core import uniform_policy
 from phide.engine import tables_for
 from phide.hiding import (PenaltySchedule, PhRun, local_reward_vector,
-                          penalty_term, ph_iterate, regret_report, run_ph)
+                          penalty_term, regret_report, run_ph)
 from phide.infomaps import is_implementable
 from phide.zoo import TradeCommSpec, build_matching_pennies, build_trade_comm
 
@@ -92,7 +92,7 @@ def test_projected_policy_always_implementable():
                 schedule=PenaltySchedule("constant", 0.5), seed=2,
                 randomize_init=True)
     for _ in range(10):
-        gam = ph_iterate(run)
+        gam = run.t.to_policy(run.iterate(), run.coarse)
         gam.validate()
         assert is_implementable(g, m["original"], gam)
 

@@ -4,8 +4,8 @@ import pytest
 from phide.core import random_policy, uniform_policy
 from phide.engine import tables_for
 from phide.infomaps import is_implementable, weighted_sq_distance
-from phide.relaxation import (RelaxationProblem, lagrangian, project_to_simplex,
-                              proximal_step, rir_run)
+from phide.relaxation import (RelaxationProblem, _rows_to_simplex, lagrangian,
+                              project_to_simplex, proximal_step, rir_run)
 from phide.zoo import build_matching_pennies, build_trade_comm
 
 
@@ -28,6 +28,30 @@ def test_simplex_projection_is_closest_point():
         for _ in range(20):
             y = rng.dirichlet(np.ones(n))
             assert np.sum((v - x) ** 2) <= np.sum((v - y) ** 2) + 1e-12
+
+
+def sort_based_simplex(v):
+    """The row-wise projection as first written, kept as the reference."""
+    n = v.shape[1]
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    cond = u - css / np.arange(1, n + 1) > 0
+    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = css[np.arange(len(v)), rho] / (rho + 1.0)
+    return np.maximum(v - tau[:, None], 0.0)
+
+
+def test_rows_to_simplex_bitwise_matches_sort_formula():
+    rng = np.random.default_rng(11)
+    for A in range(1, 10):
+        cases = [rng.normal(scale=3.0, size=(50, A)),
+                 rng.uniform(-1e-3, 1e-3, size=(20, A)),
+                 # ties: entries drawn from a few values, and equal rows
+                 rng.integers(-2, 3, size=(40, A)) / 4.0,
+                 np.full((3, A), 1.0 / A), np.zeros((2, A))]
+        for v in cases:
+            got = _rows_to_simplex(v)
+            assert got.tobytes() == sort_based_simplex(v).tobytes()
 
 
 def test_problem_validation():
@@ -139,6 +163,21 @@ def test_rir_converts_policies_only_on_entry_and_exit(monkeypatch):
         rir_run(prob, mu0, iterations=iterations)
         counts.append((calls.count("matrices"), calls.count("to_policy")))
     assert counts == [(1, 2), (1, 2)]
+
+
+def test_rir_runs_no_per_history_operator(monkeypatch):
+    # a sweep runs on the stage prefixes alone
+    from phide.engine import Tables
+    calls = []
+    for name in ("segment_sum", "pushforward"):
+        monkeypatch.setattr(Tables, name, lambda self, *a, _n=name:
+                            calls.append(_n))
+    assert not hasattr(Tables, "stage_prob")
+    g, m = build_trade_comm()
+    prob = RelaxationProblem(g, m["original"], m["perfect_recall"], 0.5)
+    mu0 = random_policy(g, m["perfect_recall"], np.random.default_rng(7))
+    rir_run(prob, mu0, iterations=5)
+    assert calls == []
 
 
 def test_rir_zero_iterations():
