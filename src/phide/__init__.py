@@ -4,18 +4,18 @@ information relaxations."""
 
 from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
                    enumerate_reachable, floored, random_policy, uniform_policy)
-from .errors import (ConfigError, EnumerationTooLarge, IllegalSupport,
-                     PhideError, WellPosednessViolation, ZeroReachLabel)
+from .errors import (BatchedRun, ConfigError, EnumerationTooLarge,
+                     IllegalSupport, PhideError, WellPosednessViolation,
+                     ZeroReachLabel)
 from .engine import Tables, tables_for
 from .games import best_response_value, check_well_posed, modify_policy
 from .infomaps import (has_perfect_recall, is_finer, is_implementable, project,
                        weighted_sq_distance)
 from .learners import KINDS, LearnerBank, RegretMinimizer, external_regret
-from .cfr import CfrRun, counterfactual_rewards, run_cfr
+from .cfr import CfrRun, run_cfr
 from .relaxation import (RelaxationProblem, lagrangian, project_to_simplex,
                          proximal_step, rir_run)
-from .hiding import (PenaltySchedule, PhRun, local_reward_vector, penalty_term,
-                     regret_report, run_ph)
+from .hiding import PenaltySchedule, PhRun, regret_report, run_ph
 from .zoo import (MatchingPenniesSpec, TradeCommSpec, build_matching_pennies,
                   build_trade_comm, random_game, trade_comm_optimal_value)
 from .serialize import game_from_json, game_to_json, games_equal, maps_equal
@@ -27,17 +27,16 @@ __all__ = [
     "BehavioralPolicy", "History", "InformationMap", "ProductGame",
     "enumerate_reachable", "floored", "random_policy", "uniform_policy",
     "PhideError", "WellPosednessViolation", "ZeroReachLabel",
-    "EnumerationTooLarge", "IllegalSupport", "ConfigError",
+    "EnumerationTooLarge", "IllegalSupport", "ConfigError", "BatchedRun",
     "Tables", "tables_for",
     "best_response_value", "check_well_posed", "modify_policy",
     "has_perfect_recall", "is_finer", "is_implementable", "project",
     "weighted_sq_distance",
     "KINDS", "LearnerBank", "RegretMinimizer", "external_regret",
-    "CfrRun", "counterfactual_rewards", "run_cfr",
+    "CfrRun", "run_cfr",
     "RelaxationProblem", "lagrangian", "project_to_simplex", "proximal_step",
     "rir_run",
-    "PenaltySchedule", "PhRun", "local_reward_vector", "penalty_term",
-    "regret_report", "run_ph",
+    "PenaltySchedule", "PhRun", "regret_report", "run_ph",
     "MatchingPenniesSpec", "TradeCommSpec", "build_matching_pennies",
     "build_trade_comm", "random_game", "trade_comm_optimal_value",
     "game_from_json", "game_to_json", "games_equal", "maps_equal",

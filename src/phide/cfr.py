@@ -17,27 +17,42 @@ the reach-weighted mean of that suffix value per (label, action).  The
 trace's payoffs and penalty mass come from forward passes of the raw and
 the projected iterate.
 
+A loop runs R seeded repeats at once, one per seed, on a leading repeat
+axis.  Each stage's learner rows, each prefix array and each stage's label
+pairs are R blocks end to end, repeat by repeat, and an index into n bins
+reads r·n + k in repeat r (``engine.stacked``); these offset index arrays
+are built once, with the loop.  Each ``bincount``, ``reduceat`` and gather
+then runs once for all R repeats and sums each bin in the order a lone run
+would, and the trace's dot products run once per repeat, so each repeat's
+trace is bit for bit that of a run of its seed alone.  Each repeat keeps
+its own ``Generator``, which draws its initial rows and then its Nature
+states, and its own ``PenaltySchedule`` state.  A single run is R = 1 and
+uses the ``Tables`` arrays themselves; what reads one run (``trace``, the
+policies, ``hiding.regret_report``) raises ``BatchedRun`` when R > 1.
+
 Exact mode enumerates the reachable set.  The optional Monte Carlo mode
-does chance sampling: one Nature draw w per iteration, and the backward
-pass runs on w's block of the prefixes alone.  A label's reward row is
-then E[v | label, w], the value conditioned on the drawn state; a label
-that w does not reach gets a zero row.  Its mean over the draw weights
-Nature states by the prior, not by the posterior given the label, so it
-is not an unbiased estimate of the exact row (ROADMAP item 2, open).  The
-projection and the trace stay exact.  Runs are deterministic given the
-seed.
+does chance sampling: one Nature draw w per iteration and repeat, and the
+backward pass runs on w's block of the repeat's prefixes alone.  A label's
+reward row is then E[v | label, w], the value conditioned on the drawn
+state; a label that w does not reach gets a zero row.  Its mean over the
+draw weights Nature states by the prior, not by the posterior given the
+label, so it is not an unbiased estimate of the exact row (ROADMAP item 2,
+open).  The projection and the trace stay exact.  Runs are deterministic
+given the seed.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import BehavioralPolicy, InformationMap, ProductGame
-from .engine import Tables, label_cells, tables_for
-from .errors import ZeroReachLabel
-from .infomaps import pair_sq_distance, project_matrices
+from .engine import (Tables, forward, label_cells, scaled, stacked,
+                     stacked_pairs, tables_for, tiled)
+from .errors import BatchedRun, ZeroReachLabel
+from .infomaps import coarse_masses, pair_sq_distance, project_matrices
 from .learners import LearnerBank
 
 EPS_FLOOR = 1e-6
@@ -57,17 +72,22 @@ def floored_mats(mats, eps: float = EPS_FLOOR):
     return [(1.0 - eps) * m + eps / m.shape[1] for m in mats]
 
 
-def make_banks(t: Tables, map_idx: int, kind: str, eta, rng,
+def make_banks(t: Tables, map_idx: int, kind: str, eta, rngs,
                randomize_init: bool):
-    """One learner bank per stage; rows follow the engine's label order."""
+    """One learner bank per stage, with a row per engine label for each
+    generator of ``rngs`` in turn.  With ``randomize_init`` the rows of
+    repeat r are one Dirichlet call per stage on ``rngs[r]``, stage by
+    stage."""
     banks = []
     for i in range(t.game.num_stages):
         n_labels = len(t.labels[map_idx][i])
         A = t.game.stage_actions[i]
         warm = None
         if randomize_init:
-            warm = rng.dirichlet(np.ones(A), size=n_labels)
-        banks.append(LearnerBank(kind, n_labels, A, eta=eta, warm=warm))
+            warm = np.concatenate([rng.dirichlet(np.ones(A), size=n_labels)
+                                   for rng in rngs])
+        banks.append(LearnerBank(kind, len(rngs) * n_labels, A, eta=eta,
+                                 warm=warm))
     return banks
 
 
@@ -101,44 +121,49 @@ def counterfactual_matrix(stage: int, labels: np.ndarray, cells: np.ndarray,
     return theta, mass
 
 
-def suffix_values(t: Tables, map_idx: int, mats, values: np.ndarray, w=None,
-                  pen=None, lam: float = 0.0):
+def suffix_values(labels, mats, values: np.ndarray, pen=None):
     """The backward pass.  Yields (i, after) for i = L - 1 down to 0, where
     ``after[p, d]`` is the expectation of the per-history ``values`` over
     the suffix of stage-i prefix p with action d at stage i, the later
-    stages played by ``mats`` of map ``map_idx``, less ``lam * pen[j][q]``
-    for every later stage j, with q the stage-j prefix passed.  With ``w``,
-    Nature state w's block alone."""
-    u = t.block(values, w)
-    for i in reversed(range(t.game.num_stages)):
-        lab = t.block(t.prefix_label[map_idx][i], w)
+    stages played by the rows of ``mats`` that ``labels`` picks at each
+    prefix, less ``pen[j][q]`` for every later stage j, with q the stage-j
+    prefix passed."""
+    u = values
+    for i in reversed(range(len(labels))):
+        lab = labels[i]
         after = u.reshape(len(lab), -1)
         yield i, after
         if i:
             u = np.einsum("pa,pa->p", mats[i][lab], after)
             if pen:
-                u = u - lam * t.block(pen[i], w)
+                u = u - pen[i]
 
 
 class RegretAccounting:
-    """Tracks cumulative fed rewards and realized values per label."""
+    """Tracks cumulative fed rewards and realized values per label row, for
+    R stacked repeats."""
 
-    def __init__(self, t: Tables, map_idx: int):
+    def __init__(self, t: Tables, map_idx: int, repeats: int):
         stages = range(t.game.num_stages)
+        self.repeats = repeats
         self.cum_theta = {
-            i: np.zeros((len(t.labels[map_idx][i]), t.game.stage_actions[i]))
+            i: np.zeros((repeats * len(t.labels[map_idx][i]),
+                         t.game.stage_actions[i]))
             for i in stages
         }
-        self.cum_real = {i: np.zeros(len(t.labels[map_idx][i])) for i in stages}
+        self.cum_real = {i: np.zeros(repeats * len(t.labels[map_idx][i]))
+                         for i in stages}
 
     def update(self, stage: int, theta: np.ndarray, play: np.ndarray):
         self.cum_theta[stage] += theta
-        self.cum_real[stage] += np.sum(theta * play, axis=1)
+        self.cum_real[stage] += (theta * play).sum(axis=1)
 
-    def sum_pos(self) -> float:
+    def sum_pos(self) -> np.ndarray:
+        """Each repeat's sum of positive cumulative local regrets."""
         total = 0.0
         for i, ct in self.cum_theta.items():
-            total += float(np.sum(np.maximum(ct.max(axis=1) - self.cum_real[i], 0.0)))
+            pos = np.maximum(ct.max(axis=1) - self.cum_real[i], 0.0)
+            total = total + pos.reshape(self.repeats, -1).sum(axis=1)
         return total
 
     def local_regrets(self, horizon: int):
@@ -195,54 +220,103 @@ class SolverLoop:
     """Learners on ``fine``, projected each step onto ``coarse`` and fed
     penalized local rewards.  With ``fine is coarse`` the projection is the
     identity and the penalty zero, bit for bit, so both are skipped.  Every
-    stage has a learner; ``player`` names whose payoff the trace records."""
+    stage has a learner; ``player`` names whose payoff the trace records.
+
+    ``seed`` is one seed, for a single run, or a sequence of R seeds, for R
+    repeats on the leading axis (module docstring); each repeat gets its
+    own copy of ``schedule``, and ``traces[r]`` is repeat r's trace."""
 
     def __init__(self, game: ProductGame, coarse: InformationMap,
                  fine: InformationMap, schedule: PenaltySchedule, *,
-                 learner: str, eta, seed: int, randomize_init: bool,
+                 learner: str, eta, seed, randomize_init: bool,
                  mode: str, player: int):
         if mode not in MODES:
             raise ValueError("mode must be 'exact' or 'mc'")
+        seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+        if not seeds:
+            raise ValueError("need at least one seed")
         self.game = game
         self.coarse = coarse
         self.fine = fine
         self.player = player
         self.mode = mode
-        self.schedule = schedule
-        self.schedule.reset()
-        self.t = tables_for(game, coarse, fine)
-        self.mf = self.t.map_index(fine)
-        self.mc = self.t.map_index(coarse)
+        self.R = R = len(seeds)
+        self.schedules = [copy.copy(schedule) for _ in seeds]
+        for s in self.schedules:
+            s.reset()
+        self.t = t = tables_for(game, coarse, fine)
+        self.mf = t.map_index(fine)
+        self.mc = t.map_index(coarse)
         self.stages = range(game.num_stages)
-        # fine -> coarse label index on the stages where fine refines coarse;
-        # unused, so not built, when fine is coarse
-        self.f2c = {} if fine is coarse else {
-            i: arr for i, arr in enumerate(self.t.refinement(fine, coarse))
-            if arr is not None}
+        A = game.stage_actions
+        n_fine = [len(t.labels[self.mf][i]) for i in self.stages]
         # each stage owner and its stages, for one backward pass per owner
         self.owners = {p: game.stages_of(p)
                        for p in sorted(set(game.player_of_stage))}
-        self.rng = np.random.default_rng(seed)
-        self.banks = make_banks(self.t, self.mf, learner, eta, self.rng,
+        # the R repeats' prefix arrays; repeat r's Nature blocks are blocks
+        # r·W to r·W + W - 1 of each
+        self._n_blocks = len(t.nature_probs) * R
+        self._first_block = len(t.nature_probs) * np.arange(R)
+        self.start = tiled(t.nature_probs, R)
+        self.labels = [stacked(t.prefix_label[self.mf][i], n_fine[i], R)
+                       for i in self.stages]
+        self.cells = [stacked(t.prefix_cell[self.mf][i], n_fine[i] * A[i], R)
+                      for i in self.stages]
+        self.values = {p: tiled(t.rewards[:, p], R) for p in self.owners}
+        # the (coarse, fine) label pairs and the fine -> coarse label index
+        # on the stages where fine refines coarse; unused, so not built,
+        # when fine is coarse
+        self.pairs, self.f2c = [], {}
+        if fine is not coarse:
+            n_coarse = [len(t.labels[self.mc][i]) for i in self.stages]
+            self.coarse_labels = [
+                stacked(t.prefix_label[self.mc][i], n_coarse[i], R)
+                for i in self.stages]
+            self.pairs = [stacked_pairs(pairs, n_coarse[i], n_fine[i], R)
+                          for i, pairs in enumerate(
+                              t.stage_pairs(self.mf, self.mc))]
+            self.f2c = {i: stacked(arr, n_coarse[i], R) for i, arr
+                        in enumerate(t.refinement(fine, coarse))
+                        if arr is not None}
+            # per stage that does not refine, each pair's (fine label,
+            # action) bins
+            self.pair_cells = {i: label_cells(self.pairs[i][2], A[i])
+                               for i in self.stages if i not in self.f2c}
+        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.banks = make_banks(t, self.mf, learner, eta, self.rngs,
                                 randomize_init)
-        self.accounting = RegretAccounting(self.t, self.mf)
+        self.accounting = RegretAccounting(t, self.mf, R)
         self.iteration = 0
         self.projected = None  # coarse matrices of the latest iterate
-        self.trace = {k: [] for k in TRACE_KEYS}
+        self.traces = [{k: [] for k in TRACE_KEYS} for _ in seeds]
 
     # ------------------------------------------------------------------
+
+    def _single(self, what: str):
+        """Raises BatchedRun, naming ``what``, unless this is one run."""
+        if self.R > 1:
+            raise BatchedRun(f"{what} reads a single run, and this run "
+                             f"stacks {self.R} repeats")
+
+    @property
+    def trace(self) -> dict:
+        """The trace of a single run."""
+        self._single("trace")
+        return self.traces[0]
 
     def current_mats(self):
         return [bank.decide() for bank in self.banks]
 
     def iterate(self):
-        """One step; returns the projected iterate in matrix form."""
+        """One step of every repeat; returns the projected iterate in
+        matrix form, the repeats' rows stacked."""
         self.iteration += 1
-        lam = self.schedule.current(self.iteration)
+        lam = np.array([s.current(self.iteration) for s in self.schedules])
         mats = self.current_mats()
         w = None
         if self.mode == "mc":
-            w = self.rng.choice(len(self.game.nature), p=self.game.probs())
+            p = self.t.nature_probs
+            w = np.array([rng.choice(len(p), p=p) for rng in self.rngs])
         gam, pen, thetas = self._step(mats, lam, w)
         for i in self.stages:
             self.accounting.update(i, thetas[i], mats[i])
@@ -251,58 +325,78 @@ class SolverLoop:
         self.projected = gam
         return gam
 
+    def _block(self, x: np.ndarray, rows) -> np.ndarray:
+        """The Nature blocks ``rows`` of the stacked prefix array ``x``, end
+        to end; all of ``x`` when ``rows`` is None."""
+        if rows is None:
+            return x
+        return x.reshape(self._n_blocks, -1)[rows].reshape(-1)
+
     def _step(self, mats, lam, w=None):
         """Returns the projected mats, each stage's per-prefix penalty (none
-        when ``fine is coarse``), and the local rewards; with ``w``, those
-        of Nature state w's block."""
+        when ``fine is coarse``), and the local rewards under the penalty
+        weight ``lam``, one for all repeats or one each.  With ``w``, each
+        repeat's Nature state, the rewards are of its block alone."""
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), (self.R,))
+        rows = None if w is None else self._first_block + w
+        labels = [self._block(lab, rows) for lab in self.labels]
         fl = floored_mats(mats)
-        if self.fine is self.coarse:
-            before = self.t.forward(fl[:-1], self.mf, w)
-            return mats, {}, self._local_rewards(mats, fl, before, w)
+        if not self.pairs:
+            before = forward(self._block(self.start, rows), fl[:-1], labels)
+            return mats, {}, self._local_rewards(mats, fl, before, labels,
+                                                 rows)
         before, gam, pm = self._project(mats, fl)
-        pen = {}
-        for i in self.stages:
-            d, pair_idx = pair_sq_distance(self.t, mats, gam, self.mf,
-                                           self.mc, i)
-            pen[i] = d[pair_idx]
-        if w is not None:
-            before = [self.t.block(b, w) for b in before]
-            pm = self.t.pair_masses(before, self.mf, self.mc, w)
-        return gam, pen, self._local_rewards(mats, fl, before, w, lam, gam,
-                                             pm, pen)
+        pen = {i: pair_sq_distance(pairs, mats[i], gam[i])[pairs[0]]
+               for i, pairs in enumerate(self.pairs)}
+        if rows is not None:
+            before = [self._block(b, rows) for b in before]
+            pm = self._pair_masses(before, rows)
+        return gam, pen, self._local_rewards(mats, fl, before, labels, rows,
+                                             lam, gam, pm, pen)
+
+    def _pair_masses(self, before, rows=None):
+        """Per stage, the mass of each stacked label pair under the forward
+        pass ``before``, of the Nature blocks ``rows`` when given."""
+        return [np.bincount(self._block(pair_idx, rows), weights=b,
+                            minlength=len(fine))
+                for (pair_idx, _, fine, _), b in zip(self.pairs, before)]
 
     def _project(self, mats, fl):
         """Returns the forward pass of the floored mats ``fl`` up to stage
         L - 1, where the backward pass starts, the projection of ``mats``
         under it, and its pair masses."""
-        before = self.t.forward(fl[:-1], self.mf)
-        pm = self.t.pair_masses(before, self.mf, self.mc)
-        return before, project_matrices(self.t, mats, self.mf, self.mc,
-                                        pm), pm
+        before = forward(self.start, fl[:-1], self.labels)
+        pm = self._pair_masses(before)
+        gam = project_matrices(self.pairs, mats, pm,
+                               coarse_masses(self.pairs, pm))
+        return before, gam, pm
 
-    def _local_rewards(self, mats, fl, before, w, lam=0.0, gam=None, pm=None,
-                       pen=None):
+    def _local_rewards(self, mats, fl, before, labels, rows, lam=None,
+                       gam=None, pm=None, pen=None):
         """Each stage owner's counterfactual reward less the later stages'
-        penalty, minus the linearized penalty of the stage itself.
-        ``before`` is the forward pass of the floored mats ``fl`` and
-        ``pm`` its pair masses, of Nature state w's block when ``w`` is
-        given."""
-        t, sampled = self.t, w is not None
+        penalty ``lam`` · ``pen``, minus the linearized penalty of the
+        stage itself.  ``before`` is the forward pass of the floored mats
+        ``fl``, ``labels`` its prefixes' labels and ``pm`` its pair masses,
+        of the Nature blocks ``rows`` when given."""
+        sampled = rows is not None
+        later = None
+        if pen:
+            # stage 0's penalty is no later stage's
+            later = {i: scaled(lam, self._block(pen[i], rows))
+                     for i in pen if i}
         thetas = {}
         for p, own in self.owners.items():
-            for i, after in suffix_values(t, self.mf, fl, t.rewards[:, p], w,
-                                          pen, lam):
+            values = self._block(self.values[p], rows)
+            for i, after in suffix_values(labels, fl, values, later):
                 if i not in own:
                     continue
-                lab = t.block(t.prefix_label[self.mf][i], w)
-                n_labels = len(t.labels[self.mf][i])
+                n_rows = len(mats[i])
                 mass = None
                 if pen:
-                    _, coarse, fine, _ = t.pairs(self.mf, self.mc, i)
-                    mass = np.bincount(fine, weights=pm[i],
-                                       minlength=n_labels)
+                    _, coarse, fine, _ = self.pairs[i]
+                    mass = np.bincount(fine, weights=pm[i], minlength=n_rows)
                 theta, mass = counterfactual_matrix(
-                    i, lab, t.block(t.prefix_cell[self.mf][i], w), n_labels,
+                    i, labels[i], self._block(self.cells[i], rows), n_rows,
                     before[i], after, mass, sampled)
                 if pen:
                     if i in self.f2c:
@@ -310,9 +404,9 @@ class SolverLoop:
                     else:
                         # the pair-mass-weighted projected row per label
                         centre, _ = counterfactual_matrix(
-                            i, fine, label_cells(fine, gam[i].shape[1]),
-                            n_labels, pm[i], gam[i][coarse], mass, sampled)
-                    lin = 2.0 * lam * (mats[i] - centre)
+                            i, fine, self.pair_cells[i], n_rows, pm[i],
+                            gam[i][coarse], mass, sampled)
+                    lin = scaled(2.0 * lam, mats[i] - centre)
                     lin[mass <= 0.0] = 0.0
                     theta -= lin
                 thetas[i] = theta
@@ -321,32 +415,47 @@ class SolverLoop:
         return thetas
 
     def _record(self, mats, gam, pen, lam):
-        """Appends one trace row; returns the raw iterate's forward pass."""
-        raw = self.t.forward(mats, self.mf)
-        q_gam = raw[-1] if gam is mats else self.t.forward(gam, self.mc)[-1]
+        """Appends each repeat's trace row; returns the raw iterate's
+        forward pass.  Each payoff and penalty mass is a dot product over
+        one repeat's block, as in a lone run."""
+        R = self.R
+        raw = forward(self.start, mats, self.labels)
+        q_gam = (raw[-1] if gam is mats
+                 else forward(self.start, gam, self.coarse_labels)[-1])
         rewards = self.t.rewards[:, self.player]
-        payoff = self.t.expect(q_gam, rewards)
-        payoff_mu = self.t.expect(raw[-1], rewards)
-        pen_mass = float(sum(raw[i] @ pen[i] for i in pen)) if pen else 0.0
-        self.trace["payoff"].append(payoff)
-        self.trace["payoff_mu"].append(payoff_mu)
-        self.trace["penalty_mass"].append(pen_mass)
-        self.trace["sum_pos_local"].append(self.accounting.sum_pos())
-        self.trace["lambda"].append(lam)
-        self.trace["rho_mu"].append(payoff_mu - lam * pen_mass)
-        self.schedule.update(payoff)
+        payoff = [self.t.expect(q, rewards) for q in q_gam.reshape(R, -1)]
+        payoff_mu = [self.t.expect(q, rewards) for q in raw[-1].reshape(R, -1)]
+        pen_mass = [0.0] * R
+        if pen:
+            blocks = [(raw[i].reshape(R, -1), pen[i].reshape(R, -1))
+                      for i in pen]
+            pen_mass = [float(sum(q[r] @ d[r] for q, d in blocks))
+                        for r in range(R)]
+        sum_pos = self.accounting.sum_pos().tolist()
+        for r, (trace, schedule) in enumerate(zip(self.traces,
+                                                  self.schedules)):
+            lam_r = float(lam[r])
+            trace["payoff"].append(payoff[r])
+            trace["payoff_mu"].append(payoff_mu[r])
+            trace["penalty_mass"].append(pen_mass[r])
+            trace["sum_pos_local"].append(sum_pos[r])
+            trace["lambda"].append(lam_r)
+            trace["rho_mu"].append(payoff_mu[r] - lam_r * pen_mass[r])
+            schedule.update(payoff[r])
         return raw
 
     # ------------------------------------------------------------------
 
     def projected_policy(self) -> BehavioralPolicy:
+        self._single("projected_policy")
         if self.projected is None:
             mats = self.current_mats()
-            self.projected = (mats if self.fine is self.coarse else
-                              self._project(mats, floored_mats(mats))[1])
+            self.projected = (self._project(mats, floored_mats(mats))[1]
+                              if self.pairs else mats)
         return self.t.to_policy(self.projected, self.coarse)
 
     def current_policy(self) -> BehavioralPolicy:
+        self._single("current_policy")
         return self.t.to_policy(self.current_mats(), self.fine)
 
 
@@ -357,7 +466,7 @@ class CfrRun(SolverLoop):
 
     def __init__(self, game: ProductGame, info: InformationMap, *,
                  learner: str = "regret_matching", eta: float = None,
-                 seed: int = 0, randomize_init: bool = False,
+                 seed=0, randomize_init: bool = False,
                  mode: str = "exact", player: int = 0):
         super().__init__(game, info, info, PenaltySchedule("constant", 0.0),
                          learner=learner, eta=eta, seed=seed,
@@ -371,11 +480,13 @@ class CfrRun(SolverLoop):
     def _record(self, mats, gam, pen, lam):
         raw = super()._record(mats, gam, pen, lam)
         for i in self.stages:
-            w = self.t.label_mass(raw[i], self.mf, i)
+            w = np.bincount(self.labels[i], weights=raw[i],
+                            minlength=len(mats[i]))
             self.avg_num[i] += w[:, None] * mats[i]
             self.avg_den[i] += w
 
     def average_policy(self) -> BehavioralPolicy:
+        self._single("average_policy")
         mats = []
         for i in self.stages:
             den = self.avg_den[i]
@@ -385,30 +496,6 @@ class CfrRun(SolverLoop):
             rows[ok] = self.avg_num[i][ok] / den[ok, None]
             mats.append(rows)
         return self.t.to_policy(mats, self.coarse)
-
-
-def counterfactual_rewards(game: ProductGame, info: InformationMap,
-                           policy: BehavioralPolicy, stage: int, label,
-                           player: int = None) -> np.ndarray:
-    """Exact counterfactual reward vector of one (stage, label) slot under an
-    epsilon-floored version of ``policy``."""
-    t = tables_for(game, info, policy.info)
-    m, mp = t.map_index(info), t.map_index(policy.info)
-    mats = floored_mats(t.matrices(policy))
-    before = t.forward(mats, mp)
-    p = game.player_of_stage[stage] if player is None else player
-    for i, after in suffix_values(t, mp, mats, t.rewards[:, p]):
-        if i == stage:
-            break
-    theta, _ = counterfactual_matrix(stage, t.prefix_label[m][stage],
-                                     t.prefix_cell[m][stage],
-                                     len(t.labels[m][stage]), before[stage],
-                                     after)
-    try:
-        row = t.labels[m][stage].index(label)
-    except ValueError:
-        raise ZeroReachLabel(f"label {label!r} not reachable at stage {stage}")
-    return theta[row]
 
 
 def run_cfr(game: ProductGame, info: InformationMap, iterations: int,

@@ -14,7 +14,9 @@ prefix, |Omega|·prod_{j<i} A_j in all.  The solver loop runs on these: a
 forward pass (``forward``) gives the reach of every prefix, stage by stage,
 and the (coarse, fine) label pairs of ``pairs`` and their masses
 (``pair_masses``) are indexed by prefix too.  Nature state w's prefixes are
-the w-th of |Omega| equal blocks of each prefix array (``block``).
+the w-th of |Omega| equal blocks of each prefix array.  A solver loop of R
+repeats runs on R copies of these arrays end to end (``stacked``,
+``tiled``, ``stacked_pairs``).
 """
 
 from __future__ import annotations
@@ -151,11 +153,6 @@ class Tables:
                   for k in first_hist[first[order]]]
         return labels, np.repeat(rank[inverse.reshape(-1)], self.stride[i])
 
-    def block(self, arr: np.ndarray, w=None) -> np.ndarray:
-        """Nature state w's block of a prefix-indexed array (all of it when
-        ``w`` is None)."""
-        return arr if w is None else arr.reshape(len(self.nature_probs), -1)[w]
-
     def map_index(self, info: InformationMap) -> int:
         return self.add_map(info)
 
@@ -238,30 +235,25 @@ class Tables:
 
     # ------------------------------------------------------------- operators
 
-    def forward(self, mats, map_idx: int, w=None) -> list[np.ndarray]:
+    def forward(self, mats, map_idx: int) -> list[np.ndarray]:
         """The forward pass through the stages of ``mats``, the per-stage
         matrices of map ``map_idx``: ``before[i][p]``, for i = 0 to
         len(mats), is the reach of stage-i prefix p.  With all L stages,
         ``before[L]`` is the pushforward over histories: Nature's
-        probability times each stage's, multiplied in stage order.  With
-        ``w``, Nature state w's block of each (``block``)."""
-        before = [self.block(self.nature_probs, w)]
-        for mat, lab in zip(mats, self.prefix_label[map_idx]):
-            rows = mat[self.block(lab, w)]
-            rows *= before[-1][:, None]
-            before.append(rows.reshape(-1))
-        return before
+        probability times each stage's, multiplied in stage order."""
+        return forward(self.nature_probs, mats, self.prefix_label[map_idx])
 
-    def pair_masses(self, before, m_fine: int, m_coarse: int, w=None):
+    def stage_pairs(self, m_fine: int, m_coarse: int) -> list[tuple]:
+        """``pairs`` of every stage."""
+        return [self.pairs(m_fine, m_coarse, i)
+                for i in range(self.game.num_stages)]
+
+    def pair_masses(self, before, m_fine: int, m_coarse: int):
         """Per stage, the mass of each (coarse, fine) label pair of ``pairs``
-        under the forward pass ``before``, of Nature state w's block when
-        ``w`` is given."""
-        out = []
-        for i in range(self.game.num_stages):
-            pair_idx, _, fine, _ = self.pairs(m_fine, m_coarse, i)
-            out.append(np.bincount(self.block(pair_idx, w), weights=before[i],
-                                   minlength=len(fine)))
-        return out
+        under the forward pass ``before``."""
+        return [np.bincount(pair_idx, weights=b, minlength=len(fine))
+                for (pair_idx, _, fine, _), b
+                in zip(self.stage_pairs(m_fine, m_coarse), before)]
 
     def pushforward(self, mats, map_idx: int) -> np.ndarray:
         """The distribution over histories under the per-stage matrices
@@ -297,10 +289,54 @@ class Tables:
         return self.expect(self.forward(mats, m)[-1], self.rewards[:, player])
 
 
+def forward(start: np.ndarray, mats, labels) -> list[np.ndarray]:
+    """The forward pass from ``start``, the reach of each stage-0 prefix:
+    ``before[i + 1]`` is ``before[i]`` times the row of ``mats[i]`` that
+    each prefix's label ``labels[i]`` picks, one entry per action, for i
+    below len(mats)."""
+    before = [start]
+    for mat, lab in zip(mats, labels):
+        rows = mat[lab]
+        rows *= before[-1][:, None]
+        before.append(rows.reshape(-1))
+    return before
+
+
 def label_cells(labels: np.ndarray, A: int) -> np.ndarray:
     """The (label, action) bin ``labels[k] * A + a`` of each row k and
     action a, flat in row-major order."""
     return (labels[:, None] * A + np.arange(A)).reshape(-1)
+
+
+def stacked(idx: np.ndarray, n: int, R: int) -> np.ndarray:
+    """R copies of ``idx``, an index into n bins, end to end, copy r
+    shifted into repeat r's bins r·n to r·n + n - 1.  At R = 1, ``idx``
+    itself."""
+    if R == 1:
+        return idx
+    return (idx + n * np.arange(R)[:, None]).reshape(-1)
+
+
+def tiled(x: np.ndarray, R: int) -> np.ndarray:
+    """R copies of ``x`` end to end; at R = 1, ``x`` itself."""
+    return x if R == 1 else np.tile(x, R)
+
+
+def stacked_pairs(pairs, n_coarse: int, n_fine: int, R: int):
+    """One stage's ``Tables.pairs`` for R stacked repeats: each index
+    ``stacked``, and the offsets of every repeat's coarse labels in turn."""
+    if R == 1:
+        return pairs
+    pair_idx, coarse, fine, offsets = pairs
+    n = len(fine)
+    return (stacked(pair_idx, n, R), stacked(coarse, n_coarse, R),
+            stacked(fine, n_fine, R),
+            np.append(stacked(offsets[:-1], n, R), R * n))
+
+
+def scaled(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x``, R equal blocks end to end, with block r times ``lam[r]``."""
+    return (lam[:, None] * x.reshape(len(lam), -1)).reshape(x.shape)
 
 
 def _rewards(game: ProductGame) -> np.ndarray:

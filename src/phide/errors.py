@@ -25,3 +25,8 @@ class IllegalSupport(PhideError):
 
 class ConfigError(PhideError):
     """Invalid experiment configuration."""
+
+
+class BatchedRun(PhideError):
+    """A single-run result was read from a solver loop of several stacked
+    repeats."""

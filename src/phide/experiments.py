@@ -98,7 +98,9 @@ def _schedule(config) -> PenaltySchedule:
     )
 
 
-def _one_run(config, game, maps, seed: int):
+def _traces(config, game, maps, seeds) -> list[dict]:
+    """One trace per seed.  ``cfr`` and ``ph`` run every seed in one solver
+    loop, a repeat per seed; ``rir`` runs them one by one."""
     algo = _require(config, "algorithm")
     iters = int(_require(config, "iterations"))
     learner = config.get("learner", "regret_matching")
@@ -108,22 +110,19 @@ def _one_run(config, game, maps, seed: int):
     coarse = _map(maps, config, "coarse_map", "original")
 
     if algo == "cfr":
-        run = CfrRun(game, coarse, learner=learner, eta=eta, seed=seed,
+        run = CfrRun(game, coarse, learner=learner, eta=eta, seed=seeds,
                      randomize_init=randomize, mode=mode)
-        for _ in range(iters):
-            run.iterate()
-        return run.trace
-
-    fine = _map(maps, config, "fine_map", "relaxed")
-    if algo == "ph":
+    else:
+        fine = _map(maps, config, "fine_map", "relaxed")
+        if algo == "rir":
+            return [_rir_trace(config, game, coarse, fine, seed, iters)
+                    for seed in seeds]
         run = PhRun(game, coarse, fine, schedule=_schedule(config),
-                    learner=learner, eta=eta, seed=seed,
+                    learner=learner, eta=eta, seed=seeds,
                     randomize_init=randomize, mode=mode, keep_history=False)
-        for _ in range(iters):
-            run.iterate()
-        return run.trace
-
-    return _rir_trace(config, game, coarse, fine, seed, iters)  # "rir"
+    for _ in range(iters):
+        run.iterate()
+    return run.traces
 
 
 def _rir_trace(config, game, coarse, fine, seed, iters):
@@ -147,7 +146,10 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
 
 def run_experiment(config: dict) -> dict:
     """Executes ``repeats`` independent seeded runs and returns records plus
-    a summary; see COLUMNS for the per-iteration record fields.  Keys
+    a summary; see COLUMNS for the per-iteration record fields.  ``cfr``
+    and ``ph`` run all repeats as one solver loop with a leading repeat
+    axis (``cfr.SolverLoop``), each repeat's records byte for byte those
+    of a run of its seed alone; ``rir`` runs them one after another.  Keys
     outside CONFIG_KEYS and GAME_KEYS, a seed, ``iterations`` or ``repeats``
     that is not an integer in range, and a value outside its CHOICES raise
     ConfigError before the game is built."""
@@ -165,10 +167,8 @@ def run_experiment(config: dict) -> dict:
                               f"values: {', '.join(allowed)}")
     game, maps = load_game(_require(config, "game"))
     seeds = [int(s) for s in np.random.SeedSequence(master).generate_state(repeats)]
-    records = []
-    for k, seed in enumerate(seeds):
-        trace = _one_run(config, game, maps, seed)
-        records.append({"run": k, "seed": seed, "trace": trace})
+    records = [{"run": k, "seed": seed, "trace": trace} for k, (seed, trace)
+               in enumerate(zip(seeds, _traces(config, game, maps, seeds)))]
     quantiles = config.get("quantiles", [0.1, 0.9])
     threshold = config.get("threshold")
     summary = summarize(records, quantiles, threshold=threshold)

@@ -14,18 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .cfr import PenaltySchedule, SolverLoop
-from .core import BehavioralPolicy, InformationMap, ProductGame
+from .core import InformationMap, ProductGame
+from .engine import scaled
 from .errors import EnumerationTooLarge
 from .games import best_response_value
-
-
-def penalty_term(lam: float, mu: BehavioralPolicy, gamma: BehavioralPolicy,
-                 stage: int, history) -> float:
-    """lam * squared distance of the two local vectors seen along a history."""
-    a = mu.local(stage, history.nature, history.actions)
-    b = gamma.local(stage, history.nature, history.actions)
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(lam * np.dot(d, d))
 
 
 class PhRun(SolverLoop):
@@ -39,7 +31,7 @@ class PhRun(SolverLoop):
     def __init__(self, game: ProductGame, coarse: InformationMap,
                  fine: InformationMap, *, schedule: PenaltySchedule = None,
                  learner: str = "regret_matching", eta: float = None,
-                 seed: int = 0, randomize_init: bool = False,
+                 seed=0, randomize_init: bool = False,
                  mode: str = "exact", player: int = 0,
                  keep_history: bool = True):
         if game.stages_of(player) != tuple(range(game.num_stages)):
@@ -50,7 +42,8 @@ class PhRun(SolverLoop):
                          randomize_init=randomize_init, mode=mode,
                          player=player)
         self.penalty_sums = {
-            i: np.zeros((len(self.t.labels[self.mc][i]), game.stage_actions[i]))
+            i: np.zeros((self.R * len(self.t.labels[self.mc][i]),
+                         game.stage_actions[i]))
             for i in self.stages} if keep_history else None
 
     def _record(self, mats, gam, pen, lam):
@@ -59,18 +52,7 @@ class PhRun(SolverLoop):
             for i in self.stages:
                 G = gam[i]
                 sq = np.sum(G * G, axis=1, keepdims=True)
-                self.penalty_sums[i] += lam * (1.0 - 2.0 * G + sq)
-
-
-def local_reward_vector(game: ProductGame, coarse: InformationMap,
-                        fine: InformationMap, policy: BehavioralPolicy,
-                        lam: float, stage: int, label) -> np.ndarray:
-    """Penalized, linearized local reward vector of one (stage, label) slot
-    for the given relaxed-map policy."""
-    run = PhRun(game, coarse, fine, schedule=PenaltySchedule(value=lam))
-    thetas = run._step(run.t.matrices(policy), lam)[2]
-    row = run.t.labels[run.mf][stage].index(label)
-    return thetas[stage][row]
+                self.penalty_sums[i] += scaled(lam, 1.0 - 2.0 * G + sq)
 
 
 def run_ph(game: ProductGame, coarse: InformationMap, fine: InformationMap,
@@ -92,6 +74,7 @@ def regret_report(run: PhRun, *, cap: int = 2_000_000) -> dict:
     relaxed optimum already fits it (Trade Comm's ``cheat``), the search
     solves it at the root, which no cap limits.  The bound is ``None`` when
     the search exceeds ``cap`` or the run kept no history."""
+    run._single("regret_report")
     T = run.iteration
     if T == 0:
         raise ValueError("run has no iterations")

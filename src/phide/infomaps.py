@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BehavioralPolicy, InformationMap, ProductGame
-from .engine import Tables, tables_for
+from .engine import tables_for
 from .errors import ZeroReachLabel
 
 
@@ -23,13 +23,13 @@ def _label_range(rows: np.ndarray, offsets: np.ndarray):
             np.maximum.reduceat(rows, starts, axis=0))
 
 
-def pair_sq_distance(t: Tables, mats, gam, m_fine: int, m_coarse: int, i: int):
-    """Squared Euclidean distance between the fine row ``mats[i]`` and the
-    coarse row ``gam[i]`` of each (coarse, fine) label pair at stage i, and
-    each stage-i prefix's pair index."""
-    pair_idx, coarse, fine, _ = t.pairs(m_fine, m_coarse, i)
-    diff = mats[i][fine] - gam[i][coarse]
-    return np.sum(diff * diff, axis=1), pair_idx
+def pair_sq_distance(pairs, mat: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between the fine row of ``mat`` and the
+    coarse row of ``gam`` of each (coarse, fine) label pair of ``pairs``,
+    one stage's ``Tables.pairs``."""
+    _, coarse, fine, _ = pairs
+    diff = mat[fine] - gam[coarse]
+    return (diff * diff).sum(axis=1)
 
 
 def is_implementable(game: ProductGame, info: InformationMap,
@@ -75,32 +75,42 @@ def has_perfect_recall(game: ProductGame, info: InformationMap,
                for i, (_, orig) in zip(own, t.recall_closure(m, own)))
 
 
-def project_matrices(t: Tables, mu_mats, m_fine: int, m_coarse: int,
-                     pair_mass):
-    """Reach-weighted average of fine local vectors per coarse label.
-
-    ``pair_mass[i]`` is the base reach of each (coarse, fine) label pair of
-    ``Tables.pairs`` at stage i (``Tables.pair_masses`` of a forward pass),
-    so a stage costs O(pairs · A), whatever the number of histories.  When
-    every fine vector merged into a coarse label is bit-identical the common
-    vector is returned unchanged, so projecting an implementable policy is
-    an exact fixed point.
-    """
+def coarse_masses(pairs, pair_mass) -> list[np.ndarray]:
+    """Per stage, each coarse label's mass: the sum of ``pair_mass[i]``
+    over its pairs in ``pairs[i]``, one ``Tables.pairs`` per stage.  A
+    coarse label with no mass raises ZeroReachLabel."""
     out = []
-    for i, pm in enumerate(pair_mass):
-        _, coarse, fine, offsets = t.pairs(m_fine, m_coarse, i)
-        mass = np.bincount(coarse, weights=pm,
-                           minlength=len(t.labels[m_coarse][i]))
-        if np.any(mass <= 0.0):
+    for i, ((_, coarse, _, offsets), pm) in enumerate(zip(pairs, pair_mass)):
+        mass = np.bincount(coarse, weights=pm, minlength=len(offsets) - 1)
+        if (mass <= 0.0).any():
             raise ZeroReachLabel(
                 f"stage {i}: coarse label with zero base mass; use a "
                 "full-support base policy"
             )
-        rows = mu_mats[i][fine]
+        out.append(mass)
+    return out
+
+
+def project_matrices(pairs, mu_mats, pair_mass, coarse_mass):
+    """Reach-weighted average of fine local vectors per coarse label.
+
+    ``pairs[i]`` is ``Tables.pairs`` at stage i, ``pair_mass[i]`` the base
+    reach of each of its (coarse, fine) label pairs (``Tables.pair_masses``
+    of a forward pass) and ``coarse_mass[i]`` their sums per coarse label
+    (``coarse_masses``), so a stage costs O(pairs · A), whatever the number
+    of histories.  When every fine vector merged into a coarse label is
+    bit-identical the common vector is returned unchanged, so projecting an
+    implementable policy is an exact fixed point.
+    """
+    out = []
+    for (_, coarse, fine, offsets), mat, pm, mass in zip(pairs, mu_mats,
+                                                         pair_mass,
+                                                         coarse_mass):
+        rows = mat[fine]
         gamma = (np.add.reduceat(pm[:, None] * rows, offsets[:-1], axis=0)
                  / mass[:, None])
         mn, mx = _label_range(rows, offsets)
-        const = np.all(mn == mx, axis=1)
+        const = (mn == mx).all(axis=1)
         gamma[const] = mn[const]
         out.append(gamma)
     return out
@@ -114,8 +124,9 @@ def project(game: ProductGame, info_coarse: InformationMap,
     t = tables_for(game, info_coarse, info_fine, base.info, policy.info)
     mf, mc = t.map_index(policy.info), t.map_index(info_coarse)
     before = t.forward(t.matrices(base), t.map_index(base.info))
-    gam = project_matrices(t, t.matrices(policy), mf, mc,
-                           t.pair_masses(before, mf, mc))
+    pairs, pm = t.stage_pairs(mf, mc), t.pair_masses(before, mf, mc)
+    gam = project_matrices(pairs, t.matrices(policy), pm,
+                           coarse_masses(pairs, pm))
     return t.to_policy(gam, info_coarse)
 
 
@@ -129,6 +140,7 @@ def weighted_sq_distance(game: ProductGame, base: BehavioralPolicy,
     mm, mg = t.matrices(mu), t.matrices(gamma)
     im, ig = t.map_index(mu.info), t.map_index(gamma.info)
     total = 0.0
-    for i, pm in enumerate(t.pair_masses(before, im, ig)):
-        total += float(pm @ pair_sq_distance(t, mm, mg, im, ig, i)[0])
+    for pairs, pm, m, g in zip(t.stage_pairs(im, ig),
+                               t.pair_masses(before, im, ig), mm, mg):
+        total += float(pm @ pair_sq_distance(pairs, m, g))
     return total

@@ -25,11 +25,8 @@ def rm_decide(cum: np.ndarray) -> np.ndarray:
     """Positive parts normalized; uniform where all regrets are <= 0."""
     pos = np.maximum(cum, 0.0)
     tot = pos.sum(axis=-1, keepdims=True)
-    n = cum.shape[-1]
-    uniform = np.full_like(cum, 1.0 / n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(tot > 0.0, pos / np.where(tot > 0.0, tot, 1.0), uniform)
-    return out
+    return np.divide(pos, tot, out=np.full_like(cum, 1.0 / cum.shape[-1]),
+                     where=tot > 0.0)
 
 
 def ftrl_decide(cum: np.ndarray, eta: float) -> np.ndarray:
@@ -40,7 +37,7 @@ def ftrl_decide(cum: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _check_rewards(reward: np.ndarray):
-    if not np.all(np.isfinite(reward)):
+    if not np.isfinite(reward).all():
         raise ValueError("reward vector entries must be finite")
 
 
@@ -81,7 +78,7 @@ class LearnerBank:
             return
         if play is None:
             play = rm_decide(self.cum)
-        inst = reward - np.sum(play * reward, axis=-1, keepdims=True)
+        inst = reward - (play * reward).sum(axis=-1, keepdims=True)
         self.cum = self.cum + inst
         if self.kind == "regret_matching_plus":
             self.cum = np.maximum(self.cum, 0.0)

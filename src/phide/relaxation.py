@@ -26,7 +26,7 @@ import numpy as np
 from .cfr import suffix_values
 from .core import BehavioralPolicy, InformationMap, ProductGame, uniform_policy
 from .engine import tables_for
-from .infomaps import project_matrices
+from .infomaps import coarse_masses, project_matrices
 
 # A proximal step stops after MAX_SWEEPS sweeps, or once a sweep raises the
 # objective by at most SWEEP_TOL.
@@ -88,8 +88,11 @@ class RelaxationProblem:
             self._t.matrices(self.base), self._t.map_index(self.base.info))
         if np.min(before[-1]) <= 0.0:
             raise ValueError("base policy must have full support")
-        # the base reach of each (coarse, fine) label pair and fine label
+        # the base reach of each (coarse, fine) label pair, coarse label
+        # and fine label
+        self.pairs = self._t.stage_pairs(self.mf, self.mc)
         self.pair_mass = self._t.pair_masses(before, self.mf, self.mc)
+        self.coarse_mass = coarse_masses(self.pairs, self.pair_mass)
         self.weights = [self._t.label_mass(before[i], self.mf, i)
                         for i in range(self.game.num_stages)]
 
@@ -121,8 +124,8 @@ def _penalty(problem: RelaxationProblem, mats, gam) -> float:
 
 
 def _project(problem: RelaxationProblem, mats):
-    return project_matrices(problem._t, mats, problem.mf, problem.mc,
-                            problem.pair_mass)
+    return project_matrices(problem.pairs, mats, problem.pair_mass,
+                            problem.coarse_mass)
 
 
 def lagrangian(problem: RelaxationProblem, policy: BehavioralPolicy) -> float:
@@ -165,7 +168,8 @@ def _sweep(problem: RelaxationProblem, mats, centers, scale) -> float:
     t, mf = problem._t, problem.mf
     before = t.forward(mats[:-1], mf)
     pen = 0.0
-    for i, after in suffix_values(t, mf, mats, t.rewards[:, problem.player]):
+    for i, after in suffix_values(t.prefix_label[mf], mats,
+                                  t.rewards[:, problem.player]):
         c = _linear_term(t, mf, i, before[i], after)
         mats[i] = _rows_to_simplex(centers[i] + c / scale[i])
         pen += _stage_penalty(problem.weights[i], mats[i], centers[i])

@@ -1,11 +1,34 @@
 import numpy as np
 import pytest
 
-from phide.cfr import CfrRun, counterfactual_rewards, make_banks, run_cfr
+from phide.cfr import (CfrRun, counterfactual_matrix, floored_mats,
+                       make_banks, run_cfr, suffix_values)
 from phide.core import InformationMap, ProductGame, uniform_policy
 from phide.engine import tables_for
-from phide.errors import ZeroReachLabel
+from phide.errors import BatchedRun, ZeroReachLabel
 from phide.zoo import build_matching_pennies, build_trade_comm
+
+
+def counterfactual_rewards(game, info, policy, stage, label, player=None):
+    """Exact counterfactual reward vector of one (stage, label) slot under an
+    epsilon-floored version of ``policy``."""
+    t = tables_for(game, info, policy.info)
+    m, mp = t.map_index(info), t.map_index(policy.info)
+    mats = floored_mats(t.matrices(policy))
+    before = t.forward(mats, mp)
+    p = game.player_of_stage[stage] if player is None else player
+    for i, after in suffix_values(t.prefix_label[mp], mats, t.rewards[:, p]):
+        if i == stage:
+            break
+    theta, _ = counterfactual_matrix(stage, t.prefix_label[m][stage],
+                                     t.prefix_cell[m][stage],
+                                     len(t.labels[m][stage]), before[stage],
+                                     after)
+    try:
+        row = t.labels[m][stage].index(label)
+    except ValueError:
+        raise ZeroReachLabel(f"label {label!r} not reachable at stage {stage}")
+    return theta[row]
 
 
 def test_counterfactual_pass_value_exact():
@@ -127,7 +150,7 @@ def test_make_banks_draws_the_rows_of_one_dirichlet_call_per_row():
     t = tables_for(g, m["perfect_recall"])
     mi = t.map_index(m["perfect_recall"])
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    banks = make_banks(t, mi, "regret_matching", None, rng, True)
+    banks = make_banks(t, mi, "regret_matching", None, [rng], True)
     for i, bank in enumerate(banks):
         A = g.stage_actions[i]
         rows = np.vstack([ref.dirichlet(np.ones(A))
@@ -135,3 +158,15 @@ def test_make_banks_draws_the_rows_of_one_dirichlet_call_per_row():
         assert np.array_equal(bank.cum, rows)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("reader", ["projected_policy", "current_policy",
+                                    "average_policy"])
+def test_policies_of_a_batched_run_raise(reader):
+    g, m = build_matching_pennies()
+    run = run_cfr(g, m["original"], 3, seed=[4, 5, 6], randomize_init=True)
+    with pytest.raises(BatchedRun, match=f"^{reader} .* stacks 3 repeats"):
+        getattr(run, reader)()
+    with pytest.raises(BatchedRun, match="^trace .* stacks 3 repeats"):
+        run.trace
+    assert len(run.traces) == 3

@@ -1,13 +1,16 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from phide import experiments
 from phide.cli import main
 from phide.errors import ConfigError
 from phide.experiments import (nearest_rank, run_and_write, run_experiment,
-                               summarize, write_runs_csv)
+                               summarize, write_runs_csv, write_summary_csv)
 
 
 BASE = dict(game={"name": "matching_pennies"}, algorithm="cfr", iterations=20,
@@ -212,3 +215,72 @@ def test_runs_csv_columns(tmp_path):
     assert header == ("run,seed,t,expected_payoff_projected,penalty_mass,"
                       "sum_pos_local_regret,lambda_t")
     assert len(path.read_text().splitlines()) == 1 + 3 * 20
+
+
+# game name -> (game record, coarse map, fine maps)
+BATCH_GAMES = {
+    "matching_pennies": ({"name": "matching_pennies"}, "original",
+                         ("relaxed",)),
+    "trade_comm": ({"name": "trade_comm", "n": 2, "m": 2}, "original",
+                   ("perfect_recall", "cheat")),
+}
+
+
+@st.composite
+def batch_configs(draw):
+    name = draw(st.sampled_from(["random", *BATCH_GAMES]))
+    if name == "random":
+        spec = {"name": "random", "seed": draw(st.integers(0, 499))}
+        # swapped, the learners' map is the coarser one: it does not refine
+        coarse, fine = draw(st.permutations(["coarse", "fine"]))
+    else:
+        spec, coarse, fines = BATCH_GAMES[name]
+        fine = draw(st.sampled_from(fines))
+    return {"game": spec, "coarse_map": coarse, "fine_map": fine,
+            "algorithm": draw(st.sampled_from(["cfr", "ph"])),
+            "mode": draw(st.sampled_from(["exact", "mc"])),
+            "learner": draw(st.sampled_from(
+                ["regret_matching", "regret_matching_plus", "ftrl_entropic"])),
+            "schedule": draw(st.sampled_from(["constant", "ramp",
+                                              "controller"])),
+            "lambda": draw(st.sampled_from([0.05, 0.7, 2.0])),
+            "target": 0.5, "factor": 1.3,
+            "randomize_init": draw(st.booleans()),
+            "repeats": draw(st.sampled_from([2, 3])),
+            "seed": draw(st.integers(0, 2 ** 32 - 1)),
+            "iterations": 6, "threshold": 0.5}
+
+
+def single_run_result(config, seeds):
+    """run_experiment's result from one R = 1 run per seed."""
+    game, maps = experiments.load_game(config["game"])
+    records = [{"run": k, "seed": seed,
+                "trace": experiments._traces(config, game, maps, [seed])[0]}
+               for k, seed in enumerate(seeds)]
+    return {"records": records,
+            "summary": summarize(records, threshold=config["threshold"])}
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=batch_configs())
+@example(config={"game": BATCH_GAMES["trade_comm"][0],
+                 "coarse_map": "original", "fine_map": "cheat",
+                 "algorithm": "ph", "mode": "mc", "learner": "regret_matching",
+                 "schedule": "controller", "lambda": 0.7, "target": 0.5,
+                 "factor": 1.3, "randomize_init": True, "repeats": 3,
+                 "seed": 7, "iterations": 6, "threshold": 0.5})
+def test_batched_repeats_write_the_bytes_of_single_runs(config):
+    # the repeats of one solver loop write, byte for byte, the files of one
+    # run per seed
+    with tempfile.TemporaryDirectory() as d:
+        batched = run_and_write(config, os.path.join(d, "batched"))
+        single = single_run_result(config,
+                                   [r["seed"] for r in batched["records"]])
+        os.makedirs(os.path.join(d, "single"))
+        for name, write in (("runs.csv", write_runs_csv),
+                            ("summary.csv", write_summary_csv)):
+            write(single, os.path.join(d, "single", name))
+            with open(os.path.join(d, "batched", name), "rb") as f:
+                got = f.read()
+            with open(os.path.join(d, "single", name), "rb") as f:
+                assert got == f.read(), name

@@ -1,13 +1,32 @@
 import numpy as np
 import pytest
 
-from phide.cfr import CfrRun, counterfactual_rewards, run_cfr
+from phide.cfr import CfrRun, run_cfr
 from phide.core import uniform_policy
 from phide.engine import tables_for
-from phide.hiding import (PenaltySchedule, PhRun, local_reward_vector,
-                          penalty_term, regret_report, run_ph)
+from phide.errors import BatchedRun
+from phide.hiding import PenaltySchedule, PhRun, regret_report, run_ph
 from phide.infomaps import is_implementable
 from phide.zoo import TradeCommSpec, build_matching_pennies, build_trade_comm
+
+from test_cfr import counterfactual_rewards
+
+
+def penalty_term(lam, mu, gamma, stage, history):
+    """lam * squared distance of the two local vectors seen along a history."""
+    a = mu.local(stage, history.nature, history.actions)
+    b = gamma.local(stage, history.nature, history.actions)
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return float(lam * np.dot(d, d))
+
+
+def local_reward_vector(game, coarse, fine, policy, lam, stage, label):
+    """Penalized, linearized local reward vector of one (stage, label) slot
+    for the given relaxed-map policy, from one step of the solver loop."""
+    run = PhRun(game, coarse, fine, schedule=PenaltySchedule(value=lam))
+    thetas = run._step(run.t.matrices(policy), lam)[2]
+    row = run.t.labels[run.mf][stage].index(label)
+    return thetas[stage][row]
 
 
 def test_schedule_kinds():
@@ -230,3 +249,13 @@ def test_ph_beats_direct_learning_on_matching_pennies():
                  schedule=PenaltySchedule("ramp", 2.0, horizon=400), seed=7,
                  randomize_init=True)
     assert run.trace["payoff"][-1] > 0.95
+
+
+def test_regret_report_of_a_batched_run_raises():
+    g, m = build_matching_pennies()
+    run = run_ph(g, m["original"], m["relaxed"], 4, seed=[1, 2],
+                 schedule=PenaltySchedule("constant", 0.5))
+    with pytest.raises(BatchedRun, match="^regret_report .* stacks 2 repeats"):
+        regret_report(run)
+    with pytest.raises(BatchedRun, match="^projected_policy .* 2 repeats"):
+        run.projected_policy()

@@ -8,8 +8,9 @@ from phide.core import random_policy, uniform_policy
 from phide.engine import tables_for
 from phide.errors import ZeroReachLabel
 from phide.hiding import PhRun
-from phide.infomaps import (has_perfect_recall, is_finer, is_implementable,
-                            project, project_matrices, weighted_sq_distance)
+from phide.infomaps import (coarse_masses, has_perfect_recall, is_finer,
+                            is_implementable, project, project_matrices,
+                            weighted_sq_distance)
 from phide.zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                        random_game)
 
@@ -186,8 +187,10 @@ def check_pairs_against_dense(game, coarse, fine, rng):
                 for i in range(game.num_stages)]
     before = t.forward(random_mats(), mf)
     q0, pair_mass = before[-1], t.pair_masses(before, mf, mc)
+    pairs = t.stage_pairs(mf, mc)
+    coarse_mass = coarse_masses(pairs, pair_mass)
     mats = random_mats()
-    gam = project_matrices(t, mats, mf, mc, pair_mass)
+    gam = project_matrices(pairs, mats, pair_mass, coarse_mass)
     for g, ref in zip(gam, dense_projection(t, mats, mf, mc, q0)):
         np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
     # the solver step's penalty, one entry per prefix, read per history
@@ -199,7 +202,7 @@ def check_pairs_against_dense(game, coarse, fine, rng):
                                    np.sum(diff * diff, axis=1),
                                    rtol=0, atol=1e-12)
     fine_mats, coarse_mats = lifted_pair(t, mf, mc, rng)
-    gam = project_matrices(t, fine_mats, mf, mc, pair_mass)
+    gam = project_matrices(pairs, fine_mats, pair_mass, coarse_mass)
     for g, want in zip(gam, coarse_mats):
         assert np.array_equal(g, want)
 

@@ -93,10 +93,10 @@ def check_against_reference(loop, iterations=3):
     W = len(loop.game.nature)
     for _ in range(iterations):
         mats = loop.current_mats()
-        lam = loop.schedule.current(loop.iteration + 1)
+        lam = loop.schedules[0].current(loop.iteration + 1)
         w = None
         if loop.mode == "mc":  # the draw ``iterate`` is about to make
-            w = copy.deepcopy(loop.rng).choice(W, p=loop.game.probs())
+            w = copy.deepcopy(loop.rngs[0]).choice(W, p=loop.game.probs())
         gam_ref, th_ref, payoff, payoff_mu, pen_mass = reference_step(
             loop, mats, lam, w)
         gam, _, thetas = loop._step(mats, lam, w)
