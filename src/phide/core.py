@@ -201,25 +201,21 @@ def check_token_stages(game: ProductGame, info: InformationMap):
             raise _peek_error(i, min(peeked))
 
 
-def check_callable_stages(game: ProductGame, info: InformationMap, label_idx):
-    """Verdict for the callable stages of ``info`` from ``label_idx[i]``,
-    each history's stage-i label index in the order of ``enumerate_reachable``
-    (history k has the mixed-radix digits (nature, a_0, ..., a_{L-1})).
+def check_callable_stage(game: ProductGame, i: int, labels: np.ndarray):
+    """Verdict for a callable stage i from ``labels``, each history's
+    stage-i label index in the order of ``enumerate_reachable`` (history k
+    has the mixed-radix digits (nature, a_0, ..., a_{L-1})).
 
     A stage-i label peeks if and only if it differs between two histories
     that differ only in the action at one stage j >= i: it is not constant
     along axis j + 1 of the indices shaped to the radices.  The error names
-    the smallest such i, then the smallest j, as ``check_token_stages``
-    does.  O(n·L²) array work, no label call.
+    the smallest such j; checked in stage order, the smallest i comes
+    first, as in ``check_token_stages``.  O(n·L) array work, no label call.
     """
-    shape = (len(game.nature),) + tuple(game.stage_actions)
-    for i, tokens in enumerate(info.revealed):
-        if tokens is not None:
-            continue
-        lab = label_idx[i].reshape(shape)
-        for j in range(i, game.num_stages):  # one action: constant axis
-            if (lab != lab.take([0], axis=j + 1)).any():
-                raise _peek_error(i, j)
+    lab = labels.reshape((len(game.nature),) + tuple(game.stage_actions))
+    for j in range(i, game.num_stages):  # one action: constant axis
+        if (lab != lab.take([0], axis=j + 1)).any():
+            raise _peek_error(i, j)
 
 
 @dataclass
@@ -264,8 +260,8 @@ def uniform_policy(game: ProductGame, info: InformationMap) -> BehavioralPolicy:
     t = tables_for(game, info)
     m = t.map_index(info)
     keys = []  # (first history, stage, label)
-    for i, idx in enumerate(t.label_idx[m]):
-        first = np.unique(idx, return_index=True)[1]
+    for i, idx in enumerate(t.prefix_label[m]):
+        first = np.unique(idx, return_index=True)[1] * t.stride[i]
         keys += zip(first.tolist(), [i] * len(first), t.labels[m][i])
     table = {}
     for _, i, g in sorted(keys, key=lambda k: k[:2]):

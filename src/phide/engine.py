@@ -1,22 +1,23 @@
 """Vectorized tables over the reachable set of a game.
 
 Compiles a game, and each information map added, into flat numpy arrays:
-per-history nature index, action entries, rewards, and per-stage label
-indices for each map.  Every exact-enumeration computation in the library
-(pushforwards, conditional expectations, projections) runs off these arrays.
+per-history nature index, action entries and rewards, and each map's labels
+per stage prefix.  Every exact-enumeration computation in the library
+(pushforwards, projections, best responses) runs off these arrays.
 
 The histories are the product Omega x prod_i [A_i] in mixed-radix order, so
 the stage-i prefixes (w, a_0, ..., a_{i-1}) are in the same order, and
 history k has prefix k // stride_i with stride_i = prod_{j>=i} A_j.  Every
 map that ``add_map`` accepts is non-anticipative, so its stage-i label is a
 function of the prefix: ``prefix_label[m][i]`` holds it, one entry per
-prefix, |Omega|·prod_{j<i} A_j in all.  The solver loop runs on these: a
+prefix, |Omega|·prod_{j<i} A_j in all; no per-history copy is kept.  The
+solver loop, recall closure and best-response search run on these: a
 forward pass (``forward``) gives the reach of every prefix, stage by stage,
 and the (coarse, fine) label pairs of ``pairs`` and their masses
 (``pair_masses``) are indexed by prefix too.  Nature state w's prefixes are
 the w-th of |Omega| equal blocks of each prefix array.  A solver loop of R
-repeats runs on R copies of these arrays end to end (``stacked``,
-``tiled``, ``stacked_pairs``).
+repeats runs on R copies of these arrays end to end (``stacked``, ``tiled``,
+``stacked_pairs``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import weakref
 import numpy as np
 
 from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
-                   check_callable_stages, check_stage_count,
+                   check_callable_stage, check_stage_count,
                    check_token_stages)
+from .errors import IllegalSupport
 
 # A mixed-radix label key is ranked down to dense codes before it could
 # pass this bound.
@@ -39,10 +41,10 @@ _KEY_BOUND = 2 ** 62
 class Tables:
     """A game's histories, the full product Omega x prod_i [A_i] in the
     order of ``enumerate_reachable`` whatever the map, and the per-stage
-    labels of every map added.  ``add_map`` checks every map the same way,
-    first or later.  Token stages compile to array work on the prefixes
-    with one label call per distinct label; callable stages cost one label
-    call per history."""
+    labels of every map added, stored per stage prefix only.  ``add_map``
+    checks every map the same way, first or later.  Token stages compile to
+    array work on the prefixes with one label call per distinct label;
+    callable stages cost one label call per history."""
 
     def __init__(self, game: ProductGame, *maps: InformationMap):
         self._game = weakref.ref(game)
@@ -50,7 +52,6 @@ class Tables:
         grid = np.indices(shape, dtype=np.int64).reshape(len(shape), -1)
         self.nature_idx, self.action_cols = grid[0], grid[1:].T
         self.nature_probs = game.probs()
-        self.nat_prob = self.nature_probs[self.nature_idx]
         # stride[i] histories share each stage-i prefix; stride[L] is 1
         self.stride = [int(np.prod(shape[i + 1:], dtype=np.int64))
                        for i in range(len(shape))]
@@ -59,12 +60,11 @@ class Tables:
 
         self._map_ids: dict[int, int] = {}
         self.maps: list[InformationMap] = []
-        # per map: labels[i] (first-seen order), label_idx[i] (int array
-        # [n]), prefix_label[i] (one entry per stage-i prefix) and
-        # prefix_cell[i] (label * A_i + action, one entry per stage-(i + 1)
-        # prefix: the bin of a segment sum by stage-i label and action)
+        # per map: labels[i] (first-seen order), prefix_label[i] (one entry
+        # per stage-i prefix) and prefix_cell[i] (label * A_i + action, one
+        # entry per stage-(i + 1) prefix: the bin of a segment sum by
+        # stage-i label and action)
         self.labels: list[list[list]] = []
-        self.label_idx: list[list[np.ndarray]] = []
         self.prefix_label: list[list[np.ndarray]] = []
         self.prefix_cell: list[list[np.ndarray]] = []
         # (fine map, coarse map, stage) -> pair tables; see ``pairs``
@@ -91,29 +91,28 @@ class Tables:
 
     def add_map(self, info: InformationMap) -> int:
         """The map's index.  On first sight, the one map check: the stage
-        count, ``check_token_stages``, then ``check_callable_stages`` on the
-        labels; a map that fails is not added.  The check makes every stage
-        label a function of the prefix, which ``prefix_label`` reads off
-        the prefix's first history."""
+        count, ``check_token_stages``, then ``check_callable_stage`` on each
+        callable stage's labels; a map that fails is not added.  The check
+        makes every stage label a function of the prefix, which
+        ``prefix_label`` reads off the prefix's first history."""
         if id(info) in self._map_ids:
             return self._map_ids[id(info)]
         check_stage_count(self.game, info)
         check_token_stages(self.game, info)
-        labels, idx = zip(*(self._stage_labels(info, i)
-                            for i in range(self.game.num_stages)))
-        check_callable_stages(self.game, info, idx)
+        labels, prefix = zip(*(self._stage_labels(info, i)
+                               for i in range(self.game.num_stages)))
         self._map_ids[id(info)] = len(self.maps)
         self.maps.append(info)
         self.labels.append(list(labels))
-        self.label_idx.append(list(idx))
-        prefix = [lab[::self.stride[i]].copy() for i, lab in enumerate(idx)]
-        self.prefix_label.append(prefix)
+        self.prefix_label.append(list(prefix))
         self.prefix_cell.append([label_cells(lab, A) for lab, A
                                  in zip(prefix, self.game.stage_actions)])
         return self._map_ids[id(info)]
 
     def _stage_labels(self, info: InformationMap, i: int):
-        """Stage-i labels in first-seen order and each history's index."""
+        """Stage-i labels in first-seen order and each stage-i prefix's
+        label index; a callable stage's per-history index is checked by
+        ``check_callable_stage`` and dropped."""
         tokens = info.revealed[i]
         if tokens is None:
             seen: dict = {}
@@ -121,7 +120,8 @@ class Tables:
             for k, h in enumerate(self.histories):
                 idx[k] = seen.setdefault(info.label(i, h.nature, h.actions),
                                          len(seen))
-            return list(seen), idx
+            check_callable_stage(self.game, i, idx)
+            return list(seen), idx[::self.stride[i]].copy()
         # One mixed-radix key per prefix row; equal keys are equal labels.
         # Prefix order is history order, so first-seen order is unchanged.
         game, L = self.game, self.game.num_stages
@@ -151,7 +151,7 @@ class Tables:
         labels = [info.label(i, game.nature[self.nature_idx[k]],
                              tuple(self.action_cols[k].tolist()))
                   for k in first_hist[first[order]]]
-        return labels, np.repeat(rank[inverse.reshape(-1)], self.stride[i])
+        return labels, rank[inverse.reshape(-1)]
 
     def map_index(self, info: InformationMap) -> int:
         return self.add_map(info)
@@ -194,18 +194,18 @@ class Tables:
         return self._pairs[key]
 
     def recall_closure(self, m: int, own):
-        """Per stage of ``own``, each history's label in the recall closure
-        of map ``m`` (the map's labels at ``own`` stages so far and the
-        actions at the earlier ones: its coarsest refinement with perfect
-        recall) and the map's label of each closure label."""
-        out, key = [], np.zeros(len(self.nature_idx), dtype=np.int64)
+        """Per stage i of ``own``, each stage-i prefix's label in the recall
+        closure of map ``m`` (the map's labels at ``own`` stages so far and
+        the actions at the earlier ones: its coarsest refinement with
+        perfect recall) and the map's label of each closure label."""
+        out, key = [], np.zeros(len(self.nature_probs), dtype=np.int64)
         for i in own:
-            lab = self.label_idx[m][i]
+            lab = self.prefix_label[m][i]
+            key = np.repeat(key, len(lab) // len(key))  # stage-i prefixes
             _, first, idx = np.unique(key * len(self.labels[m][i]) + lab,
                                       return_index=True, return_inverse=True)
-            idx = idx.reshape(-1)
-            out.append((idx, lab[first]))
-            key = idx * self.game.stage_actions[i] + self.action_cols[:, i]
+            out.append((idx.reshape(-1), lab[first]))
+            key = label_cells(out[-1][0], self.game.stage_actions[i])
         return out
 
     # -------------------------------------------------------------- policies
@@ -220,7 +220,9 @@ class Tables:
             for r, g in enumerate(self.labels[m][i]):
                 vec = np.asarray(policy.table[(i, g)], dtype=float)
                 if len(vec) != A:
-                    raise ValueError("local vector length mismatch")
+                    raise IllegalSupport(
+                        f"{policy.info!r} stage {i} label {g!r}: local "
+                        f"vector of length {len(vec)}, expected {A}")
                 rows[r] = vec
             mats.append(rows)
         return mats
@@ -275,7 +277,7 @@ class Tables:
         """Sum per (label at stage i, action at stage i): [n_labels, A]."""
         n = len(self.labels[map_idx][i])
         A = self.game.stage_actions[i]
-        flat = self.label_idx[map_idx][i] * A + self.action_cols[:, i]
+        flat = np.repeat(self.prefix_cell[map_idx][i], self.stride[i + 1])
         return np.bincount(flat, weights=values, minlength=n * A).reshape(n, A)
 
     def expected_reward(self, policy_or_mats, info: InformationMap = None,

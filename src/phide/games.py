@@ -1,38 +1,34 @@
 """Operations on games in product form: well-posedness of deterministic
 profiles, policy surgery, and the exact best response, one branch-and-bound
-search over labels bounded by the perfect-recall relaxation of the map."""
+search over labels bounded by the perfect-recall relaxation of the map,
+all on the stage-prefix labels of ``Tables``."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import BehavioralPolicy, InformationMap, ProductGame
-from .engine import tables_for
-from .errors import EnumerationTooLarge, IllegalSupport, WellPosednessViolation
+from .core import BehavioralPolicy, History, InformationMap, ProductGame
+from .engine import label_cells, tables_for
+from .errors import EnumerationTooLarge, IllegalSupport
 
 DEFAULT_ENUM_CAP = 10_000_000
 
 
 def check_well_posed(game: ProductGame, info: InformationMap,
                      profile: BehavioralPolicy) -> dict:
-    """Fixed-point histories of a deterministic profile, one per nature state.
-
-    Scans the full product set, so a map that peeks at future components is
-    caught as zero or several fixed points for some nature state.
-    """
+    """Fixed-point histories of a deterministic profile, one per nature
+    state: a forward walk over the profile's stage prefixes.  ``tables_for``
+    rejects a map that peeks at future components, and on any other map
+    each nature state has exactly one fixed point."""
     if not profile.is_deterministic():
         raise ValueError("check_well_posed needs a deterministic profile")
-    found = {w: [] for w in game.nature}
-    for h in tables_for(game).histories:
-        if all(int(np.argmax(profile.local(i, *h))) == a
-               for i, a in enumerate(h.actions)):
-            found[h.nature].append(h)
-    for w, points in found.items():
-        if len(points) != 1:
-            raise WellPosednessViolation(
-                f"nature state {w!r} admits {len(points)} fixed points"
-            )
-    return {w: points[0] for w, points in found.items()}
+    t = tables_for(game, info, profile.info)
+    lab = t.prefix_label[t.map_index(profile.info)]
+    k = np.arange(len(game.nature))  # each state's prefix on the walk
+    for i, mat in enumerate(t.matrices(profile)):
+        k = k * game.stage_actions[i] + mat.argmax(axis=1)[lab[i][k]]
+    return {w: History(w, tuple(a)) for w, a
+            in zip(game.nature, t.action_cols[k].tolist())}
 
 
 def modify_policy(policy: BehavioralPolicy, stage: int, local) -> BehavioralPolicy:
@@ -76,7 +72,7 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     relaxed optimum plays one action per label of ``info`` is solved; else
     the search branches on a conflicting label, best bound first, and prunes
     bounds no better than the best solution.  On a perfect-recall map the
-    root solves the problem, O(n·L) on n histories of L stages.  Otherwise
+    root, one backward pass over the stage prefixes, solves it.  Otherwise
     it is NP-hard (Koller & Megiddo 1992), and ``EnumerationTooLarge`` is
     raised once the children evaluated exceed ``cap`` histories in all.
 
@@ -95,7 +91,9 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     own = game.stages_of(player)
     weight = _weights(t, own, values, fixed)
     m = t.map_index(info)
-    closure = t.recall_closure(m, own)
+    closure = [(idx, orig, label_cells(idx, game.stage_actions[i]),
+                (weight.reshape(len(idx), -1) != 0.0).any(axis=1))
+               for i, (idx, orig) in zip(own, t.recall_closure(m, own))]
     spent, value, choice = 0, -np.inf, None
     stack = [_relaxed(t, own, closure, weight, {})]
     while stack:
@@ -124,41 +122,44 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
 def _weights(t, own, values, fixed):
     """Each history's ``values`` entry times its Nature probability and every
     other player's probability of the action it plays, in stage order."""
-    game = t.game
-    val = t.nat_prob * values
-    others = [i for i in range(game.num_stages) if i not in own]
+    val = np.repeat(t.nature_probs, t.stride[0]) * values
+    others = [i for i in range(t.game.num_stages) if i not in own]
     if others and fixed is None:
         raise ValueError("fixed policies required for other players")
     mx = t.map_index(fixed.info) if others else None
     for i in others:
         rows = np.array([fixed.table[(i, g)] for g in t.labels[mx][i]],
                         dtype=float)
-        val = val * rows[t.label_idx[mx][i], t.action_cols[:, i]]
+        played = rows.reshape(-1)[t.prefix_cell[mx][i]]
+        val = (val.reshape(len(played), -1) * played[:, None]).reshape(-1)
     return val
 
 
 def _relaxed(t, own, closure, weight, forced):
-    """Backward induction on the recall closure with each (stage, label
-    index) of ``forced`` playing its action.  Returns (value, forced, per own
-    stage the action of each map label, None) when the optimum plays one
+    """Backward induction on the recall closure (per own stage: label and
+    cells per prefix, map labels, weight below), with each (stage, label
+    index) of ``forced`` playing its action.  Returns (value, forced, per
+    own stage the action of each map label, None) when the optimum plays one
     action per map label on the closure labels its path reaches with nonzero
     weight, else (value, forced, None, a conflicting (stage, label index))."""
     val, best = weight, []
-    for i, (idx, orig) in zip(reversed(own), reversed(closure)):
+    for i, (idx, orig, cells, _) in zip(reversed(own), reversed(closure)):
         A = t.game.stage_actions[i]
-        s = np.bincount(idx * A + t.action_cols[:, i], weights=val,
+        v = val.reshape(len(cells), -1).sum(axis=1)  # other players' stages
+        s = np.bincount(cells, weights=v,
                         minlength=len(orig) * A).reshape(-1, A)
         for (j, g), a in forced.items():
             if j == i:
                 rows = orig == g
                 s[rows, :a] = s[rows, a + 1:] = -np.inf
         best.append(np.argmax(s, axis=1))
-        val = np.where(t.action_cols[:, i] == best[-1][idx], val, 0.0)
+        val = v.reshape(-1, A)[np.arange(len(idx)), best[-1][idx]]
     value = float(val.sum())
-    on, acts = weight != 0.0, []
-    for i, (idx, orig), b in zip(own, closure, reversed(best)):
+    on, at, acts = np.arange(len(t.nature_probs)), 0, []  # prefixes on path
+    for i, (idx, orig, _, reached), b in zip(own, closure, reversed(best)):
+        on = label_cells(on, t.stride[at] // t.stride[i])  # descendants
         live = np.zeros(len(orig), dtype=bool)
-        live[idx[on]] = True
+        live[idx[on[reached[on]]]] = True
         act = np.empty(int(orig.max()) + 1, dtype=np.int64)
         act[orig] = b  # a label off the path keeps a choice of its own
         act[orig[live]] = b[live]
@@ -166,5 +167,5 @@ def _relaxed(t, own, closure, weight, forced):
         if clash.any():
             return value, forced, None, (i, int(orig[clash].min()))
         acts.append(act)
-        on &= t.action_cols[:, i] == b[idx]
+        on, at = on * t.game.stage_actions[i] + b[idx[on]], i + 1
     return value, forced, acts, None

@@ -20,6 +20,8 @@ from phide.serialize import game_from_json, game_to_json
 from phide.zoo import (TradeCommSpec, build_matching_pennies,
                        build_trade_comm, random_game)
 
+from per_history import hist_labels, hist_probs
+
 
 def test_history_fields():
     h = History((0, 1), (2, 0, 1))
@@ -138,6 +140,17 @@ def test_uniform_and_random_policy_match_per_history_reference():
                    for key in ref)
 
 
+def test_matrices_names_a_local_vector_of_the_wrong_length():
+    g, maps = build_matching_pennies()
+    pol = uniform_policy(g, maps["original"])
+    pol.table[(1, (1, (0,)))] = np.full(4, 0.25)
+    t = tables_for(g, maps["original"])
+    msg = (r"^InformationMap\(original, stages=2\) stage 1 label "
+           r"\(1, \(0,\)\): local vector of length 4, expected 3$")
+    with pytest.raises(IllegalSupport, match=msg):
+        t.matrices(pol)
+
+
 def test_floored_full_support():
     g, maps = build_matching_pennies()
     pol = uniform_policy(g, maps["original"])
@@ -198,12 +211,10 @@ def _assert_labels_match_reference(t, info):
     assert t.labels[m] == labels
     for got, want in zip(t.labels[m], labels):
         assert [type(g) for g in got] == [type(w) for w in want]
-    for got, want in zip(t.label_idx[m], idx):
-        assert got.dtype == np.int64 and np.array_equal(got, want)
-    # history k's stage-i prefix is k // stride[i]
-    k = np.arange(len(t.nature_idx))
+    # each history's label is its stage-i prefix's
     for i, want in enumerate(idx):
-        assert np.array_equal(t.prefix_label[m][i][k // t.stride[i]], want)
+        got = hist_labels(t, m, i)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_token_verdict_and_labels_match_per_history_probe():
@@ -444,8 +455,8 @@ def test_tables_arrays_match_per_history_walk():
         assert np.array_equal(t.nature_idx, [k for k, _, _ in hs])
         assert t.action_cols.dtype == np.int64
         assert np.array_equal(t.action_cols, [a for _, _, a in hs])
-        assert np.array_equal(t.nat_prob, [game.nature_probs[k]
-                                           for k, _, _ in hs])
+        assert np.array_equal(hist_probs(t), [game.nature_probs[k]
+                                              for k, _, _ in hs])
         want = np.array([game.reward(w, a) for _, w, a in hs])
         assert t.rewards.shape == (len(hs), game.num_players)
         assert np.array_equal(t.rewards, want)

@@ -15,6 +15,8 @@ from phide.games import best_response_value, check_well_posed, modify_policy
 from phide.infomaps import has_perfect_recall
 from phide.zoo import build_matching_pennies, build_trade_comm, random_game
 
+from per_history import hist_labels, hist_probs
+
 
 def det_policy(game, info, choice):
     """Deterministic policy from a function (stage, label) -> action."""
@@ -53,6 +55,32 @@ def test_check_well_posed_detects_peeking():
     pol = BehavioralPolicy(peek, table)
     with pytest.raises(WellPosednessViolation):
         check_well_posed(g, peek, pol)
+
+
+def reference_fixed_points(game, profile):
+    """Per nature state, every history that plays the profile's action at
+    each of its stages, found history by history."""
+    found = {w: [] for w in game.nature}
+    for h in tables_for(game).histories:
+        if all(int(np.argmax(profile.local(i, *h))) == a
+               for i, a in enumerate(h.actions)):
+            found[h.nature].append(h)
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 299), which=st.sampled_from(["coarse", "fine"]))
+def test_check_well_posed_matches_per_history_reference(seed, which):
+    game, coarse, fine = random_game(seed)
+    rng = np.random.default_rng(seed)
+    info = coarse if which == "coarse" else fine
+    pol = det_policy(game, info,
+                     lambda i, g: int(rng.integers(game.stage_actions[i])))
+    want = reference_fixed_points(game, pol)
+    assert all(len(points) == 1 for points in want.values())
+    got = check_well_posed(game, coarse, pol)
+    assert got == {w: points[0] for w, points in want.items()}
+    assert all(type(a) is int for h in got.values() for a in h.actions)
 
 
 def _pushforward(game, policy):
@@ -180,18 +208,18 @@ def _brute_force(t, info, fixed, values, limit=4096):
     count = math.prod(sizes)
     if count > limit:
         return None
-    q = t.nat_prob * values
+    q = hist_probs(t) * values
     for i in range(game.num_stages):
         if i not in own:
             mx = t.map_index(fixed.info)
             rows = np.array([fixed.table[(i, g)] for g in t.labels[mx][i]])
-            q = q * rows[t.label_idx[mx][i], t.action_cols[:, i]]
+            q = q * rows[hist_labels(t, mx, i), t.action_cols[:, i]]
     choices = np.array(list(itertools.product(*map(range, sizes))),
                        dtype=np.int64).reshape(count, len(sizes))
     played = np.ones((len(choices), len(q)), dtype=bool)
     offset = 0
     for i in own:
-        played &= (choices[:, offset + t.label_idx[m][i]]
+        played &= (choices[:, offset + hist_labels(t, m, i)]
                    == t.action_cols[:, i])
         offset += len(t.labels[m][i])
     return float(np.max(played @ q))
@@ -201,12 +229,12 @@ def _expected(t, info, pol, fixed, values):
     """Expected ``values`` when player 0 follows ``pol`` and every other
     player ``fixed``."""
     game = t.game
-    q = t.nat_prob.copy()
+    q = hist_probs(t)
     for i in range(game.num_stages):
         src = pol if game.player_of_stage[i] == 0 else fixed
         m = t.map_index(src.info)
         rows = np.array([src.table[(i, g)] for g in t.labels[m][i]])
-        q = q * rows[t.label_idx[m][i], t.action_cols[:, i]]
+        q = q * rows[hist_labels(t, m, i), t.action_cols[:, i]]
     return float(q @ values)
 
 

@@ -9,6 +9,7 @@ from phide.hiding import PenaltySchedule, PhRun, regret_report, run_ph
 from phide.infomaps import is_implementable
 from phide.zoo import TradeCommSpec, build_matching_pennies, build_trade_comm
 
+from per_history import hist_labels
 from test_cfr import counterfactual_rewards
 
 
@@ -234,7 +235,7 @@ def test_mc_mode_feeds_zero_rows_off_the_drawn_slice():
         run.iterate()
         for i in run.stages:
             n = len(t.labels[run.mf][i])
-            lab = t.label_idx[run.mf][i][t.nature_idx == w]
+            lab = hist_labels(t, run.mf, i)[t.nature_idx == w]
             off = np.bincount(lab, minlength=n) == 0
             fed = run.accounting.cum_theta[i] - before[i]
             assert np.all(fed[off] == 0.0)

@@ -14,6 +14,8 @@ from phide.infomaps import (coarse_masses, has_perfect_recall, is_finer,
 from phide.zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                        random_game)
 
+from per_history import hist_labels
+
 
 def lift(game, fine, coarse_policy):
     """Key a coarse-implementable policy by the fine map."""
@@ -143,7 +145,7 @@ def dense_projection(t, mats, mf, mc, q0):
     """Reference projection, accumulated history by history."""
     out = []
     for i in range(t.game.num_stages):
-        fl, cl = t.label_idx[mf][i], t.label_idx[mc][i]
+        fl, cl = hist_labels(t, mf, i), hist_labels(t, mc, i)
         nc = len(t.labels[mc][i])
         acc = np.zeros((nc, mats[i].shape[1]))
         mass = np.zeros(nc)
@@ -159,7 +161,7 @@ def lifted_pair(t, mf, mc, rng):
     fine) label pairs, so also where the fine map does not refine."""
     fine_mats, coarse_mats = [], []
     for i in range(t.game.num_stages):
-        fl, cl = t.label_idx[mf][i], t.label_idx[mc][i]
+        fl, cl = hist_labels(t, mf, i), hist_labels(t, mc, i)
         nc, nf = len(t.labels[mc][i]), len(t.labels[mf][i])
         root = list(range(nc + nf))  # coarse labels, then fine labels
 
@@ -197,7 +199,7 @@ def check_pairs_against_dense(game, coarse, fine, rng):
     gam, pen, _ = run._step(mats, 1.0)
     prefix = np.arange(len(q0))
     for i in range(game.num_stages):
-        diff = mats[i][t.label_idx[mf][i]] - gam[i][t.label_idx[mc][i]]
+        diff = mats[i][hist_labels(t, mf, i)] - gam[i][hist_labels(t, mc, i)]
         np.testing.assert_allclose(pen[i][prefix // t.stride[i]],
                                    np.sum(diff * diff, axis=1),
                                    rtol=0, atol=1e-12)
@@ -288,9 +290,36 @@ def reference_has_perfect_recall(t, info, player):
     return True
 
 
-def two_player_twin(game):
-    """The game with its stages dealt alternately to two players."""
-    owners = tuple(i % 2 for i in range(game.num_stages))
+def reference_recall_closure(t, m, own):
+    """Per stage of ``own``, each history's label in the recall closure of
+    map ``m`` (the map's labels at ``own`` stages so far and the actions at
+    the earlier ones) and the map's label of each closure label."""
+    out, key = [], np.zeros(len(t.nature_idx), dtype=np.int64)
+    for i in own:
+        lab = hist_labels(t, m, i)
+        _, first, idx = np.unique(key * len(t.labels[m][i]) + lab,
+                                  return_index=True, return_inverse=True)
+        idx = idx.reshape(-1)
+        out.append((idx, lab[first]))
+        key = idx * t.game.stage_actions[i] + t.action_cols[:, i]
+    return out
+
+
+def assert_closure_matches_reference(t, info, own):
+    m = t.map_index(info)
+    got, want = t.recall_closure(m, own), reference_recall_closure(t, m, own)
+    assert len(got) == len(want) == len(own)
+    for i, (idx, orig), (ref_idx, ref_orig) in zip(own, got, want):
+        assert np.array_equal(orig, ref_orig)
+        assert len(idx) == len(t.prefix_label[m][i])  # one per prefix
+        assert np.array_equal(np.repeat(idx, t.stride[i]), ref_idx)
+
+
+def two_player_twin(game, owners=None):
+    """The game with its stages dealt to two players, by default
+    alternately."""
+    if owners is None:
+        owners = tuple(i % 2 for i in range(game.num_stages))
     return replace(game, num_players=2, player_of_stage=owners,
                    reward_fn=lambda w, a: tuple(game.reward_fn(w, a)) * 2)
 
@@ -330,3 +359,26 @@ def test_label_structure_matches_per_history_reference(seed):
             for p in players:
                 assert (has_perfect_recall(g, info, p)
                         == reference_has_perfect_recall(tt, info, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 399), two_players=st.booleans())
+def test_recall_closure_matches_per_history_reference(seed, two_players):
+    # a player of a two-player deal may own no stage: an empty closure
+    game, coarse, fine = random_game(seed)
+    if two_players:
+        rng = np.random.default_rng(seed)
+        game = two_player_twin(game, tuple(
+            int(p) for p in rng.integers(0, 2, game.num_stages)))
+    t = tables_for(game, coarse, fine)
+    for info in (coarse, fine):
+        for p in range(game.num_players):
+            assert_closure_matches_reference(t, info, game.stages_of(p))
+
+
+def test_recall_closure_matches_per_history_reference_on_trade_comm():
+    for spec in (TradeCommSpec(2, 2), TradeCommSpec(3, 2)):
+        game, maps = build_trade_comm(spec)
+        t = tables_for(game, *maps.values())
+        for info in maps.values():
+            assert_closure_matches_reference(t, info, game.stages_of(0))

@@ -13,14 +13,16 @@ from phide.errors import ZeroReachLabel
 from phide.hiding import PhRun
 from phide.zoo import TradeCommSpec, build_trade_comm, random_game
 
+from per_history import hist_labels, hist_probs
+
 TOL = 1e-12
 
 
 def reach(t, mats, m):
     """Pushforward over histories and each stage's played probability."""
-    pf = [mats[i][t.label_idx[m][i], t.action_cols[:, i]]
+    pf = [mats[i][hist_labels(t, m, i), t.action_cols[:, i]]
           for i in range(t.game.num_stages)]
-    q = t.nat_prob.copy()
+    q = hist_probs(t)
     for col in pf:
         q = q * col
     return q, pf
@@ -29,7 +31,7 @@ def reach(t, mats, m):
 def cf_matrix(t, m, i, q, pf_i, values, sampled, mass=None):
     """Entry [g, d]: E_q[values | label g] with stage i forced to d."""
     n, A = len(t.labels[m][i]), t.game.stage_actions[i]
-    lab = t.label_idx[m][i]
+    lab = hist_labels(t, m, i)
     if mass is None:
         mass = np.bincount(lab, weights=q, minlength=n)
     ok = mass > 0.0
@@ -53,14 +55,14 @@ def reference_step(loop, mats, lam, w):
     if loop.fine is not loop.coarse:
         gam = []
         for i in range(L):
-            cl, fl = t.label_idx[mc][i], t.label_idx[mf][i]
+            cl, fl = hist_labels(t, mc, i), hist_labels(t, mf, i)
             nc = len(t.labels[mc][i])
             acc = np.zeros((nc, mats[i].shape[1]))
             np.add.at(acc, cl, q[:, None] * mats[i][fl])
             gam.append(acc / np.bincount(cl, weights=q, minlength=nc)[:, None])
         for i in range(L):
-            diff = (mats[i][t.label_idx[mf][i]]
-                    - gam[i][t.label_idx[mc][i]])
+            diff = (mats[i][hist_labels(t, mf, i)]
+                    - gam[i][hist_labels(t, mc, i)])
             pen[i] = np.sum(diff * diff, axis=1)
     if w is not None:
         q = np.where(t.nature_idx == w, q, 0.0)
@@ -75,7 +77,7 @@ def reference_step(loop, mats, lam, w):
             if i in loop.f2c:
                 centre = gam[i][loop.f2c[i]]
             else:
-                played = gam[i][t.label_idx[mc][i], t.action_cols[:, i]]
+                played = gam[i][hist_labels(t, mc, i), t.action_cols[:, i]]
                 centre, _ = cf_matrix(t, mf, i, q, pf[i], played,
                                       w is not None, mass)
             lin = 2.0 * lam * (mats[i] - centre)

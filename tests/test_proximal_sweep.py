@@ -13,19 +13,21 @@ from phide.relaxation import RelaxationProblem
 from phide.zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                        random_game)
 
+from per_history import hist_labels, hist_probs
+
 TOL = 1e-12
 LAMBDAS = (0.05, 0.5, 5.0)
 
 
 def played(t, mats, m):
     """Each stage's per-history probability of the action played."""
-    return [mats[i][t.label_idx[m][i], t.action_cols[:, i]]
+    return [mats[i][hist_labels(t, m, i), t.action_cols[:, i]]
             for i in range(t.game.num_stages)]
 
 
 def reference_linear_term(problem, mats, i):
     t, mf = problem._t, problem.mf
-    q_minus = t.nat_prob
+    q_minus = hist_probs(t)
     for j, col in enumerate(played(t, mats, mf)):
         if j != i:
             q_minus = q_minus * col
@@ -34,7 +36,7 @@ def reference_linear_term(problem, mats, i):
 
 def reference_objective(problem, mats, centers):
     t = problem._t
-    q = t.nat_prob.copy()
+    q = hist_probs(t)
     for col in played(t, mats, problem.mf):
         q = q * col
     pen = 0.0
