@@ -5,8 +5,8 @@ information relaxations."""
 from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
                    enumerate_reachable, floored, random_policy, uniform_policy)
 from .errors import (BatchedRun, ConfigError, EnumerationTooLarge,
-                     IllegalSupport, PhideError, WellPosednessViolation,
-                     ZeroReachLabel)
+                     IllegalSupport, InvalidRelaxation, PhideError,
+                     WellPosednessViolation, ZeroReachLabel)
 from .engine import Tables, tables_for
 from .games import best_response_value, check_well_posed, modify_policy
 from .infomaps import (has_perfect_recall, is_finer, is_implementable, project,
@@ -28,6 +28,7 @@ __all__ = [
     "enumerate_reachable", "floored", "random_policy", "uniform_policy",
     "PhideError", "WellPosednessViolation", "ZeroReachLabel",
     "EnumerationTooLarge", "IllegalSupport", "ConfigError", "BatchedRun",
+    "InvalidRelaxation",
     "Tables", "tables_for",
     "best_response_value", "check_well_posed", "modify_policy",
     "has_perfect_recall", "is_finer", "is_implementable", "project",

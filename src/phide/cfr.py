@@ -32,13 +32,19 @@ policies, ``hiding.regret_report``) raises ``BatchedRun`` when R > 1.
 
 Exact mode enumerates the reachable set.  The optional Monte Carlo mode
 does chance sampling: one Nature draw w per iteration and repeat, and the
-backward pass runs on w's block of the repeat's prefixes alone.  A label's
-reward row is then E[v | label, w], the value conditioned on the drawn
-state; a label that w does not reach gets a zero row.  Its mean over the
-draw weights Nature states by the prior, not by the posterior given the
-label, so it is not an unbiased estimate of the exact row (ROADMAP item 2,
-open).  The projection and the trace stay exact.  Runs are deterministic
-given the seed.
+backward pass runs on w's block of the repeat's prefixes alone.  Each
+sampled row is E[v | label, w]: at a label that w reaches, the exact row of
+the game with Nature fixed to w (for progressive hiding, with the
+projection of the full game); a label that w does not reach gets a zero
+row.  This is the state-conditioned estimator.  Its mean over the draw
+weights Nature states by the prior, not by the posterior given the label,
+so it is not an unbiased estimate of the exact row, and acceptance
+criteria 6 and 7 measure learning under it: in exact mode plain CFR
+escapes the signalling trap of criterion 6.  The draw is
+``Generator.choice``'s, one uniform number per repeat inverted through
+Nature's cumulative distribution, which is built once with the loop.  The
+projection and the trace stay exact.  Runs are deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -89,6 +95,21 @@ def make_banks(t: Tables, map_idx: int, kind: str, eta, rngs,
         banks.append(LearnerBank(kind, len(rngs) * n_labels, A, eta=eta,
                                  warm=warm))
     return banks
+
+
+def nature_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative distribution that ``Generator.choice`` draws from
+    when given ``p=probs``."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def nature_draws(cdf: np.ndarray, rngs) -> np.ndarray:
+    """One state per generator of ``rngs``: for ``cdf = nature_cdf(p)``,
+    each is ``rng.choice(len(p), p=p)``, one uniform draw inverted through
+    ``cdf``, and leaves ``rng`` in the same state."""
+    return cdf.searchsorted([rng.random() for rng in rngs], side="right")
 
 
 def counterfactual_matrix(stage: int, labels: np.ndarray, cells: np.ndarray,
@@ -283,6 +304,7 @@ class SolverLoop:
             self.pair_cells = {i: label_cells(self.pairs[i][2], A[i])
                                for i in self.stages if i not in self.f2c}
         self.rngs = [np.random.default_rng(s) for s in seeds]
+        self._cdf = nature_cdf(t.nature_probs)
         self.banks = make_banks(t, self.mf, learner, eta, self.rngs,
                                 randomize_init)
         self.accounting = RegretAccounting(t, self.mf, R)
@@ -315,8 +337,7 @@ class SolverLoop:
         mats = self.current_mats()
         w = None
         if self.mode == "mc":
-            p = self.t.nature_probs
-            w = np.array([rng.choice(len(p), p=p) for rng in self.rngs])
+            w = nature_draws(self._cdf, self.rngs)
         gam, pen, thetas = self._step(mats, lam, w)
         for i in self.stages:
             self.accounting.update(i, thetas[i], mats[i])

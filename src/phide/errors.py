@@ -30,3 +30,9 @@ class ConfigError(PhideError):
 class BatchedRun(PhideError):
     """A single-run result was read from a solver loop of several stacked
     repeats."""
+
+
+class InvalidRelaxation(PhideError, ValueError):
+    """A ``RelaxationProblem`` that cannot be posed: a penalty weight that
+    is not positive, a relaxed map that does not refine the original, or
+    a base policy without full support."""

@@ -13,13 +13,13 @@ from itertools import islice
 
 import numpy as np
 
-from .cfr import MODES, SCHEDULE_KINDS, CfrRun
+from .cfr import MODES, SCHEDULE_KINDS, TRACE_KEYS, CfrRun
 from .core import random_policy, uniform_policy
 from .engine import tables_for
 from .errors import ConfigError
 from .hiding import PenaltySchedule, PhRun
 from .learners import KINDS
-from .relaxation import RelaxationProblem, _penalty, _rir_steps
+from .relaxation import RelaxationProblem, _rir_steps
 from .zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                   random_game)
 
@@ -126,6 +126,10 @@ def _traces(config, game, maps, seeds) -> list[dict]:
 
 
 def _rir_trace(config, game, coarse, fine, seed, iters):
+    """The ``cfr.TRACE_KEYS`` trace of a ``rir`` run: ``payoff`` is the
+    projection's payoff, ``payoff_mu`` the iterate's on the fine map and
+    ``rho_mu`` the objective; ``sum_pos_local`` is NaN, as ``rir`` has no
+    local learners."""
     lam = float(config.get("lambda", 0.5))
     problem = RelaxationProblem(game, coarse, fine, lam)
     t = problem._t
@@ -134,13 +138,14 @@ def _rir_trace(config, game, coarse, fine, seed, iters):
         mu = random_policy(game, fine, rng)
     else:
         mu = uniform_policy(game, fine)
+    trace = {k: [] for k in TRACE_KEYS}
     steps = _rir_steps(problem, t.matrices(mu))
-    trace = {"payoff": [], "penalty_mass": [], "sum_pos_local": [], "lambda": []}
-    for mats, gam, _ in islice(steps, iters):
-        trace["payoff"].append(t.expected_reward(gam, coarse))
-        trace["penalty_mass"].append(_penalty(problem, mats, gam))
-        trace["sum_pos_local"].append(float("nan"))  # no local learners
-        trace["lambda"].append(lam)
+    for _, gam, val, payoff, pen in islice(steps, iters):
+        row = {"payoff": t.expected_reward(gam, coarse), "payoff_mu": payoff,
+               "penalty_mass": pen, "sum_pos_local": float("nan"),
+               "lambda": lam, "rho_mu": val}
+        for key in TRACE_KEYS:
+            trace[key].append(row[key])
     return trace
 
 

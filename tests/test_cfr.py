@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from phide.cfr import (CfrRun, counterfactual_matrix, floored_mats,
-                       make_banks, run_cfr, suffix_values)
+                       make_banks, nature_cdf, nature_draws, run_cfr,
+                       suffix_values)
 from phide.core import InformationMap, ProductGame, uniform_policy
 from phide.engine import tables_for
 from phide.errors import BatchedRun, ZeroReachLabel
@@ -170,3 +171,37 @@ def test_policies_of_a_batched_run_raise(reader):
     with pytest.raises(BatchedRun, match="^trace .* stacks 3 repeats"):
         run.trace
     assert len(run.traces) == 3
+
+
+def nature_distributions():
+    """52 distributions: one-point ones, ones with zero entries, uniform
+    ones and Dirichlet draws of sizes 1 to 12, each normalised as a game's
+    Nature probabilities are."""
+    rng = np.random.default_rng(21)
+    out = [np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+           np.array([0.0, 0.0, 1.0, 0.0])]
+    for k in range(1, 13):
+        out.append(np.full(k, 1.0 / k))
+        out.append(rng.dirichlet(np.ones(k)))
+        p = rng.dirichlet(np.ones(k))
+        p[rng.random(k) < 0.4] = 0.0
+        if p.sum() == 0.0:
+            p[-1] = 1.0
+        out.append(p / p.sum())
+        out.append(rng.dirichlet(np.full(k, 0.1)))
+    return out
+
+
+def test_nature_draws_match_generator_choice():
+    # the draw of each repeat's Nature state, against Generator.choice:
+    # the same states and the same generator states after 50 draws
+    for j, p in enumerate(nature_distributions()):
+        seeds = np.random.SeedSequence(j).generate_state(200)
+        ours = [np.random.default_rng(s) for s in seeds]
+        theirs = [np.random.default_rng(s) for s in seeds]
+        cdf = nature_cdf(p)
+        for _ in range(50):
+            want = [rng.choice(len(p), p=p) for rng in theirs]
+            assert nature_draws(cdf, ours).tolist() == want
+        assert ([r.bit_generator.state for r in ours]
+                == [r.bit_generator.state for r in theirs])

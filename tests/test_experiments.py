@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phide import experiments
+from phide.cfr import TRACE_KEYS
 from phide.cli import main
 from phide.errors import ConfigError
 from phide.experiments import (nearest_rank, run_and_write, run_experiment,
@@ -55,7 +56,8 @@ def test_all_algorithms_run():
                "fine_map": "relaxed", "lambda": 0.5}
         res = run_experiment(cfg)
         tr = res["records"][0]["trace"]
-        assert len(tr["payoff"]) == 5
+        assert tuple(tr) == TRACE_KEYS
+        assert all(len(tr[k]) == 5 for k in TRACE_KEYS)
         assert all(0.0 <= p <= 1.0 for p in tr["payoff"])
 
 
@@ -179,14 +181,16 @@ def test_rir_regret_column_is_not_applicable(tmp_path):
 
 def test_rir_experiment_rows_follow_rir_run():
     # row k of the experiment is the projection rir_run returns after k - 1
-    # rounds from the same start, bit for bit: the two share one loop
+    # rounds from the same start, bit for bit: the two share one loop.  So
+    # is its iterate's payoff, and its objective is rir_run's trace
     from phide.core import random_policy
     from phide.relaxation import RelaxationProblem, rir_run
     from phide.zoo import build_trade_comm
     res = run_experiment({**BASE, "game": {"name": "trade_comm"},
                           "algorithm": "rir", "fine_map": "perfect_recall",
                           "lambda": 0.5, "iterations": 6, "repeats": 1})
-    payoff = res["records"][0]["trace"]["payoff"]
+    trace = res["records"][0]["trace"]
+    payoff = trace["payoff"]
     game, maps = build_trade_comm()
     prob = RelaxationProblem(game, maps["original"], maps["perfect_recall"],
                              0.5)
@@ -194,8 +198,10 @@ def test_rir_experiment_rows_follow_rir_run():
                         np.random.default_rng(res["records"][0]["seed"]))
     t = prob._t
     for k in range(1, len(payoff) + 1):
-        _, gam, _ = rir_run(prob, mu0, iterations=k - 1)
+        mu, gam, _ = rir_run(prob, mu0, iterations=k - 1)
         assert payoff[k - 1] == t.expected_reward(gam)
+        assert trace["payoff_mu"][k - 1] == t.expected_reward(mu)
+    assert trace["rho_mu"] == rir_run(prob, mu0, len(payoff) - 1)[2]
 
 
 def test_cli_seed_flag(tmp_path):

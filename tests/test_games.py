@@ -282,3 +282,20 @@ def test_values_argument_on_both_routes():
         assert abs(v - _brute_force(t, maps[name], None, vals)) <= 1e-12
         with pytest.raises(ValueError):
             best_response_value(g, maps[name], 0, values=vals[:-1])
+
+
+def test_clash_on_zero_weight_prefixes_solves_at_the_root():
+    # the stage-1 label forgets Nature and the stage-0 action, so the recall
+    # closure splits it four ways.  Under ``values`` Nature state 1 is worth
+    # nothing, and its closure labels pick action 0 where state 0's pick
+    # action 1: a clash on zero-weight prefixes only, which the root solves
+    g = ProductGame(nature=((0,), (1,)), nature_probs=(0.5, 0.5),
+                    num_stages=2, max_actions=2, player_of_stage=(0, 0),
+                    stage_actions=(2, 2), reward_fn=lambda w, a: (0.0,))
+    forgetful = InformationMap([[("nature", 0)], []])
+    t = tables_for(g, forgetful)
+    values = np.array([float(h.nature == (0,) and h.actions[1] == 1)
+                       for h in t.histories])
+    assert not has_perfect_recall(g, forgetful, 0)
+    v = best_response_value(g, forgetful, 0, values=values, cap=0)
+    assert v == _brute_force(t, forgetful, None, values) == 0.5

@@ -3,6 +3,7 @@ replaced, kept here as the reference: every quantity of an iteration is
 computed once per history, from full-length pushforwards."""
 
 import copy
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -161,3 +162,33 @@ def test_prefix_kernel_matches_reference_with_two_stage_owners():
     for mode in ("exact", "mc"):
         check_against_reference(CfrRun(game, info, seed=3, randomize_init=True,
                                        mode=mode, player=1), iterations=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 499))
+def test_mc_rows_are_exact_rows_given_the_drawn_state(seed):
+    # the sampled mode's estimator, for every Nature state w: at a label
+    # that w reaches, a stage's mc row is E[v | label, w], the exact row of
+    # the game with Nature fixed to w; at any other label it is zero.  For
+    # ph the projection, and so the penalty, is that of the full game
+    game, coarse, fine = random_game(seed)
+    W = len(game.nature)
+    for loop in loops(game, coarse, fine, seed, "mc"):
+        t, mats = loop.t, loop.current_mats()
+        lam = loop.schedules[0].current(1)
+        for w in range(W):
+            _, _, thetas = loop._step(mats, lam, np.array([w]))
+            if loop.fine is loop.coarse:
+                fixed = dataclasses.replace(
+                    game, nature_probs=tuple(float(k == w) for k in range(W)))
+                ref = CfrRun(fixed, coarse, mode="mc")
+                assert ref.t.labels == t.labels  # same label order
+            else:
+                ref = loop
+            th_ref = reference_step(ref, mats, lam, w)[1]
+            for i in loop.stages:
+                np.testing.assert_allclose(thetas[i], th_ref[i], rtol=0,
+                                           atol=TOL)
+                off = np.ones(len(thetas[i]), dtype=bool)
+                off[hist_labels(t, loop.mf, i)[t.nature_idx == w]] = False
+                assert not thetas[i][off].any()

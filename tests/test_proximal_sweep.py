@@ -3,6 +3,8 @@ replaced, kept here as the reference: each stage's linear term is a
 segment sum over histories of Nature's probability times every other
 stage's played probability times the reward."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,24 +50,26 @@ def reference_objective(problem, mats, centers):
 def check_sweeps(problem, mats, sweeps=4):
     """Runs ``sweeps`` sweeps from ``mats`` towards its projection, checking
     each stage's linear term against the reference at the moment it is
-    formed, and each sweep's objective."""
-    gam = relaxation._project(problem, mats)
-    centers = [gam[i][problem.f2c[i]] for i in range(len(mats))]
-    scale = [2.0 * problem.lam * w[:, None] for w in problem.weights]
+    formed, and each sweep's objective.  The kernel forms the term with its
+    one ``np.bincount`` call, on the stage's prefix cells."""
+    centers = relaxation._centers(problem, relaxation._project(problem, mats))
     mats, seen = list(mats), []
-    real = relaxation._linear_term
+    cells = problem._t.prefix_cell[problem.mf]
 
-    def linear_term(t, mf, i, before_i, after):
-        c = real(t, mf, i, before_i, after)
-        np.testing.assert_allclose(c, reference_linear_term(problem, mats, i),
+    def bincount(x, weights=None, minlength=0):
+        c = np.bincount(x, weights=weights, minlength=minlength)
+        i = next(i for i, arr in enumerate(cells) if arr is x)
+        np.testing.assert_allclose(c.reshape(len(mats[i]), -1),
+                                   reference_linear_term(problem, mats, i),
                                    rtol=0, atol=TOL)
         seen.append(i)
         return c
 
+    hooked = types.SimpleNamespace(**{**vars(np), "bincount": bincount})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relaxation, "_linear_term", linear_term)
+        mp.setattr(relaxation, "np", hooked)
         for _ in range(sweeps):
-            val = relaxation._sweep(problem, mats, centers, scale)
+            val = relaxation._sweep(problem, mats, centers)
             assert abs(val - reference_objective(problem, mats,
                                                  centers)) <= TOL
     assert seen == list(reversed(range(len(mats)))) * sweeps

@@ -1,12 +1,20 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from phide.core import random_policy, uniform_policy
+from phide import relaxation
+from phide.cfr import suffix_values
+from phide.core import (InformationMap, ProductGame, random_policy,
+                        uniform_policy)
 from phide.engine import tables_for
+from phide.errors import InvalidRelaxation, PhideError
 from phide.infomaps import is_implementable, weighted_sq_distance
 from phide.relaxation import (RelaxationProblem, _rows_to_simplex, lagrangian,
                               project_to_simplex, proximal_step, rir_run)
-from phide.zoo import build_matching_pennies, build_trade_comm
+from phide.zoo import (TradeCommSpec, build_matching_pennies,
+                       build_trade_comm, random_game)
 
 
 def test_simplex_projection_known_points():
@@ -62,6 +70,30 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         # the cheating map does not refine the original one
         RelaxationProblem(g2, m2["original"], m2["cheat"], 1.0)
+
+
+def test_problem_errors_are_typed_and_name_the_culprit():
+    g, m = build_matching_pennies()
+    with pytest.raises(InvalidRelaxation, match=r"got lam=-0\.5"):
+        RelaxationProblem(g, m["original"], m["relaxed"], -0.5)
+    g2, m2 = build_trade_comm()
+    with pytest.raises(InvalidRelaxation, match=re.escape(
+            "at stage 2, fine label (2, (0, 0, 0)) spans coarse labels "
+            "(2, (0, 0, 0)) and (2, (0, 1, 0))")):
+        RelaxationProblem(g2, m2["original"], m2["cheat"], 1.0)
+    base = uniform_policy(g, m["relaxed"])
+    base.table[(1, (1, (0, 1)))] = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(InvalidRelaxation, match=re.escape(
+            "at stage 1, label (1, (0, 1)) gives action 1 probability 0")):
+        RelaxationProblem(g, m["original"], m["relaxed"], 1.0, base=base)
+    g3 = ProductGame(nature=((0,), (1,)), nature_probs=(1.0, 0.0),
+                     num_stages=1, max_actions=2, player_of_stage=(0,),
+                     stage_actions=(2,), reward_fn=lambda w, a: (0.0,))
+    with pytest.raises(InvalidRelaxation, match=re.escape(
+            "Nature state (1,) has probability 0")):
+        RelaxationProblem(g3, InformationMap([[]]),
+                          InformationMap([[("nature", 0)]]), 1.0)
+    assert issubclass(InvalidRelaxation, PhideError)
 
 
 def test_lagrangian_implementable_policy_has_no_penalty():
@@ -204,3 +236,62 @@ def test_relaxed_optimum_bounds_original_optimum():
         best = max(best, trace[-1])
     opt = best_response_value(g, m["original"], 0)
     assert opt <= best + 1e-9
+
+
+def reference_sweep(problem, mats, centers):
+    """The sweep as first written on prefixes, kept as the reference: one
+    call each for the linear term, the simplex projection and the stage
+    penalty, and the backward pass of ``cfr.suffix_values``."""
+    t, mf = problem._t, problem.mf
+    before = t.forward(mats[:-1], mf)
+    pen = 0.0
+    for i, after in suffix_values(t.prefix_label[mf], mats,
+                                  t.rewards[:, problem.player]):
+        n, A = len(t.labels[mf][i]), after.shape[1]
+        c = np.bincount(t.prefix_cell[mf][i],
+                        weights=(before[i][:, None] * after).reshape(-1),
+                        minlength=n * A).reshape(n, A)
+        scale = 2.0 * problem.lam * problem.weights[i][:, None]
+        mats[i] = _rows_to_simplex(centers[i] + c / scale)
+        d = mats[i] - centers[i]
+        d *= d
+        pen += float((problem.weights[i] * d.sum(axis=1)).sum())
+    u = np.einsum("pa,pa->p", mats[0][t.prefix_label[mf][0]], after)
+    return float(t.nature_probs @ u) - problem.lam * pen
+
+
+def check_kernel_bitwise(problem, mats, sweeps=3):
+    gam = relaxation._project(problem, mats)
+    centers = relaxation._centers(problem, gam)
+    ours, theirs = list(mats), list(mats)
+    before = relaxation._objective(problem, ours, centers)[3]
+    for k in range(sweeps):
+        val = relaxation._sweep(problem, ours, centers, before if k else None)
+        assert val == reference_sweep(problem, theirs, centers)
+        assert [m.tobytes() for m in ours] == [m.tobytes() for m in theirs]
+        before = relaxation._objective(problem, ours, centers)[3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 499), lam=st.sampled_from([1e-9, 0.05, 0.5, 5.0]))
+def test_sweep_kernel_is_bitwise_the_reference_sweep(seed, lam):
+    # the inline kernel repeats the arithmetic of _rows_to_simplex and of
+    # the stage penalty; with or without a forward pass handed in, every
+    # sweep's matrices and objective are those of the reference, bit for bit
+    game, coarse, fine = random_game(seed)
+    problem = RelaxationProblem(game, coarse, fine, lam)
+    rng = np.random.default_rng(seed)
+    check_kernel_bitwise(problem,
+                         problem._t.matrices(random_policy(game, fine, rng)))
+
+
+def test_sweep_kernel_is_bitwise_the_reference_sweep_on_trade_comm():
+    rng = np.random.default_rng(9)
+    for items in (2, 3):
+        game, maps = build_trade_comm(TradeCommSpec(items, 2))
+        for lam in (0.05, 0.5, 5.0):
+            problem = RelaxationProblem(game, maps["original"],
+                                        maps["perfect_recall"], lam)
+            mats = problem._t.matrices(
+                random_policy(game, maps["perfect_recall"], rng))
+            check_kernel_bitwise(problem, mats)
