@@ -3,18 +3,17 @@ implementable policies, no-regret solvers, and penalized learning under
 information relaxations."""
 
 from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
-                   enumerate_reachable, floored, random_policy, uniform_policy)
+                   enumerate_reachable, random_policy, uniform_policy)
 from .errors import (BatchedRun, ConfigError, EnumerationTooLarge,
                      IllegalSupport, InvalidRelaxation, PhideError,
                      WellPosednessViolation, ZeroReachLabel)
 from .engine import Tables, tables_for
-from .games import best_response_value, check_well_posed, modify_policy
+from .games import best_response_value, check_well_posed
 from .infomaps import (has_perfect_recall, is_finer, is_implementable, project,
                        weighted_sq_distance)
-from .learners import KINDS, LearnerBank, RegretMinimizer, external_regret
+from .learners import KINDS, LearnerBank
 from .cfr import CfrRun, run_cfr
-from .relaxation import (RelaxationProblem, lagrangian, project_to_simplex,
-                         proximal_step, rir_run)
+from .relaxation import RelaxationProblem, lagrangian, proximal_step, rir_run
 from .hiding import PenaltySchedule, PhRun, regret_report, run_ph
 from .zoo import (MatchingPenniesSpec, TradeCommSpec, build_matching_pennies,
                   build_trade_comm, random_game, trade_comm_optimal_value)
@@ -25,18 +24,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BehavioralPolicy", "History", "InformationMap", "ProductGame",
-    "enumerate_reachable", "floored", "random_policy", "uniform_policy",
+    "enumerate_reachable", "random_policy", "uniform_policy",
     "PhideError", "WellPosednessViolation", "ZeroReachLabel",
     "EnumerationTooLarge", "IllegalSupport", "ConfigError", "BatchedRun",
     "InvalidRelaxation",
     "Tables", "tables_for",
-    "best_response_value", "check_well_posed", "modify_policy",
+    "best_response_value", "check_well_posed",
     "has_perfect_recall", "is_finer", "is_implementable", "project",
     "weighted_sq_distance",
-    "KINDS", "LearnerBank", "RegretMinimizer", "external_regret",
+    "KINDS", "LearnerBank",
     "CfrRun", "run_cfr",
-    "RelaxationProblem", "lagrangian", "project_to_simplex", "proximal_step",
-    "rir_run",
+    "RelaxationProblem", "lagrangian", "proximal_step", "rir_run",
     "PenaltySchedule", "PhRun", "regret_report", "run_ph",
     "MatchingPenniesSpec", "TradeCommSpec", "build_matching_pennies",
     "build_trade_comm", "random_game", "trade_comm_optimal_value",

@@ -216,6 +216,8 @@ class PenaltySchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.value < 0:
             raise ValueError("penalty weight must be nonnegative")
+        if not self.factor > 0:
+            raise ValueError(f"factor must be positive, got {self.factor!r}")
 
     def reset(self):
         self._state = self.value
@@ -444,8 +446,8 @@ class SolverLoop:
         q_gam = (raw[-1] if gam is mats
                  else forward(self.start, gam, self.coarse_labels)[-1])
         rewards = self.t.rewards[:, self.player]
-        payoff = [self.t.expect(q, rewards) for q in q_gam.reshape(R, -1)]
-        payoff_mu = [self.t.expect(q, rewards) for q in raw[-1].reshape(R, -1)]
+        payoff = [float(q @ rewards) for q in q_gam.reshape(R, -1)]
+        payoff_mu = [float(q @ rewards) for q in raw[-1].reshape(R, -1)]
         pen_mass = [0.0] * R
         if pen:
             blocks = [(raw[i].reshape(R, -1), pen[i].reshape(R, -1))

@@ -131,10 +131,6 @@ class ProductGame:
             if not 1 <= a <= self.max_actions:
                 raise ValueError("per-stage action counts must lie in [1, W]")
 
-    def num_actions(self, stage: int, label=None) -> int:
-        """Legal actions at ``stage``; the same for every label."""
-        return self.stage_actions[stage]
-
     def probs(self) -> np.ndarray:
         return np.asarray(self.nature_probs, dtype=float)
 
@@ -265,7 +261,7 @@ def uniform_policy(game: ProductGame, info: InformationMap) -> BehavioralPolicy:
         keys += zip(first.tolist(), [i] * len(first), t.labels[m][i])
     table = {}
     for _, i, g in sorted(keys, key=lambda k: k[:2]):
-        n = game.num_actions(i, g)
+        n = game.stage_actions[i]
         table[(i, g)] = np.full(n, 1.0 / n)
     return BehavioralPolicy(info, table)
 
@@ -276,11 +272,3 @@ def random_policy(game: ProductGame, info: InformationMap, rng) -> BehavioralPol
         pol.table[key] = rng.dirichlet(np.ones(len(vec)))
     return pol
 
-
-def floored(policy: BehavioralPolicy, eps: float = 1e-6) -> BehavioralPolicy:
-    """Mix every local vector with the uniform one; guarantees full support."""
-    out = policy.copy()
-    for key, vec in out.table.items():
-        n = len(vec)
-        out.table[key] = (1.0 - eps) * vec + eps / n
-    return out

@@ -212,20 +212,24 @@ class Tables:
 
     def matrices(self, policy: BehavioralPolicy) -> list[np.ndarray]:
         """Per-stage [n_labels, A] matrix form of a policy table."""
+        return [self.stage_matrix(policy, i)
+                for i in range(self.game.num_stages)]
+
+    def stage_matrix(self, policy: BehavioralPolicy, i: int) -> np.ndarray:
+        """The [n_labels, A] matrix of a policy table at stage i alone, so
+        the table need not cover the other stages.  A local vector of the
+        wrong length raises ``IllegalSupport``."""
         m = self.map_index(policy.info)
-        mats = []
-        for i in range(self.game.num_stages):
-            A = self.game.stage_actions[i]
-            rows = np.empty((len(self.labels[m][i]), A))
-            for r, g in enumerate(self.labels[m][i]):
-                vec = np.asarray(policy.table[(i, g)], dtype=float)
-                if len(vec) != A:
-                    raise IllegalSupport(
-                        f"{policy.info!r} stage {i} label {g!r}: local "
-                        f"vector of length {len(vec)}, expected {A}")
-                rows[r] = vec
-            mats.append(rows)
-        return mats
+        A = self.game.stage_actions[i]
+        rows = np.empty((len(self.labels[m][i]), A))
+        for r, g in enumerate(self.labels[m][i]):
+            vec = np.asarray(policy.table[(i, g)], dtype=float)
+            if len(vec) != A:
+                raise IllegalSupport(
+                    f"{policy.info!r} stage {i} label {g!r}: local "
+                    f"vector of length {len(vec)}, expected {A}")
+            rows[r] = vec
+        return rows
 
     def to_policy(self, mats, info: InformationMap) -> BehavioralPolicy:
         m = self.map_index(info)
@@ -262,9 +266,6 @@ class Tables:
         ``mats`` of map ``map_idx``."""
         return self.forward(mats, map_idx)[-1]
 
-    def expect(self, q: np.ndarray, values: np.ndarray) -> float:
-        return float(q @ values)
-
     def label_mass(self, before_i: np.ndarray, map_idx: int,
                    i: int) -> np.ndarray:
         """Mass of each stage-i label under ``before_i``, the stage-i reach
@@ -288,7 +289,7 @@ class Tables:
         else:
             mats = policy_or_mats
             m = self.map_index(info)
-        return self.expect(self.forward(mats, m)[-1], self.rewards[:, player])
+        return float(self.forward(mats, m)[-1] @ self.rewards[:, player])
 
 
 def forward(start: np.ndarray, mats, labels) -> list[np.ndarray]:
@@ -343,7 +344,9 @@ def scaled(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _rewards(game: ProductGame) -> np.ndarray:
     """[n, players] rewards from one ``reward_fn`` call per history, with
-    the shape check of ``ProductGame.reward``; one player may get a scalar."""
+    the shape check of ``ProductGame.reward``; one player may get a scalar.
+    A reward that is not finite raises a ``ValueError`` naming the first
+    history that gets one."""
     plays = list(itertools.product(*map(range, game.stage_actions)))
     vals = [game.reward_fn(w, a) for w in game.nature for a in plays]
     try:
@@ -354,6 +357,13 @@ def _rewards(game: ProductGame) -> np.ndarray:
         r = r[:, None]
     if r is None or r.shape[1:] != (game.num_players,):
         raise ValueError("reward_fn must return one value per player")
+    bad = ~np.isfinite(r).all(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        w, a = divmod(k, len(plays))
+        raise ValueError(f"reward_fn returned {vals[k]!r} "
+                         f"at history {History(game.nature[w], plays[a])}; "
+                         f"rewards must be finite")
     return r
 
 

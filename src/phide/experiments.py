@@ -8,6 +8,8 @@ environment variable PHIDE_SEED overrides the configured master seed.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import os
 from itertools import islice
 
@@ -36,6 +38,14 @@ ALGORITHMS = ("cfr", "ph", "rir")
 # Keys that take one of a fixed set of values, each set kept by its module.
 CHOICES = (("algorithm", ALGORITHMS), ("mode", MODES), ("learner", KINDS),
            ("schedule", SCHEDULE_KINDS))
+# Keys that take a number: each with the test its value must pass and the
+# phrase that states the test.
+NUMBERS = (("lambda", lambda x: 0 <= x < math.inf,
+            "a finite number at least 0"),
+           ("factor", lambda x: 0 < x < math.inf, "a positive finite number"),
+           ("eta", lambda x: 0 < x < math.inf, "a positive finite number"),
+           ("threshold", lambda x: True, "a number"),
+           ("target", lambda x: True, "a number"))
 
 
 def _reject_unknown_keys(record: dict, known: tuple, where: str):
@@ -78,6 +88,23 @@ def _integer(value, key: str, minimum: int) -> int:
     if n < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {n}")
     return n
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_numbers(config):
+    """A ConfigError naming the first key of NUMBERS whose value fails its
+    test, or ``quantiles`` unless it is a list of numbers in [0, 1]."""
+    for key, ok, what in NUMBERS:
+        if key in config and not (_is_number(config[key]) and ok(config[key])):
+            raise ConfigError(f"{key} must be {what}, got {config[key]!r}")
+    qs = config.get("quantiles", [])
+    if not (isinstance(qs, (list, tuple))
+            and all(_is_number(q) and 0 <= q <= 1 for q in qs)):
+        raise ConfigError(f"quantiles must be a list of numbers in [0, 1], "
+                          f"got {qs!r}")
 
 
 def _require(config, key, default=None):
@@ -156,7 +183,8 @@ def run_experiment(config: dict) -> dict:
     axis (``cfr.SolverLoop``), each repeat's records byte for byte those
     of a run of its seed alone; ``rir`` runs them one after another.  Keys
     outside CONFIG_KEYS and GAME_KEYS, a seed, ``iterations`` or ``repeats``
-    that is not an integer in range, and a value outside its CHOICES raise
+    that is not an integer in range, a value outside its CHOICES, and a
+    value of NUMBERS or ``quantiles`` that is not a number in range raise
     ConfigError before the game is built."""
     _reject_unknown_keys(config, CONFIG_KEYS, "config")
     if "PHIDE_SEED" in os.environ:
@@ -170,6 +198,7 @@ def run_experiment(config: dict) -> dict:
         if key in config and config[key] not in allowed:
             raise ConfigError(f"unknown {key} {config[key]!r}; allowed "
                               f"values: {', '.join(allowed)}")
+    _check_numbers(config)
     game, maps = load_game(_require(config, "game"))
     seeds = [int(s) for s in np.random.SeedSequence(master).generate_state(repeats)]
     records = [{"run": k, "seed": seed, "trace": trace} for k, (seed, trace)

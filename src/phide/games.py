@@ -1,7 +1,7 @@
 """Operations on games in product form: well-posedness of deterministic
-profiles, policy surgery, and the exact best response, one branch-and-bound
-search over labels bounded by the perfect-recall relaxation of the map,
-all on the stage-prefix labels of ``Tables``."""
+profiles and the exact best response, one branch-and-bound search over
+labels bounded by the perfect-recall relaxation of the map, all on the
+stage-prefix labels of ``Tables``."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import BehavioralPolicy, History, InformationMap, ProductGame
 from .engine import label_cells, tables_for
-from .errors import EnumerationTooLarge, IllegalSupport
+from .errors import EnumerationTooLarge
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -29,27 +29,6 @@ def check_well_posed(game: ProductGame, info: InformationMap,
         k = k * game.stage_actions[i] + mat.argmax(axis=1)[lab[i][k]]
     return {w: History(w, tuple(a)) for w, a
             in zip(game.nature, t.action_cols[k].tolist())}
-
-
-def modify_policy(policy: BehavioralPolicy, stage: int, local) -> BehavioralPolicy:
-    """Replace the stage-``stage`` component; chain calls for multi-edits.
-
-    ``local`` is either a probability vector applied at every label of the
-    stage, or a dict label -> vector.
-    """
-    out = policy.copy()
-    keys = [k for k in out.table if k[0] == stage]
-    if not keys:
-        raise KeyError(f"policy has no component at stage {stage}")
-    for key in keys:
-        vec = local[key[1]] if isinstance(local, dict) else local
-        v = np.asarray(vec, dtype=float)
-        if len(v) != len(out.table[key]):
-            raise IllegalSupport("replacement vector has wrong action count")
-        if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-12:
-            raise IllegalSupport("replacement is not a probability vector")
-        out.table[key] = v
-    return out
 
 
 def best_response_value(game: ProductGame, info: InformationMap, player: int,
@@ -128,9 +107,7 @@ def _weights(t, own, values, fixed):
         raise ValueError("fixed policies required for other players")
     mx = t.map_index(fixed.info) if others else None
     for i in others:
-        rows = np.array([fixed.table[(i, g)] for g in t.labels[mx][i]],
-                        dtype=float)
-        played = rows.reshape(-1)[t.prefix_cell[mx][i]]
+        played = t.stage_matrix(fixed, i).reshape(-1)[t.prefix_cell[mx][i]]
         val = (val.reshape(len(played), -1) * played[:, None]).reshape(-1)
     return val
 

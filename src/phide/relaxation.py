@@ -22,7 +22,6 @@ that scored its start.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -37,37 +36,6 @@ from .infomaps import coarse_masses, project_matrices
 # objective by at most SWEEP_TOL.
 MAX_SWEEPS = 50
 SWEEP_TOL = 1e-9
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort based)."""
-    return _rows_to_simplex(np.reshape(v, (1, -1)))[0]
-
-
-@functools.lru_cache(maxsize=32)
-def _ranks(n: int) -> np.ndarray:
-    """1.0, ..., n, read only."""
-    ranks = np.arange(1.0, n + 1.0)
-    ranks.flags.writeable = False
-    return ranks
-
-
-def _rows_to_simplex(mat: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection: each row less the threshold tau of its
-    largest rho + 1 entries, clamped at zero, where tau is (sum of those
-    entries - 1) / (rho + 1) and rho is the last rank whose entry exceeds
-    its threshold."""
-    v = np.asarray(mat, dtype=float)
-    rows, n = v.shape
-    u = v.copy()
-    u.sort(axis=1)
-    u = u[:, ::-1]
-    avg = u.cumsum(axis=1)
-    avg -= 1.0
-    avg /= _ranks(n)
-    rho = n - 1 - (u > avg)[:, ::-1].argmax(axis=1)
-    out = v - avg[np.arange(rows), rho][:, None]
-    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass
@@ -122,8 +90,8 @@ class RelaxationProblem:
             self.plan.append((
                 lab, t.prefix_cell[self.mf][i], n * A, (n, A),
                 np.repeat(2.0 * self.lam * w[:, None], A, axis=1),
-                np.tile(_ranks(A), (n, 1)), w, np.arange(A - 1, n * A, A),
-                up))
+                np.tile(np.arange(1.0, A + 1.0), (n, 1)), w,
+                np.arange(A - 1, n * A, A), up))
         self.values = t.rewards[:, self.player]
         self.last_values = self.values.reshape(len(self.labels[-1]), -1)
 
@@ -211,8 +179,11 @@ def _sweep(problem: RelaxationProblem, mats, centers, before=None) -> float:
         # stage-i label is g, with stage i forced to a
         c = np.bincount(cells, weights=(before[i][:, None] * after).reshape(-1),
                         minlength=size).reshape(shape)
-        # the block maximizer: ``_rows_to_simplex`` of the centre plus
-        # c / scale, inline, with its threshold read off the flat index
+        # the block maximizer: each row of x = centre + c / scale projected
+        # onto the simplex, x less the threshold tau = (sum of its rho + 1
+        # largest entries - 1) / (rho + 1), clamped at zero, where rho is
+        # the last rank whose entry exceeds its running threshold; the
+        # thresholds are read off the flat index
         x = centre + c / scale
         u = x.copy()
         u.sort(axis=1)

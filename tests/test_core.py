@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import re
 import weakref
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phide import engine
+from phide.cfr import floored_mats
 from phide.core import (BehavioralPolicy, History, InformationMap,
-                        ProductGame, enumerate_reachable, floored,
-                        random_policy, uniform_policy)
+                        ProductGame, enumerate_reachable, random_policy,
+                        uniform_policy)
 from phide.engine import Tables, tables_for
 from phide.errors import IllegalSupport, WellPosednessViolation
 from phide.hiding import run_ph
@@ -114,7 +116,7 @@ def _uniform_reference(game, info):
         for i in range(game.num_stages):
             g = info.label(i, h.nature, h.actions)
             if (i, g) not in table:
-                n = game.num_actions(i, g)
+                n = game.stage_actions[i]
                 table[(i, g)] = np.full(n, 1.0 / n)
     return table
 
@@ -156,7 +158,8 @@ def test_floored_full_support():
     pol = uniform_policy(g, maps["original"])
     for k in pol.table:
         pol.table[k] = np.eye(len(pol.table[k]))[0]
-    f = floored(pol, eps=1e-6)
+    t = tables_for(g, maps["original"])
+    f = t.to_policy(floored_mats(t.matrices(pol), eps=1e-6), pol.info)
     f.validate()
     assert min(v.min() for v in f.table.values()) > 0.0
 
@@ -474,3 +477,11 @@ def test_reward_shape_checked_by_tables():
             bad.reward((1,), (1, 0))
         with pytest.raises(ValueError, match=msg):
             Tables(bad)
+    # a reward that is not finite is named with the first history to get it
+    for bad in (math.nan, math.inf, -math.inf):
+        game = dataclasses.replace(
+            g, reward_fn=lambda w, a, x=bad: (x if a == (1, 2) else 0.5,))
+        with pytest.raises(ValueError, match=re.escape(
+                f"reward_fn returned ({bad},) at history History(nature=(0,), "
+                f"actions=(1, 2)); rewards must be finite")):
+            Tables(game)

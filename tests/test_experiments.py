@@ -89,7 +89,19 @@ def test_config_errors(monkeypatch):
                           ("iterations", -3, "at least 1"),
                           ("iterations", 2.5, "an integer"),
                           ("repeats", 0, "at least 1"),
-                          ("seed", "five", "an integer")):
+                          ("seed", "five", "an integer"),
+                          ("lambda", -1, "a finite number at least 0"),
+                          ("lambda", "abc", "a finite number at least 0"),
+                          ("lambda", float("inf"), "a finite number at"),
+                          ("factor", -2.0, "a positive finite number"),
+                          ("factor", 0.0, "a positive finite number"),
+                          ("eta", -1.0, "a positive finite number"),
+                          ("eta", 0.0, "a positive finite number"),
+                          ("eta", float("inf"), "a positive finite number"),
+                          ("quantiles", [1.5], "a list of numbers in"),
+                          ("quantiles", 0.5, "a list of numbers in"),
+                          ("threshold", "high", "a number"),
+                          ("target", True, "a number")):
         with pytest.raises(ConfigError, match=f"^{key} must be {msg}"):
             run_experiment({**chess, key: bad})
     # so are values outside a fixed set, and the message lists the set

@@ -11,7 +11,7 @@ from phide.core import (BehavioralPolicy, InformationMap, ProductGame,
 from phide.engine import tables_for
 from phide.errors import (EnumerationTooLarge, IllegalSupport,
                           WellPosednessViolation)
-from phide.games import best_response_value, check_well_posed, modify_policy
+from phide.games import best_response_value, check_well_posed
 from phide.infomaps import has_perfect_recall
 from phide.zoo import build_matching_pennies, build_trade_comm, random_game
 
@@ -104,28 +104,10 @@ def test_expectation_matches_manual_sum():
     g, maps = build_matching_pennies()
     pol = uniform_policy(g, maps["original"])
     t, q = _pushforward(g, pol)
-    val = t.expect(q, np.array([g.reward(h.nature, h.actions)[0]
-                                for h in t.histories]))
+    val = float(q @ np.array([g.reward(h.nature, h.actions)[0]
+                              for h in t.histories]))
     # uniform: 1/3 pass (0.6), 2/3 coin flip at 0.5
     assert abs(val - (0.6 / 3 + (2 / 3) * 0.5)) < 1e-12
-
-
-def test_modify_policy_vector_and_dict():
-    g, maps = build_matching_pennies()
-    pol = uniform_policy(g, maps["original"])
-    out = modify_policy(pol, 1, [0.0, 0.0, 1.0])
-    for (i, lab), vec in out.table.items():
-        if i == 1:
-            assert np.allclose(vec, [0, 0, 1])
-    picked = {lab: [1.0, 0.0, 0.0] for (i, lab) in pol.table if i == 1}
-    out2 = modify_policy(pol, 1, picked)
-    assert all(np.allclose(v, [1, 0, 0]) for (i, _), v in out2.table.items() if i == 1)
-    with pytest.raises(KeyError):
-        modify_policy(pol, 5, [1.0])
-    with pytest.raises(IllegalSupport):
-        modify_policy(pol, 1, [0.5, 0.5])
-    with pytest.raises(IllegalSupport):
-        modify_policy(pol, 1, [0.9, 0.2, -0.1])
 
 
 def test_best_response_matching_pennies():
@@ -195,6 +177,13 @@ def test_best_response_opponent_moving_first():
     assert np.array_equal(pol.table[(1, (1, ()))], [0.0, 1.0])
     t = tables_for(g, info)
     assert abs(_brute_force(t, info, fixed, t.rewards[:, 0]) - v) < 1e-12
+    # the other player's stages suffice, and a local vector of the wrong
+    # length is rejected, not misread
+    only = BehavioralPolicy(info, {(0, (0, ())): np.array([0.1, 0.9])})
+    assert best_response_value(g, info, 0, fixed=only) == v
+    bad = BehavioralPolicy(info, {(0, (0, ())): np.array([0.1, 0.4, 0.5])})
+    with pytest.raises(IllegalSupport, match="local vector of length 3"):
+        best_response_value(g, info, 0, fixed=bad)
 
 
 def _brute_force(t, info, fixed, values, limit=4096):

@@ -10,6 +10,7 @@ from phide.infomaps import is_implementable
 from phide.zoo import TradeCommSpec, build_matching_pennies, build_trade_comm
 
 from per_history import hist_labels
+from test_api_surface import traced_objects
 from test_cfr import counterfactual_rewards
 
 
@@ -50,6 +51,9 @@ def test_schedule_kinds():
         PenaltySchedule("exponential", 1.0)
     with pytest.raises(ValueError):
         PenaltySchedule("constant", -0.1)
+    for factor in (-2.0, 0.0):
+        with pytest.raises(ValueError, match="^factor must be positive"):
+            PenaltySchedule("controller", 0.5, factor=factor)
 
 
 def test_reduction_to_cfr_bitwise():
@@ -90,19 +94,9 @@ def test_cfr_and_ph_share_one_trace_schema():
 def test_traced_spans_resolve_and_stay_separate():
     # the benchmark's tracer wraps CfrRun.iterate and PhRun.iterate as two
     # spans; were PhRun a CfrRun, its steps would run inside the cfr span
-    import importlib
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_phide_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    for mod_name, attr_path, _, _ in tracing.SPANS:
-        obj = importlib.import_module(mod_name)
-        for attr in attr_path.split("."):
-            obj = getattr(obj, attr)
-        assert callable(obj), (mod_name, attr_path)
+    traced = dict(traced_objects())
+    assert ("phide.cfr", "CfrRun.iterate") in traced
+    assert ("phide.hiding", "PhRun.iterate") in traced
     assert not issubclass(PhRun, CfrRun)
 
 

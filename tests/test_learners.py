@@ -1,28 +1,46 @@
+import math
+
 import numpy as np
 import pytest
 
-from phide.learners import (KINDS, LearnerBank, RegretMinimizer, default_eta,
-                            external_regret)
+from phide.learners import KINDS, LearnerBank
+
+
+def external_regret(decisions, rewards) -> float:
+    """max_x sum_t <x, r_t> - sum_t <x_t, r_t> over the simplex vertices."""
+    if len(decisions) != len(rewards):
+        raise ValueError("decisions and rewards must be aligned")
+    if len(decisions) == 0:
+        return 0.0
+    D = np.asarray(decisions, dtype=float)
+    R = np.asarray(rewards, dtype=float)
+    return float(np.max(R.sum(axis=0)) - np.sum(D * R))
+
+
+def horizon_eta(n_actions: int, horizon: int) -> float:
+    """The FTRL step size sqrt(log n / T) tuned to a known horizon."""
+    return math.sqrt(math.log(max(n_actions, 2)) / horizon)
+
+
+def play(lrn, reward):
+    """One decide/observe round of a one-row bank; returns the decision."""
+    d = lrn.decide()
+    lrn.observe(np.asarray(reward, dtype=float)[None, :], d)
+    return d[0]
 
 
 def run_sequence(kind, rewards, eta=None):
-    n = rewards.shape[1]
-    lrn = RegretMinimizer(kind, n, eta=eta)
-    decisions = []
-    for r in rewards:
-        decisions.append(lrn.decide())
-        lrn.observe(r)
-    return np.array(decisions)
+    lrn = LearnerBank(kind, 1, rewards.shape[1], eta=eta)
+    return np.array([play(lrn, r) for r in rewards])
 
 
 def test_decide_returns_distribution():
     rng = np.random.default_rng(0)
     for kind in KINDS:
-        lrn = RegretMinimizer(kind, 4)
+        lrn = LearnerBank(kind, 1, 4)
         for _ in range(50):
-            d = lrn.decide()
+            d = play(lrn, rng.uniform(-1, 1, size=4))
             assert d.min() >= 0 and abs(d.sum() - 1.0) < 1e-12
-            lrn.observe(rng.uniform(-1, 1, size=4))
 
 
 def test_average_regret_shrinks():
@@ -30,7 +48,7 @@ def test_average_regret_shrinks():
     T = 4000
     rewards = rng.uniform(-1, 1, size=(T, 5))
     for kind in KINDS:
-        eta = default_eta(5, T) if kind == "ftrl_entropic" else None
+        eta = horizon_eta(5, T) if kind == "ftrl_entropic" else None
         dec = run_sequence(kind, rewards, eta=eta)
         reg_half = external_regret(dec[: T // 2], rewards[: T // 2]) / (T // 2)
         reg_full = external_regret(dec, rewards) / T
@@ -45,7 +63,7 @@ def test_adversarial_alternating_rewards():
     rewards[::2, 0] = 1.0
     rewards[1::2, 1] = 1.0
     for kind in KINDS:
-        dec = run_sequence(kind, rewards, eta=default_eta(2, T))
+        dec = run_sequence(kind, rewards, eta=horizon_eta(2, T))
         assert external_regret(dec, rewards) / T < 0.1, kind
 
 
@@ -62,53 +80,42 @@ def test_bank_matches_single_learner_bitwise():
     T = 200
     rewards = rng.normal(size=(T, 3))
     for kind in KINDS:
-        single = RegretMinimizer(kind, 3, eta=0.3)
+        single = LearnerBank(kind, 1, 3, eta=0.3)
         bank = LearnerBank(kind, n_labels=2, n_actions=3, eta=0.3)
         for r in rewards:
             d1 = single.decide()
             db = bank.decide()
-            assert np.array_equal(d1, db[0])
+            assert np.array_equal(d1[0], db[0])
             assert np.array_equal(db[0], db[1])
-            single.observe(r)
-            bank.observe(np.vstack([r, r]))
-
-
-def test_observe_with_the_decided_rows_matches_recomputing_them():
-    rng = np.random.default_rng(3)
-    for kind in KINDS:
-        warm = rng.dirichlet(np.ones(3), size=4)
-        fresh = LearnerBank(kind, 4, 3, eta=0.3, warm=warm)
-        reuse = LearnerBank(kind, 4, 3, eta=0.3, warm=warm)
-        for _ in range(100):
-            r = rng.normal(size=(4, 3))
-            fresh.observe(r)
-            reuse.observe(r, reuse.decide())
-            assert np.array_equal(fresh.cum, reuse.cum), kind
+            single.observe(r[None, :], d1)
+            bank.observe(np.vstack([r, r]), db)
 
 
 def test_warm_start_matches_first_decision():
     warm = np.array([0.7, 0.2, 0.1])
     for kind in KINDS:
-        lrn = RegretMinimizer(kind, 3, eta=0.5, warm=warm)
-        assert np.allclose(lrn.decide(), warm, atol=1e-12), kind
+        lrn = LearnerBank(kind, 1, 3, eta=0.5, warm=warm[None, :])
+        assert np.allclose(lrn.decide()[0], warm, atol=1e-12), kind
 
 
 def test_rm_plus_forgets_negative_regret():
-    lrn = RegretMinimizer("regret_matching_plus", 2)
+    lrn = LearnerBank("regret_matching_plus", 1, 2)
     for _ in range(50):
-        lrn.decide()
-        lrn.observe(np.array([1.0, 0.0]))
+        play(lrn, [1.0, 0.0])
     # arm 1 was bad for a long time; one good step should matter immediately
-    lrn.observe(np.array([0.0, 5.0]))
-    assert lrn.decide()[1] > 0.4
+    play(lrn, [0.0, 5.0])
+    assert lrn.decide()[0, 1] > 0.4
 
 
 def test_rejects_unknown_kind_and_bad_rewards():
     with pytest.raises(ValueError):
-        RegretMinimizer("hedge", 2)
-    lrn = RegretMinimizer("regret_matching", 2)
+        LearnerBank("hedge", 1, 2)
+    for eta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^eta must be positive"):
+            LearnerBank("ftrl_entropic", 1, 2, eta=eta)
+    lrn = LearnerBank("regret_matching", 1, 2)
     with pytest.raises(ValueError):
-        lrn.observe(np.array([np.nan, 0.0]))
+        lrn.observe(np.array([[np.nan, 0.0]]), lrn.decide())
 
 
 def test_external_regret_edge_cases():

@@ -11,19 +11,35 @@ from phide.core import (InformationMap, ProductGame, random_policy,
 from phide.engine import tables_for
 from phide.errors import InvalidRelaxation, PhideError
 from phide.infomaps import is_implementable, weighted_sq_distance
-from phide.relaxation import (RelaxationProblem, _rows_to_simplex, lagrangian,
-                              project_to_simplex, proximal_step, rir_run)
+from phide.relaxation import (RelaxationProblem, lagrangian, proximal_step,
+                              rir_run)
 from phide.zoo import (TradeCommSpec, build_matching_pennies,
                        build_trade_comm, random_game)
 
 
+def rows_to_simplex(mat):
+    """Row-wise simplex projection, the arithmetic of the sweep's inline
+    block maximizer: each row less the threshold tau of its largest rho + 1
+    entries, clamped at zero, where tau is (sum of those entries - 1) /
+    (rho + 1) and rho is the last rank whose entry exceeds its threshold."""
+    v = np.asarray(mat, dtype=float)
+    rows, n = v.shape
+    u = v.copy()
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    avg = u.cumsum(axis=1)
+    avg -= 1.0
+    avg /= np.arange(1.0, n + 1.0)
+    rho = n - 1 - (u > avg)[:, ::-1].argmax(axis=1)
+    out = v - avg[np.arange(rows), rho][:, None]
+    return np.maximum(out, 0.0, out=out)
+
+
 def test_simplex_projection_known_points():
-    assert np.allclose(project_to_simplex(np.array([0.2, 0.3, 0.5])),
-                       [0.2, 0.3, 0.5], atol=1e-15)
-    assert np.allclose(project_to_simplex(np.array([2.0, 0.0, 0.0])),
-                       [1.0, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(project_to_simplex(np.array([0.5, 0.5])),
-                       [0.5, 0.5], atol=1e-15)
+    for v, want in (([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]),
+                    ([2.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                    ([0.5, 0.5], [0.5, 0.5])):
+        assert np.allclose(rows_to_simplex([v])[0], want, atol=1e-15)
 
 
 def test_simplex_projection_is_closest_point():
@@ -31,7 +47,7 @@ def test_simplex_projection_is_closest_point():
     for _ in range(200):
         n = int(rng.integers(2, 7))
         v = rng.normal(scale=3.0, size=n)
-        x = project_to_simplex(v)
+        x = rows_to_simplex(v[None, :])[0]
         assert x.min() >= 0 and abs(x.sum() - 1.0) < 1e-12
         for _ in range(20):
             y = rng.dirichlet(np.ones(n))
@@ -58,7 +74,7 @@ def test_rows_to_simplex_bitwise_matches_sort_formula():
                  rng.integers(-2, 3, size=(40, A)) / 4.0,
                  np.full((3, A), 1.0 / A), np.zeros((2, A))]
         for v in cases:
-            got = _rows_to_simplex(v)
+            got = rows_to_simplex(v)
             assert got.tobytes() == sort_based_simplex(v).tobytes()
 
 
@@ -252,7 +268,7 @@ def reference_sweep(problem, mats, centers):
                         weights=(before[i][:, None] * after).reshape(-1),
                         minlength=n * A).reshape(n, A)
         scale = 2.0 * problem.lam * problem.weights[i][:, None]
-        mats[i] = _rows_to_simplex(centers[i] + c / scale)
+        mats[i] = rows_to_simplex(centers[i] + c / scale)
         d = mats[i] - centers[i]
         d *= d
         pen += float((problem.weights[i] * d.sum(axis=1)).sum())
@@ -275,7 +291,7 @@ def check_kernel_bitwise(problem, mats, sweeps=3):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 499), lam=st.sampled_from([1e-9, 0.05, 0.5, 5.0]))
 def test_sweep_kernel_is_bitwise_the_reference_sweep(seed, lam):
-    # the inline kernel repeats the arithmetic of _rows_to_simplex and of
+    # the inline kernel repeats the arithmetic of rows_to_simplex and of
     # the stage penalty; with or without a forward pass handed in, every
     # sweep's matrices and objective are those of the reference, bit for bit
     game, coarse, fine = random_game(seed)
