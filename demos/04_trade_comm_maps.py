@@ -20,18 +20,17 @@ print(f"optimal team value of trade_comm(2,2): "
       f"{trade_comm_optimal_value(2, 2):.4f}")
 
 reps, iters = 20, 400
-finals = {"baseline": [], "perfect_recall": [], "cheat": []}
-for s in range(reps):
-    run = run_cfr(game, maps["original"], iters,
-                  learner="regret_matching_plus", seed=s,
-                  randomize_init=True, mode="mc")
-    finals["baseline"].append(run.trace["payoff"][-1])
-    for mname in ("perfect_recall", "cheat"):
-        run = run_ph(game, maps["original"], maps[mname], iters,
-                     schedule=PenaltySchedule("ramp", 2.0, horizon=iters),
-                     learner="regret_matching_plus", seed=s,
-                     randomize_init=True, mode="mc", keep_history=False)
-        finals[mname].append(run.trace["payoff"][-1])
+seeds = list(range(reps))  # one batched solver loop per map, a repeat each
+runs = {"baseline": run_cfr(game, maps["original"], iters,
+                            learner="regret_matching_plus", seed=seeds,
+                            randomize_init=True, mode="mc")}
+for mname in ("perfect_recall", "cheat"):
+    runs[mname] = run_ph(game, maps["original"], maps[mname], iters,
+                         schedule=PenaltySchedule("ramp", 2.0, horizon=iters),
+                         learner="regret_matching_plus", seed=seeds,
+                         randomize_init=True, mode="mc", keep_history=False)
+finals = {name: [run.traces[r]["payoff"][-1] for r in range(reps)]
+          for name, run in runs.items()}
 
 for name, vals in finals.items():
     print(f"{name:<15} mean final payoff {np.mean(vals):.3f} "

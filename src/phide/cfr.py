@@ -21,14 +21,15 @@ A loop runs R seeded repeats at once, one per seed, on a leading repeat
 axis.  Each stage's learner rows, each prefix array and each stage's label
 pairs are R blocks end to end, repeat by repeat, and an index into n bins
 reads r·n + k in repeat r (``engine.stacked``); these offset index arrays
-are built once, with the loop.  Each ``bincount``, ``reduceat`` and gather
-then runs once for all R repeats and sums each bin in the order a lone run
-would, and the trace's dot products run once per repeat, so each repeat's
-trace is bit for bit that of a run of its seed alone.  Each repeat keeps
-its own ``Generator``, which draws its initial rows and then its Nature
-states, and its own ``PenaltySchedule`` state.  A single run is R = 1 and
-uses the ``Tables`` arrays themselves; what reads one run (``trace``, the
-policies, ``hiding.regret_report``) raises ``BatchedRun`` when R > 1.
+are built once, with the loop, the pairs from the stacked labels.  Each
+``bincount``, ``reduceat`` and gather then runs once for all R repeats and
+sums each bin in the order a lone run would, and the trace's dot products
+run once per repeat, so each repeat's trace is bit for bit that of a run
+of its seed alone.  Each repeat keeps its own ``Generator``, which draws
+its initial rows and then its Nature states, and its own
+``PenaltySchedule`` state.  A single run is R = 1 and uses the ``Tables``
+arrays themselves; what reads one run (``trace``, the policies,
+``hiding.regret_report``) raises ``BatchedRun`` when R > 1.
 
 Exact mode enumerates the reachable set.  The optional Monte Carlo mode
 does chance sampling: one Nature draw w per iteration and repeat, and the
@@ -50,13 +51,14 @@ seed.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BehavioralPolicy, InformationMap, ProductGame
-from .engine import (Tables, forward, label_cells, scaled, stacked,
-                     stacked_pairs, tables_for, tiled)
+from .core import BehavioralPolicy, InformationMap, ProductGame, check_player
+from .engine import (Tables, forward, label_cells, label_pairs, refinement,
+                     scaled, stacked, tables_for, tiled)
 from .errors import BatchedRun, ZeroReachLabel
 from .infomaps import coarse_masses, pair_sq_distance, project_matrices
 from .learners import LearnerBank
@@ -214,10 +216,12 @@ class PenaltySchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("penalty weight must be nonnegative")
-        if not self.factor > 0:
-            raise ValueError(f"factor must be positive, got {self.factor!r}")
+        if not 0 <= self.value < math.inf:
+            raise ValueError(f"value must be finite and nonnegative, got "
+                             f"{self.value!r}")
+        if not 0 < self.factor < math.inf:
+            raise ValueError(f"factor must be positive and finite, got "
+                             f"{self.factor!r}")
 
     def reset(self):
         self._state = self.value
@@ -255,6 +259,7 @@ class SolverLoop:
                  mode: str, player: int):
         if mode not in MODES:
             raise ValueError("mode must be 'exact' or 'mc'")
+        check_player(game, player)
         seeds = [seed] if np.ndim(seed) == 0 else list(seed)
         if not seeds:
             raise ValueError("need at least one seed")
@@ -286,21 +291,21 @@ class SolverLoop:
         self.cells = [stacked(t.prefix_cell[self.mf][i], n_fine[i] * A[i], R)
                       for i in self.stages]
         self.values = {p: tiled(t.rewards[:, p], R) for p in self.owners}
-        # the (coarse, fine) label pairs and the fine -> coarse label index
-        # on the stages where fine refines coarse; unused, so not built,
-        # when fine is coarse
+        # the (coarse, fine) label pairs of the stacked labels and the fine
+        # -> coarse label index on the stages where fine refines coarse;
+        # unused, so not built, when fine is coarse
         self.pairs, self.f2c = [], {}
         if fine is not coarse:
             n_coarse = [len(t.labels[self.mc][i]) for i in self.stages]
             self.coarse_labels = [
                 stacked(t.prefix_label[self.mc][i], n_coarse[i], R)
                 for i in self.stages]
-            self.pairs = [stacked_pairs(pairs, n_coarse[i], n_fine[i], R)
-                          for i, pairs in enumerate(
-                              t.stage_pairs(self.mf, self.mc))]
-            self.f2c = {i: stacked(arr, n_coarse[i], R) for i, arr
-                        in enumerate(t.refinement(fine, coarse))
-                        if arr is not None}
+            self.pairs = [label_pairs(self.labels[i], self.coarse_labels[i],
+                                      R * n_fine[i], R * n_coarse[i])
+                          for i in self.stages]
+            f2c = [refinement(pairs, R * n)
+                   for pairs, n in zip(self.pairs, n_fine)]
+            self.f2c = {i: arr for i, arr in enumerate(f2c) if arr is not None}
             # per stage that does not refine, each pair's (fine label,
             # action) bins
             self.pair_cells = {i: label_cells(self.pairs[i][2], A[i])

@@ -35,16 +35,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     from .experiments import summarize, write_summary_csv
-    traces = {}
+    traces = {}  # the payoffs, all that ``summarize`` reads
     with open(args.runs) as f:
         for row in csv.DictReader(f):
             key = (int(row["run"]), int(row["seed"]))
-            tr = traces.setdefault(key, {"payoff": [], "penalty_mass": [],
-                                         "sum_pos_local": [], "lambda": []})
+            tr = traces.setdefault(key, {"payoff": []})
             tr["payoff"].append(float(row["expected_payoff_projected"]))
-            tr["penalty_mass"].append(float(row["penalty_mass"]))
-            tr["sum_pos_local"].append(float(row["sum_pos_local_regret"]))
-            tr["lambda"].append(float(row["lambda_t"]))
     records = [{"run": k[0], "seed": k[1], "trace": tr}
                for k, tr in sorted(traces.items())]
     summary = summarize(records, args.quantiles, threshold=args.threshold)

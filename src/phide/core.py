@@ -1,6 +1,6 @@
 """Core types: games in product form, information maps, behavioral policies.
 
-A game lives on the product set Omega x [W]^L.  Histories are pairs
+A game lives on the product set Ω × ∏ᵢ [Aᵢ].  Histories are pairs
 (nature value, action tuple of length L); actions are 0-based integers.
 Information maps assign each stage a label computed from the nature value
 and the actions played before that stage.  Policies are tables from
@@ -14,7 +14,7 @@ from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import IllegalSupport, WellPosednessViolation
+from .errors import IllegalSupport, InvalidGame, WellPosednessViolation
 
 PROB_TOL = 1e-12
 
@@ -48,36 +48,32 @@ class InformationMap:
 
     def __init__(self, stages, name: str = ""):
         self.name = name
-        self._fns = []
-        self.revealed: list[Optional[tuple]] = []
+        self._stages = []  # per stage: its tokens, or its callable
         for spec in stages:
-            if callable(spec):
-                self._fns.append(spec)
-                self.revealed.append(None)
-            else:
-                tokens = tuple((str(kind), int(idx)) for kind, idx in spec)
-                for kind, _ in tokens:
+            if not callable(spec):
+                spec = tuple((str(kind), int(idx)) for kind, idx in spec)
+                for kind, _ in spec:
                     if kind not in ("nature", "action"):
                         raise ValueError(f"unknown reveal token kind {kind!r}")
-                self.revealed.append(tokens)
-                self._fns.append(self._make_reveal_fn(tokens))
+            self._stages.append(spec)
 
-    @staticmethod
-    def _make_reveal_fn(tokens):
-        def fn(nature, actions):
-            out = []
-            for kind, idx in tokens:
-                out.append(nature[idx] if kind == "nature" else actions[idx])
-            return tuple(out)
-
-        return fn
+    @property
+    def revealed(self) -> list[Optional[tuple]]:
+        """Per stage, its reveal tokens, or None for a callable stage."""
+        return [None if callable(s) else s for s in self._stages]
 
     @property
     def num_stages(self) -> int:
-        return len(self._fns)
+        return len(self._stages)
 
     def label(self, stage: int, nature, actions) -> Hashable:
-        return (stage, self._fns[stage](nature, actions))
+        spec = self._stages[stage]
+        if callable(spec):
+            return (stage, spec(nature, actions))
+        out = []  # a loop, not a comprehension: labels are hot at set-up
+        for kind, idx in spec:
+            out.append(nature[idx] if kind == "nature" else actions[idx])
+        return (stage, tuple(out))
 
     @classmethod
     def from_tables(cls, tables: Sequence[dict], name: str = "") -> "InformationMap":
@@ -100,13 +96,12 @@ class ProductGame:
     """Finite game in product form.
 
     ``reward_fn(nature_value, actions)`` returns one reward per player; in
-    team games all components are equal.  Action counts are per stage.
+    team games all components are equal.  Stage i has ``stage_actions[i]``
+    actions and its owner is ``player_of_stage[i]``.
     """
 
     nature: tuple
     nature_probs: tuple
-    num_stages: int
-    max_actions: int
     player_of_stage: tuple
     stage_actions: tuple
     reward_fn: Callable
@@ -121,15 +116,16 @@ class ProductGame:
             raise ValueError("nature weights must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValueError("nature weights must sum to 1 within 1e-12")
-        if self.num_stages < 1 or self.max_actions < 1:
-            raise ValueError("num_stages and max_actions must be positive")
+        if not self.stage_actions or min(self.stage_actions) < 1:
+            raise ValueError("a game needs stages, each with an action")
         if len(self.player_of_stage) != self.num_stages:
             raise ValueError("player_of_stage must have one entry per stage")
-        if len(self.stage_actions) != self.num_stages:
-            raise ValueError("stage_actions must have one entry per stage")
-        for a in self.stage_actions:
-            if not 1 <= a <= self.max_actions:
-                raise ValueError("per-stage action counts must lie in [1, W]")
+        for i, p in enumerate(self.player_of_stage):
+            check_player(self, p, f" (the owner of stage {i})")
+
+    @property
+    def num_stages(self) -> int:
+        return len(self.stage_actions)
 
     def probs(self) -> np.ndarray:
         return np.asarray(self.nature_probs, dtype=float)
@@ -142,6 +138,15 @@ class ProductGame:
 
     def stages_of(self, player: int) -> tuple:
         return tuple(i for i, p in enumerate(self.player_of_stage) if p == player)
+
+
+def check_player(game: ProductGame, player: int, role: str = ""):
+    """An ``InvalidGame`` naming ``player``, its ``role`` and the player
+    count unless ``player`` indexes one of the game's players."""
+    if player not in range(game.num_players):
+        raise InvalidGame(f"player {player!r}{role} is out of range: game "
+                          f"{game.name or hex(id(game))} has "
+                          f"{game.num_players} player(s)")
 
 
 def enumerate_reachable(game: ProductGame, info: InformationMap, validate: bool = True):

@@ -16,8 +16,8 @@ forward pass (``forward``) gives the reach of every prefix, stage by stage,
 and the (coarse, fine) label pairs of ``pairs`` and their masses
 (``pair_masses``) are indexed by prefix too.  Nature state w's prefixes are
 the w-th of |Omega| equal blocks of each prefix array.  A solver loop of R
-repeats runs on R copies of these arrays end to end (``stacked``, ``tiled``,
-``stacked_pairs``).
+repeats runs on R copies of these arrays end to end (``stacked``,
+``tiled``), its label pairs too (``label_pairs`` of stacked labels).
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ class Tables:
         self.labels: list[list[list]] = []
         self.prefix_label: list[list[np.ndarray]] = []
         self.prefix_cell: list[list[np.ndarray]] = []
-        # (fine map, coarse map, stage) -> pair tables; see ``pairs``
-        self._pairs: dict[tuple[int, int, int], tuple] = {}
         for m in maps:
             self.add_map(m)
 
@@ -157,41 +155,17 @@ class Tables:
         return self.add_map(info)
 
     def refinement(self, fine: InformationMap, coarse: InformationMap):
-        """Per stage, the array mapping fine label index to coarse label
-        index, or ``None`` where ``fine`` does not refine ``coarse``: some
-        fine label occurs in two (coarse, fine) label pairs."""
+        """``refinement`` of each stage's ``pairs``."""
         mf, mc = self.map_index(fine), self.map_index(coarse)
-        out = []
-        for i in range(self.game.num_stages):
-            _, pair_coarse, pair_fine, _ = self.pairs(mf, mc, i)
-            arr = None
-            if len(pair_fine) == len(self.labels[mf][i]):
-                arr = np.empty(len(pair_fine), dtype=np.int64)
-                arr[pair_fine] = pair_coarse
-            out.append(arr)
-        return out
+        return [refinement(self.pairs(mf, mc, i), len(self.labels[mf][i]))
+                for i in range(self.game.num_stages)]
 
     def pairs(self, m_fine: int, m_coarse: int, i: int):
-        """The (coarse label, fine label) pairs that occur at stage i, built
-        on first use and kept as long as the Tables: at most maps² × stages
-        entries.
-
-        Returns (pair_idx, pair_coarse, pair_fine, offsets): ``pair_idx[p]``
-        is stage-i prefix p's pair, the pairs are sorted by coarse then fine
-        label, and ``offsets[c]:offsets[c + 1]`` are the pairs of coarse
-        label c.
-        """
-        key = (m_fine, m_coarse, i)
-        if key not in self._pairs:
-            fl = self.prefix_label[m_fine][i]
-            cl = self.prefix_label[m_coarse][i]
-            nf, nc = len(self.labels[m_fine][i]), len(self.labels[m_coarse][i])
-            codes, pair_idx = np.unique(cl * nf + fl, return_inverse=True)
-            pair_coarse, pair_fine = np.divmod(codes, nf)
-            counts = np.bincount(pair_coarse, minlength=nc)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            self._pairs[key] = (pair_idx, pair_coarse, pair_fine, offsets)
-        return self._pairs[key]
+        """``label_pairs`` of the two maps' stage-i labels."""
+        return label_pairs(self.prefix_label[m_fine][i],
+                           self.prefix_label[m_coarse][i],
+                           len(self.labels[m_fine][i]),
+                           len(self.labels[m_coarse][i]))
 
     def recall_closure(self, m: int, own):
         """Per stage i of ``own``, each stage-i prefix's label in the recall
@@ -311,6 +285,31 @@ def label_cells(labels: np.ndarray, A: int) -> np.ndarray:
     return (labels[:, None] * A + np.arange(A)).reshape(-1)
 
 
+def label_pairs(fine: np.ndarray, coarse: np.ndarray, n_fine: int,
+                n_coarse: int):
+    """The (coarse, fine) label pairs that occur row by row in ``fine`` and
+    ``coarse``: (pair_idx, pair_coarse, pair_fine, offsets), with
+    ``pair_idx[p]`` row p's pair, the pairs sorted by coarse then fine
+    label, and ``offsets[c]:offsets[c + 1]`` coarse label c's pairs.  On
+    ``stacked`` labels the pairs come repeat by repeat, so stacked too."""
+    codes, pair_idx = np.unique(coarse * n_fine + fine, return_inverse=True)
+    pair_coarse, pair_fine = np.divmod(codes, n_fine)
+    counts = np.bincount(pair_coarse, minlength=n_coarse)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return pair_idx, pair_coarse, pair_fine, offsets
+
+
+def refinement(pairs, n_fine: int):
+    """Each fine label's coarse label under ``pairs``, or ``None`` when a
+    fine label occurs in two pairs: the fine map does not refine."""
+    _, pair_coarse, pair_fine, _ = pairs
+    if len(pair_fine) != n_fine:
+        return None
+    arr = np.empty(n_fine, dtype=np.int64)
+    arr[pair_fine] = pair_coarse
+    return arr
+
+
 def stacked(idx: np.ndarray, n: int, R: int) -> np.ndarray:
     """R copies of ``idx``, an index into n bins, end to end, copy r
     shifted into repeat r's bins r·n to r·n + n - 1.  At R = 1, ``idx``
@@ -323,18 +322,6 @@ def stacked(idx: np.ndarray, n: int, R: int) -> np.ndarray:
 def tiled(x: np.ndarray, R: int) -> np.ndarray:
     """R copies of ``x`` end to end; at R = 1, ``x`` itself."""
     return x if R == 1 else np.tile(x, R)
-
-
-def stacked_pairs(pairs, n_coarse: int, n_fine: int, R: int):
-    """One stage's ``Tables.pairs`` for R stacked repeats: each index
-    ``stacked``, and the offsets of every repeat's coarse labels in turn."""
-    if R == 1:
-        return pairs
-    pair_idx, coarse, fine, offsets = pairs
-    n = len(fine)
-    return (stacked(pair_idx, n, R), stacked(coarse, n_coarse, R),
-            stacked(fine, n_fine, R),
-            np.append(stacked(offsets[:-1], n, R), R * n))
 
 
 def scaled(lam: np.ndarray, x: np.ndarray) -> np.ndarray:

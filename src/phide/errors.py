@@ -34,5 +34,10 @@ class BatchedRun(PhideError):
 
 class InvalidRelaxation(PhideError, ValueError):
     """A ``RelaxationProblem`` that cannot be posed: a penalty weight that
-    is not positive, a relaxed map that does not refine the original, or
-    a base policy without full support."""
+    is not positive and finite, a relaxed map that does not refine the
+    original, or a base policy without full support."""
+
+
+class InvalidGame(PhideError, ValueError):
+    """A game or a player index that cannot be posed: a stage owner or a
+    requested player outside the game's players."""

@@ -127,7 +127,8 @@ def _schedule(config) -> PenaltySchedule:
 
 def _traces(config, game, maps, seeds) -> list[dict]:
     """One trace per seed.  ``cfr`` and ``ph`` run every seed in one solver
-    loop, a repeat per seed; ``rir`` runs them one by one."""
+    loop, a repeat per seed; ``rir`` runs them one by one on one
+    ``RelaxationProblem``."""
     algo = _require(config, "algorithm")
     iters = int(_require(config, "iterations"))
     learner = config.get("learner", "regret_matching")
@@ -142,7 +143,9 @@ def _traces(config, game, maps, seeds) -> list[dict]:
     else:
         fine = _map(maps, config, "fine_map", "relaxed")
         if algo == "rir":
-            return [_rir_trace(config, game, coarse, fine, seed, iters)
+            problem = RelaxationProblem(game, coarse, fine,
+                                        float(config.get("lambda", 0.5)))
+            return [_rir_trace(problem, seed, randomize, iters)
                     for seed in seeds]
         run = PhRun(game, coarse, fine, schedule=_schedule(config),
                     learner=learner, eta=eta, seed=seeds,
@@ -152,25 +155,23 @@ def _traces(config, game, maps, seeds) -> list[dict]:
     return run.traces
 
 
-def _rir_trace(config, game, coarse, fine, seed, iters):
-    """The ``cfr.TRACE_KEYS`` trace of a ``rir`` run: ``payoff`` is the
-    projection's payoff, ``payoff_mu`` the iterate's on the fine map and
-    ``rho_mu`` the objective; ``sum_pos_local`` is NaN, as ``rir`` has no
-    local learners."""
-    lam = float(config.get("lambda", 0.5))
-    problem = RelaxationProblem(game, coarse, fine, lam)
-    t = problem._t
-    rng = np.random.default_rng(seed)
-    if config.get("randomize_init", False):
-        mu = random_policy(game, fine, rng)
+def _rir_trace(problem, seed, randomize: bool, iters):
+    """The ``cfr.TRACE_KEYS`` trace of a ``rir`` run of ``problem``:
+    ``payoff`` is the projection's payoff, ``payoff_mu`` the iterate's on
+    the fine map and ``rho_mu`` the objective; ``sum_pos_local`` is NaN, as
+    ``rir`` has no local learners."""
+    t, game, fine = problem._t, problem.game, problem.fine
+    if randomize:
+        mu = random_policy(game, fine, np.random.default_rng(seed))
     else:
         mu = uniform_policy(game, fine)
     trace = {k: [] for k in TRACE_KEYS}
     steps = _rir_steps(problem, t.matrices(mu))
     for _, gam, val, payoff, pen in islice(steps, iters):
-        row = {"payoff": t.expected_reward(gam, coarse), "payoff_mu": payoff,
-               "penalty_mass": pen, "sum_pos_local": float("nan"),
-               "lambda": lam, "rho_mu": val}
+        row = {"payoff": t.expected_reward(gam, problem.coarse),
+               "payoff_mu": payoff, "penalty_mass": pen,
+               "sum_pos_local": float("nan"), "lambda": problem.lam,
+               "rho_mu": val}
         for key in TRACE_KEYS:
             trace[key].append(row[key])
     return trace

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BehavioralPolicy, History, InformationMap, ProductGame
+from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
+                   check_player)
 from .engine import label_cells, tables_for
 from .errors import EnumerationTooLarge
 
@@ -58,6 +59,7 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     With ``return_policy`` the maximizing deterministic policy of ``player``
     is returned too; it covers every label.
     """
+    check_player(game, player)
     t = tables_for(game, info)
     if values is not None:
         values = np.asarray(values, dtype=float)

@@ -34,13 +34,13 @@ class PhRun(SolverLoop):
                  seed=0, randomize_init: bool = False,
                  mode: str = "exact", player: int = 0,
                  keep_history: bool = True):
-        if game.stages_of(player) != tuple(range(game.num_stages)):
-            raise NotImplementedError("progressive hiding runs on team games "
-                                      "where one player owns every stage")
         super().__init__(game, coarse, fine, schedule or PenaltySchedule(),
                          learner=learner, eta=eta, seed=seed,
                          randomize_init=randomize_init, mode=mode,
                          player=player)
+        if game.stages_of(player) != tuple(range(game.num_stages)):
+            raise NotImplementedError("progressive hiding runs on team games "
+                                      "where one player owns every stage")
         self.penalty_sums = {
             i: np.zeros((self.R * len(self.t.labels[self.mc][i]),
                          game.stage_actions[i]))

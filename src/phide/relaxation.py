@@ -22,12 +22,14 @@ that scored its start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from .core import BehavioralPolicy, InformationMap, ProductGame, uniform_policy
+from .core import (BehavioralPolicy, InformationMap, ProductGame,
+                   check_player, uniform_policy)
 from .engine import forward, tables_for
 from .errors import InvalidRelaxation
 from .infomaps import coarse_masses, project_matrices
@@ -52,9 +54,10 @@ class RelaxationProblem:
     _t: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidRelaxation(
-                f"penalty weight must be positive, got lam={self.lam!r}")
+        if not 0 < self.lam < math.inf:
+            raise InvalidRelaxation(f"penalty weight must be positive and "
+                                    f"finite, got lam={self.lam!r}")
+        check_player(self.game, self.player)
         t = self._t = tables_for(self.game, self.coarse, self.fine)
         self.mf, self.mc = t.map_index(self.fine), t.map_index(self.coarse)
         self.f2c = t.refinement(self.fine, self.coarse)

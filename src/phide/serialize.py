@@ -60,8 +60,6 @@ def game_from_json(text: str):
     game = ProductGame(
         nature=nature,
         nature_probs=probs,
-        num_stages=len(players),
-        max_actions=max(acts),
         player_of_stage=players,
         stage_actions=acts,
         reward_fn=lambda w, a: rewards[(w, tuple(a))],

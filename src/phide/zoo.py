@@ -51,8 +51,6 @@ def build_matching_pennies(spec: MatchingPenniesSpec = None):
     game = ProductGame(
         nature=((0,), (1,)),
         nature_probs=(0.5, 0.5),
-        num_stages=2,
-        max_actions=3,
         player_of_stage=(0, 0),
         stage_actions=(2, 3),
         reward_fn=reward,
@@ -88,8 +86,6 @@ def build_trade_comm(spec: TradeCommSpec = None):
     game = ProductGame(
         nature=omega,
         nature_probs=tuple([1.0 / (n * n)] * (n * n)),
-        num_stages=4,
-        max_actions=max(m, n * n),
         player_of_stage=(0, 0, 0, 0),
         stage_actions=(m, m, n * n, n * n),
         reward_fn=reward,
@@ -183,8 +179,6 @@ def random_game(seed: int, max_nature: int = 4, max_stages: int = 4,
     game = ProductGame(
         nature=nature,
         nature_probs=tuple(probs),
-        num_stages=L,
-        max_actions=max(acts),
         player_of_stage=tuple([0] * L),
         stage_actions=tuple(acts),
         reward_fn=lambda w, a: (rewards[(w, a)],),

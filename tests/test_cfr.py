@@ -125,8 +125,8 @@ def test_local_regret_accounting_nonnegative_sum():
 def test_each_stage_learns_its_owners_reward():
     # zero-sum: player 1 moves second, sees player 0's move and gets the
     # negated reward, so feeding player 0's reward to stage 1 is wrong
-    g = ProductGame(nature=((0,), (1,)), nature_probs=(0.3, 0.7), num_stages=2,
-                    max_actions=2, player_of_stage=(0, 1), stage_actions=(2, 2),
+    g = ProductGame(nature=((0,), (1,)), nature_probs=(0.3, 0.7),
+                    player_of_stage=(0, 1), stage_actions=(2, 2),
                     reward_fn=lambda w, a: (lambda r: (r, -r))(
                         float(a[0] == w[0]) - 0.5 * float(a[1] == a[0])),
                     num_players=2)

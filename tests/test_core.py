@@ -15,7 +15,8 @@ from phide.core import (BehavioralPolicy, History, InformationMap,
                         ProductGame, enumerate_reachable, random_policy,
                         uniform_policy)
 from phide.engine import Tables, tables_for
-from phide.errors import IllegalSupport, WellPosednessViolation
+from phide.errors import (IllegalSupport, InvalidGame,
+                          WellPosednessViolation)
 from phide.hiding import run_ph
 from phide.infomaps import is_finer
 from phide.serialize import game_from_json, game_to_json
@@ -56,8 +57,8 @@ def test_bad_reveal_kind():
 
 
 def test_game_validation():
-    kw = dict(nature=((0,),), nature_probs=(1.0,), num_stages=1,
-              max_actions=2, player_of_stage=(0,), stage_actions=(2,),
+    kw = dict(nature=((0,),), nature_probs=(1.0,),
+              player_of_stage=(0,), stage_actions=(2,),
               reward_fn=lambda w, a: (0.0,))
     ProductGame(**kw)
     with pytest.raises(ValueError):
@@ -65,14 +66,21 @@ def test_game_validation():
     with pytest.raises(ValueError):
         ProductGame(**{**kw, "nature_probs": (1.0, 0.0)})
     with pytest.raises(ValueError):
-        ProductGame(**{**kw, "stage_actions": (3,)})
+        ProductGame(**{**kw, "stage_actions": (0,)})
     with pytest.raises(ValueError):
         ProductGame(**{**kw, "player_of_stage": (0, 0)})
+    # a stage owner outside the players
+    for owner in (1, -1):
+        with pytest.raises(InvalidGame, match=re.escape(
+                f"player {owner} (the owner of stage 0) is out of range: "
+                f"game g has 1 player(s)")):
+            ProductGame(**{**kw, "player_of_stage": (owner,), "name": "g"})
+    assert issubclass(InvalidGame, ValueError)
 
 
 def test_reward_shape_checked():
-    g = ProductGame(nature=((0,),), nature_probs=(1.0,), num_stages=1,
-                    max_actions=2, player_of_stage=(0,), stage_actions=(2,),
+    g = ProductGame(nature=((0,),), nature_probs=(1.0,),
+                    player_of_stage=(0,), stage_actions=(2,),
                     reward_fn=lambda w, a: (1.0, 2.0), num_players=1)
     with pytest.raises(ValueError):
         g.reward((0,), (0,))
@@ -265,6 +273,19 @@ def test_token_labels_when_the_mixed_radix_key_outgrows_int64():
     t = Tables(g, info)
     _assert_labels_match_reference(t, info)
     assert len(t.labels[0][1]) == 4
+
+
+def test_re_ranked_token_labels_equal_their_callable_twin():
+    # 70 two-valued tokens pass the 2**62 key bound at the 62nd, so the
+    # key is re-ranked once; labels and prefix labels are the callable's
+    g, _ = build_matching_pennies()
+    stages = [[("nature", 0)], [("action", 0)] * 70]
+    t = Tables(g)
+    m, c = t.add_map(InformationMap(stages)), t.add_map(_callable_twin(stages))
+    assert t.labels[m] == t.labels[c]
+    assert t.labels[m][1] == [(1, (0,) * 70), (1, (1,) * 70)]
+    for got, want in zip(t.prefix_label[m], t.prefix_label[c]):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_histories_built_on_first_read():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from phide.core import (BehavioralPolicy, InformationMap, ProductGame,
                         random_policy, uniform_policy)
 from phide.engine import tables_for
 from phide.errors import (EnumerationTooLarge, IllegalSupport,
-                          WellPosednessViolation)
+                          InvalidGame, WellPosednessViolation)
 from phide.games import best_response_value, check_well_posed
 from phide.infomaps import has_perfect_recall
 from phide.zoo import build_matching_pennies, build_trade_comm, random_game
@@ -40,8 +41,8 @@ def test_check_well_posed_ok():
 def test_check_well_posed_detects_peeking():
     # label at stage 0 depends on the stage-1 action: several or zero fixed
     # points for some nature state
-    g = ProductGame(nature=((0,),), nature_probs=(1.0,), num_stages=2,
-                    max_actions=2, player_of_stage=(0, 0), stage_actions=(2, 2),
+    g = ProductGame(nature=((0,),), nature_probs=(1.0,),
+                    player_of_stage=(0, 0), stage_actions=(2, 2),
                     reward_fn=lambda w, a: (0.0,))
     # stage 0 copies the stage-1 action and vice versa: both (0, 0) and
     # (1, 1) are fixed points
@@ -145,10 +146,30 @@ def test_best_response_cap():
         best_response_value(g, maps["original"], 0, cap=100)
 
 
+def test_player_indices_are_checked():
+    # a player outside the game's players names itself and the player
+    # count, whichever solver is asked
+    from phide.cfr import run_cfr
+    from phide.hiding import PhRun
+    from phide.relaxation import RelaxationProblem
+    g, maps = build_matching_pennies()
+    m = maps["original"]
+    calls = [lambda p: run_cfr(g, m, 1, player=p),
+             lambda p: PhRun(g, m, maps["relaxed"], player=p),
+             lambda p: best_response_value(g, m, p),
+             lambda p: RelaxationProblem(g, m, maps["relaxed"], 1.0, player=p)]
+    for call in calls:
+        for p in (3, 2, 1, -1):
+            with pytest.raises(InvalidGame, match=re.escape(
+                    f"player {p} is out of range: game matching_pennies "
+                    f"has 1 player(s)")):
+                call(p)
+
+
 def test_best_response_with_fixed_opponent():
     # two players alternating; player 1 fixed to a mixed strategy
-    g = ProductGame(nature=((0,), (1,)), nature_probs=(0.5, 0.5), num_stages=2,
-                    max_actions=2, player_of_stage=(0, 1), stage_actions=(2, 2),
+    g = ProductGame(nature=((0,), (1,)), nature_probs=(0.5, 0.5),
+                    player_of_stage=(0, 1), stage_actions=(2, 2),
                     reward_fn=lambda w, a: ((1.0 if a[0] == w[0] else 0.0)
                                             + (0.5 if a[1] == 0 else 0.0),) * 2,
                     num_players=2)
@@ -164,8 +185,8 @@ def test_best_response_with_fixed_opponent():
 def test_best_response_opponent_moving_first():
     # the opponent's skewed mix precedes a stage that does not see it, so
     # its weight must count when the player's label pools both histories
-    g = ProductGame(nature=((0,),), nature_probs=(1.0,), num_stages=2,
-                    max_actions=2, player_of_stage=(1, 0), stage_actions=(2, 2),
+    g = ProductGame(nature=((0,),), nature_probs=(1.0,),
+                    player_of_stage=(1, 0), stage_actions=(2, 2),
                     reward_fn=lambda w, a: (float(a[0] == a[1]),) * 2,
                     num_players=2)
     info = InformationMap([[], []])
@@ -279,7 +300,7 @@ def test_clash_on_zero_weight_prefixes_solves_at_the_root():
     # nothing, and its closure labels pick action 0 where state 0's pick
     # action 1: a clash on zero-weight prefixes only, which the root solves
     g = ProductGame(nature=((0,), (1,)), nature_probs=(0.5, 0.5),
-                    num_stages=2, max_actions=2, player_of_stage=(0, 0),
+                    player_of_stage=(0, 0),
                     stage_actions=(2, 2), reward_fn=lambda w, a: (0.0,))
     forgetful = InformationMap([[("nature", 0)], []])
     t = tables_for(g, forgetful)

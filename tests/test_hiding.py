@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,12 @@ def test_schedule_kinds():
         PenaltySchedule("exponential", 1.0)
     with pytest.raises(ValueError):
         PenaltySchedule("constant", -0.1)
-    for factor in (-2.0, 0.0):
+    for factor in (-2.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="^factor must be positive"):
             PenaltySchedule("controller", 0.5, factor=factor)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^value must be finite"):
+            PenaltySchedule("constant", value)
 
 
 def test_reduction_to_cfr_bitwise():

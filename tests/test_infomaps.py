@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phide.core import random_policy, uniform_policy
-from phide.engine import tables_for
+from phide.engine import label_pairs, refinement, stacked, tables_for
 from phide.errors import ZeroReachLabel
 from phide.hiding import PhRun
 from phide.infomaps import (coarse_masses, has_perfect_recall, is_finer,
@@ -113,8 +113,8 @@ def test_weighted_sq_distance_manual_value():
     # single stage, one label, uniform base: distance is just the squared
     # euclidean gap of the two local vectors
     from phide.core import InformationMap, ProductGame, BehavioralPolicy
-    g = ProductGame(nature=((0,),), nature_probs=(1.0,), num_stages=1,
-                    max_actions=2, player_of_stage=(0,), stage_actions=(2,),
+    g = ProductGame(nature=((0,),), nature_probs=(1.0,),
+                    player_of_stage=(0,), stage_actions=(2,),
                     reward_fn=lambda w, a: (0.0,))
     info = InformationMap([[]])
     a = BehavioralPolicy(info, {(0, (0, ())): np.array([0.9, 0.1])})
@@ -227,19 +227,34 @@ def test_pair_projection_matches_dense_reference_on_cheat_map():
                               np.random.default_rng(0))
 
 
-def test_pair_cache_is_bounded():
-    game, maps = build_trade_comm()
-    t = tables_for(game, *maps.values())
-    sizes = []
-    for s in range(10):
-        for fine in ("perfect_recall", "cheat"):
-            run = PhRun(game, maps["original"], maps[fine], seed=s,
-                        randomize_init=True)
-            run.iterate()
-        sizes.append(len(t._pairs))
-    assert sizes == [sizes[0]] * len(sizes)
-    assert 0 < sizes[0] <= len(t.maps) ** 2 * game.num_stages
-    assert not hasattr(t, "_group_cache")
+@pytest.mark.parametrize("seed", range(8))
+def test_label_pairs_of_stacked_labels_are_per_repeat_copies(seed):
+    # R stacked repeats of a map pair give R copies of the single-run pair
+    # table, repeat r's indices offset by r times each count, and the
+    # refinement likewise
+    game, coarse, fine = random_game(seed)
+    t = tables_for(game, coarse, fine)
+    for a, b in ((fine, coarse), (coarse, fine)):
+        ma, mb = t.map_index(a), t.map_index(b)
+        for i in range(game.num_stages):
+            fl, cl = t.prefix_label[ma][i], t.prefix_label[mb][i]
+            nf, nc = len(t.labels[ma][i]), len(t.labels[mb][i])
+            idx, pc, pf, offsets = one = t.pairs(ma, mb, i)
+            f2c, n = refinement(one, nf), len(pf)
+            for R in (1, 2, 5):
+                got = label_pairs(stacked(fl, nf, R), stacked(cl, nc, R),
+                                  R * nf, R * nc)
+                want = [np.concatenate([x + r * k for r in range(R)])
+                        for x, k in ((idx, n), (pc, nc), (pf, nf),
+                                     (offsets[:-1], n))]
+                want[3] = np.append(want[3], R * n)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                got_f2c = refinement(got, R * nf)
+                assert (got_f2c is None) == (f2c is None)
+                if f2c is not None:
+                    assert np.array_equal(got_f2c, np.concatenate(
+                        [f2c + r * nc for r in range(R)]))
 
 
 # Per-history reference definitions of the label-structure checks: plain

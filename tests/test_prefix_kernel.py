@@ -154,7 +154,7 @@ def test_prefix_kernel_matches_reference_with_two_stage_owners():
     rng = np.random.default_rng(4)
     table = rng.uniform(-1.0, 1.0, size=(3, 2, 3, 2))
     game = ProductGame(nature=((0,), (1,), (2,)), nature_probs=(0.2, 0.3, 0.5),
-                       num_stages=3, max_actions=3, player_of_stage=(0, 1, 0),
+                       player_of_stage=(0, 1, 0),
                        stage_actions=(2, 3, 2), num_players=2,
                        reward_fn=lambda w, a: (table[w][a], -table[w][a]))
     info = InformationMap([[("nature", 0)], [("action", 0)],

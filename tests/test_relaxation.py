@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -90,8 +91,10 @@ def test_problem_validation():
 
 def test_problem_errors_are_typed_and_name_the_culprit():
     g, m = build_matching_pennies()
-    with pytest.raises(InvalidRelaxation, match=r"got lam=-0\.5"):
-        RelaxationProblem(g, m["original"], m["relaxed"], -0.5)
+    for lam in (-0.5, math.inf, math.nan):
+        with pytest.raises(InvalidRelaxation,
+                           match=re.escape(f"got lam={lam!r}")):
+            RelaxationProblem(g, m["original"], m["relaxed"], lam)
     g2, m2 = build_trade_comm()
     with pytest.raises(InvalidRelaxation, match=re.escape(
             "at stage 2, fine label (2, (0, 0, 0)) spans coarse labels "
@@ -103,7 +106,7 @@ def test_problem_errors_are_typed_and_name_the_culprit():
             "at stage 1, label (1, (0, 1)) gives action 1 probability 0")):
         RelaxationProblem(g, m["original"], m["relaxed"], 1.0, base=base)
     g3 = ProductGame(nature=((0,), (1,)), nature_probs=(1.0, 0.0),
-                     num_stages=1, max_actions=2, player_of_stage=(0,),
+                     player_of_stage=(0,),
                      stage_actions=(2,), reward_fn=lambda w, a: (0.0,))
     with pytest.raises(InvalidRelaxation, match=re.escape(
             "Nature state (1,) has probability 0")):
