@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BehavioralPolicy, InformationMap, ProductGame, check_player
-from .engine import (Tables, forward, label_cells, label_pairs, refinement,
-                     scaled, stacked, tables_for, tiled)
+from .engine import (Tables, forward, label_cells, label_pairs, pair_masses,
+                     refinement, scaled, stacked, tables_for, tiled)
 from .errors import BatchedRun, ZeroReachLabel
 from .infomaps import coarse_masses, pair_sq_distance, project_matrices
 from .learners import LearnerBank
@@ -378,23 +378,18 @@ class SolverLoop:
                for i, pairs in enumerate(self.pairs)}
         if rows is not None:
             before = [self._block(b, rows) for b in before]
-            pm = self._pair_masses(before, rows)
+            # the pair masses of the Nature blocks ``rows``
+            pm = pair_masses([(self._block(idx, rows), c, f, o)
+                              for idx, c, f, o in self.pairs], before)
         return gam, pen, self._local_rewards(mats, fl, before, labels, rows,
                                              lam, gam, pm, pen)
-
-    def _pair_masses(self, before, rows=None):
-        """Per stage, the mass of each stacked label pair under the forward
-        pass ``before``, of the Nature blocks ``rows`` when given."""
-        return [np.bincount(self._block(pair_idx, rows), weights=b,
-                            minlength=len(fine))
-                for (pair_idx, _, fine, _), b in zip(self.pairs, before)]
 
     def _project(self, mats, fl):
         """Returns the forward pass of the floored mats ``fl`` up to stage
         L - 1, where the backward pass starts, the projection of ``mats``
         under it, and its pair masses."""
         before = forward(self.start, fl[:-1], self.labels)
-        pm = self._pair_masses(before)
+        pm = pair_masses(self.pairs, before)
         gam = project_matrices(self.pairs, mats, pm,
                                coarse_masses(self.pairs, pm))
         return before, gam, pm

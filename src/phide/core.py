@@ -9,6 +9,7 @@ and the actions played before that stage.  Policies are tables from
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
@@ -51,10 +52,7 @@ class InformationMap:
         self._stages = []  # per stage: its tokens, or its callable
         for spec in stages:
             if not callable(spec):
-                spec = tuple((str(kind), int(idx)) for kind, idx in spec)
-                for kind, _ in spec:
-                    if kind not in ("nature", "action"):
-                        raise ValueError(f"unknown reveal token kind {kind!r}")
+                spec = tuple(_token(kind, idx) for kind, idx in spec)
             self._stages.append(spec)
 
     @property
@@ -91,6 +89,18 @@ class InformationMap:
         return f"InformationMap({self.name or hex(id(self))}, stages={self.num_stages})"
 
 
+def _token(kind, idx) -> RevealToken:
+    """The reveal token (kind, idx), or a ``ValueError`` naming it unless
+    the kind is known and the index an integer."""
+    if str(kind) not in ("nature", "action"):
+        raise ValueError(f"unknown reveal token kind {kind!r}")
+    try:
+        return str(kind), operator.index(idx)
+    except TypeError:
+        raise ValueError(f"reveal token {(kind, idx)!r} needs an integer "
+                         f"index") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ProductGame:
     """Finite game in product form.
@@ -112,9 +122,9 @@ class ProductGame:
         probs = np.asarray(self.nature_probs, dtype=float)
         if len(self.nature) != len(probs):
             raise ValueError("nature and nature_probs length mismatch")
-        if np.any(probs < 0) or np.any(probs > 1):
+        if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails too
             raise ValueError("nature weights must lie in [0, 1]")
-        if abs(probs.sum() - 1.0) > PROB_TOL:
+        if not abs(probs.sum() - 1.0) <= PROB_TOL:
             raise ValueError("nature weights must sum to 1 within 1e-12")
         if not self.stage_actions or min(self.stage_actions) < 1:
             raise ValueError("a game needs stages, each with an action")
@@ -236,9 +246,10 @@ class BehavioralPolicy:
     def validate(self):
         for (stage, label), vec in self.table.items():
             v = np.asarray(vec, dtype=float)
-            if np.any(v < -PROB_TOL):
-                raise IllegalSupport(f"negative mass at {(stage, label)}")
-            if abs(v.sum() - 1.0) > PROB_TOL:
+            if not np.all(v >= -PROB_TOL):  # NaN fails too
+                raise IllegalSupport(f"negative or NaN mass at "
+                                     f"{(stage, label)}")
+            if not abs(v.sum() - 1.0) <= PROB_TOL:
                 raise IllegalSupport(f"mass at {(stage, label)} does not sum to 1")
         return self
 

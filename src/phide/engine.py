@@ -13,7 +13,8 @@ function of the prefix: ``prefix_label[m][i]`` holds it, one entry per
 prefix, |Omega|·prod_{j<i} A_j in all; no per-history copy is kept.  The
 solver loop, recall closure and best-response search run on these: a
 forward pass (``forward``) gives the reach of every prefix, stage by stage,
-and the (coarse, fine) label pairs of ``pairs`` and their masses
+and the (coarse, fine) label pairs of two maps (``Tables.pairs``, which
+each caller builds once and keeps) and their masses under a forward pass
 (``pair_masses``) are indexed by prefix too.  Nature state w's prefixes are
 the w-th of |Omega| equal blocks of each prefix array.  A solver loop of R
 repeats runs on R copies of these arrays end to end (``stacked``,
@@ -154,18 +155,12 @@ class Tables:
     def map_index(self, info: InformationMap) -> int:
         return self.add_map(info)
 
-    def refinement(self, fine: InformationMap, coarse: InformationMap):
-        """``refinement`` of each stage's ``pairs``."""
+    def pairs(self, fine: InformationMap, coarse: InformationMap):
+        """Per stage, ``label_pairs`` of the two maps' labels."""
         mf, mc = self.map_index(fine), self.map_index(coarse)
-        return [refinement(self.pairs(mf, mc, i), len(self.labels[mf][i]))
+        return [label_pairs(self.prefix_label[mf][i], self.prefix_label[mc][i],
+                            len(self.labels[mf][i]), len(self.labels[mc][i]))
                 for i in range(self.game.num_stages)]
-
-    def pairs(self, m_fine: int, m_coarse: int, i: int):
-        """``label_pairs`` of the two maps' stage-i labels."""
-        return label_pairs(self.prefix_label[m_fine][i],
-                           self.prefix_label[m_coarse][i],
-                           len(self.labels[m_fine][i]),
-                           len(self.labels[m_coarse][i]))
 
     def recall_closure(self, m: int, own):
         """Per stage i of ``own``, each stage-i prefix's label in the recall
@@ -191,13 +186,17 @@ class Tables:
 
     def stage_matrix(self, policy: BehavioralPolicy, i: int) -> np.ndarray:
         """The [n_labels, A] matrix of a policy table at stage i alone, so
-        the table need not cover the other stages.  A local vector of the
-        wrong length raises ``IllegalSupport``."""
+        the table need not cover the other stages.  A missing local vector,
+        or one of the wrong length, raises ``IllegalSupport``."""
         m = self.map_index(policy.info)
         A = self.game.stage_actions[i]
         rows = np.empty((len(self.labels[m][i]), A))
         for r, g in enumerate(self.labels[m][i]):
-            vec = np.asarray(policy.table[(i, g)], dtype=float)
+            try:
+                vec = np.asarray(policy.table[(i, g)], dtype=float)
+            except KeyError:
+                raise IllegalSupport(f"{policy.info!r} stage {i} label {g!r}: "
+                                     f"no local vector") from None
             if len(vec) != A:
                 raise IllegalSupport(
                     f"{policy.info!r} stage {i} label {g!r}: local "
@@ -222,18 +221,6 @@ class Tables:
         ``before[L]`` is the pushforward over histories: Nature's
         probability times each stage's, multiplied in stage order."""
         return forward(self.nature_probs, mats, self.prefix_label[map_idx])
-
-    def stage_pairs(self, m_fine: int, m_coarse: int) -> list[tuple]:
-        """``pairs`` of every stage."""
-        return [self.pairs(m_fine, m_coarse, i)
-                for i in range(self.game.num_stages)]
-
-    def pair_masses(self, before, m_fine: int, m_coarse: int):
-        """Per stage, the mass of each (coarse, fine) label pair of ``pairs``
-        under the forward pass ``before``."""
-        return [np.bincount(pair_idx, weights=b, minlength=len(fine))
-                for (pair_idx, _, fine, _), b
-                in zip(self.stage_pairs(m_fine, m_coarse), before)]
 
     def pushforward(self, mats, map_idx: int) -> np.ndarray:
         """The distribution over histories under the per-stage matrices
@@ -297,6 +284,13 @@ def label_pairs(fine: np.ndarray, coarse: np.ndarray, n_fine: int,
     counts = np.bincount(pair_coarse, minlength=n_coarse)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return pair_idx, pair_coarse, pair_fine, offsets
+
+
+def pair_masses(pairs, before) -> list[np.ndarray]:
+    """Per stage, the mass of each (coarse, fine) label pair of ``pairs``,
+    one ``label_pairs`` per stage, under the forward pass ``before``."""
+    return [np.bincount(pair_idx, weights=b, minlength=len(fine))
+            for (pair_idx, _, fine, _), b in zip(pairs, before)]
 
 
 def refinement(pairs, n_fine: int):

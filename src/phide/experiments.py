@@ -96,11 +96,15 @@ def _is_number(value) -> bool:
 
 def _check_numbers(config):
     """A ConfigError naming the first key of NUMBERS whose value fails its
-    test, or ``quantiles`` unless it is a list of numbers in [0, 1]."""
+    test, or ``quantiles`` unless ``_check_quantiles`` passes it."""
     for key, ok, what in NUMBERS:
         if key in config and not (_is_number(config[key]) and ok(config[key])):
             raise ConfigError(f"{key} must be {what}, got {config[key]!r}")
-    qs = config.get("quantiles", [])
+    _check_quantiles(config.get("quantiles", []))
+
+
+def _check_quantiles(qs):
+    """A ConfigError unless ``qs`` is a list of numbers in [0, 1]."""
     if not (isinstance(qs, (list, tuple))
             and all(_is_number(q) and 0 <= q <= 1 for q in qs)):
         raise ConfigError(f"quantiles must be a list of numbers in [0, 1], "
@@ -219,6 +223,9 @@ def nearest_rank(values: np.ndarray, q: float) -> float:
 
 
 def summarize(records, quantiles=(0.1, 0.9), threshold: float = None) -> dict:
+    """The mean payoff and its ``quantiles`` per iteration over
+    ``records``; quantiles outside [0, 1] raise ConfigError."""
+    _check_quantiles(quantiles)
     if not records:
         raise ValueError("no records to summarize")
     lengths = {len(r["trace"]["payoff"]) for r in records}

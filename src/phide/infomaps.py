@@ -2,8 +2,8 @@
 and the reweighted squared distance between policies.
 
 Every question about label structure is read off two ``Tables``
-primitives: the (coarse, fine) label pairs of ``Tables.pairs`` and the
-recall closure of ``Tables.recall_closure``.
+primitives: the (coarse, fine) label pairs of ``Tables.pairs``, built once
+per call, and the recall closure of ``Tables.recall_closure``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BehavioralPolicy, InformationMap, ProductGame
-from .engine import tables_for
+from .engine import pair_masses, refinement, tables_for
 from .errors import ZeroReachLabel
 
 
@@ -40,11 +40,9 @@ def is_implementable(game: ProductGame, info: InformationMap,
     matters for policies keyed by a finer map and judged against ``info``.
     """
     t = tables_for(game, info, policy.info)
-    mats = t.matrices(policy)
-    mp, mc = t.map_index(policy.info), t.map_index(info)
-    for i in range(game.num_stages):
-        _, _, fine, offsets = t.pairs(mp, mc, i)
-        mn, mx = _label_range(mats[i][fine], offsets)
+    for mat, (_, _, fine, offsets) in zip(t.matrices(policy),
+                                          t.pairs(policy.info, info)):
+        mn, mx = _label_range(mat[fine], offsets)
         if np.max(mx - mn) > atol:
             return False
     return True
@@ -55,7 +53,9 @@ def is_finer(fine: InformationMap, coarse: InformationMap,
     """True iff at every stage, ``coarse`` separating two reachable histories
     implies ``fine`` separates them (same fine label => same coarse label)."""
     t = tables_for(game, coarse, fine)
-    return all(arr is not None for arr in t.refinement(fine, coarse))
+    return all(refinement(pairs, len(labels)) is not None
+               for pairs, labels in zip(t.pairs(fine, coarse),
+                                        t.labels[t.map_index(fine)]))
 
 
 def has_perfect_recall(game: ProductGame, info: InformationMap,
@@ -77,7 +77,7 @@ def has_perfect_recall(game: ProductGame, info: InformationMap,
 
 def coarse_masses(pairs, pair_mass) -> list[np.ndarray]:
     """Per stage, each coarse label's mass: the sum of ``pair_mass[i]``
-    over its pairs in ``pairs[i]``, one ``Tables.pairs`` per stage.  A
+    over its pairs in ``pairs[i]``, stage i of ``Tables.pairs``.  A
     coarse label with no mass raises ZeroReachLabel."""
     out = []
     for i, ((_, coarse, _, offsets), pm) in enumerate(zip(pairs, pair_mass)):
@@ -95,7 +95,7 @@ def project_matrices(pairs, mu_mats, pair_mass, coarse_mass):
     """Reach-weighted average of fine local vectors per coarse label.
 
     ``pairs[i]`` is ``Tables.pairs`` at stage i, ``pair_mass[i]`` the base
-    reach of each of its (coarse, fine) label pairs (``Tables.pair_masses``
+    reach of each of its (coarse, fine) label pairs (``engine.pair_masses``
     of a forward pass) and ``coarse_mass[i]`` their sums per coarse label
     (``coarse_masses``), so a stage costs O(pairs · A), whatever the number
     of histories.  When every fine vector merged into a coarse label is
@@ -122,9 +122,9 @@ def project(game: ProductGame, info_coarse: InformationMap,
     """Conditional expectation of ``policy`` onto ``info_coarse`` under the
     pushforward of ``base``; always yields an implementable policy."""
     t = tables_for(game, info_coarse, info_fine, base.info, policy.info)
-    mf, mc = t.map_index(policy.info), t.map_index(info_coarse)
     before = t.forward(t.matrices(base), t.map_index(base.info))
-    pairs, pm = t.stage_pairs(mf, mc), t.pair_masses(before, mf, mc)
+    pairs = t.pairs(policy.info, info_coarse)
+    pm = pair_masses(pairs, before)
     gam = project_matrices(pairs, t.matrices(policy), pm,
                            coarse_masses(pairs, pm))
     return t.to_policy(gam, info_coarse)
@@ -137,10 +137,9 @@ def weighted_sq_distance(game: ProductGame, base: BehavioralPolicy,
     Euclidean distance between the two local action distributions."""
     t = tables_for(game, base.info, mu.info, gamma.info)
     before = t.forward(t.matrices(base), t.map_index(base.info))
-    mm, mg = t.matrices(mu), t.matrices(gamma)
-    im, ig = t.map_index(mu.info), t.map_index(gamma.info)
+    pairs = t.pairs(mu.info, gamma.info)
     total = 0.0
-    for pairs, pm, m, g in zip(t.stage_pairs(im, ig),
-                               t.pair_masses(before, im, ig), mm, mg):
-        total += float(pm @ pair_sq_distance(pairs, m, g))
+    for p, pm, m, g in zip(pairs, pair_masses(pairs, before),
+                           t.matrices(mu), t.matrices(gamma)):
+        total += float(pm @ pair_sq_distance(p, m, g))
     return total

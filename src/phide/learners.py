@@ -37,7 +37,7 @@ def _check_rewards(reward: np.ndarray):
 class LearnerBank:
     """Bank of local learners of one kind; one row per information label.
     ``eta``, the FTRL step size, defaults to 0.1 and must be positive and
-    finite."""
+    finite; ``warm``, the initial rows, has shape (n_labels, n_actions)."""
 
     def __init__(self, kind: str, n_labels: int, n_actions: int,
                  eta: float = None, warm: np.ndarray = None):
@@ -50,6 +50,9 @@ class LearnerBank:
         self.cum = np.zeros((n_labels, n_actions))
         if warm is not None:
             warm = np.asarray(warm, dtype=float)
+            if warm.shape != self.cum.shape or not np.isfinite(warm).all():
+                raise ValueError(f"warm must be finite with shape "
+                                 f"{self.cum.shape}, got shape {warm.shape}")
             if kind == "ftrl_entropic":
                 self.cum = np.log(np.maximum(warm, 1e-300)) / self.eta
             else:

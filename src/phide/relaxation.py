@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (BehavioralPolicy, InformationMap, ProductGame,
                    check_player, uniform_policy)
-from .engine import forward, tables_for
+from .engine import forward, pair_masses, refinement, tables_for
 from .errors import InvalidRelaxation
 from .infomaps import coarse_masses, project_matrices
 
@@ -51,7 +51,7 @@ class RelaxationProblem:
     lam: float
     player: int = 0
     base: BehavioralPolicy = None
-    _t: object = field(default=None, repr=False)
+    _t: object = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
@@ -60,11 +60,14 @@ class RelaxationProblem:
         check_player(self.game, self.player)
         t = self._t = tables_for(self.game, self.coarse, self.fine)
         self.mf, self.mc = t.map_index(self.fine), t.map_index(self.coarse)
-        self.f2c = t.refinement(self.fine, self.coarse)
+        # each stage's (coarse, fine) label pairs and fine -> coarse label
+        self.pairs = t.pairs(self.fine, self.coarse)
+        self.f2c = [refinement(p, len(labels))
+                    for p, labels in zip(self.pairs, t.labels[self.mf])]
         if any(arr is None for arr in self.f2c):
             raise InvalidRelaxation(
                 "the relaxed map must be finer than the original: "
-                + _not_finer(t, self.mf, self.mc, self.f2c))
+                + _not_finer(t, self.mf, self.mc, self.pairs, self.f2c))
         if self.base is None:
             self.base = uniform_policy(self.game, self.fine)
         mb = t.map_index(self.base.info)
@@ -72,10 +75,8 @@ class RelaxationProblem:
         if np.min(before[-1]) <= 0.0:
             raise InvalidRelaxation("base policy must have full support: "
                                     + _unreached(t, mb, before))
-        # the base reach of each (coarse, fine) label pair, coarse label
-        # and fine label
-        self.pairs = t.stage_pairs(self.mf, self.mc)
-        self.pair_mass = t.pair_masses(before, self.mf, self.mc)
+        # the base reach of each label pair, coarse label and fine label
+        self.pair_mass = pair_masses(self.pairs, before)
         self.coarse_mass = coarse_masses(self.pairs, self.pair_mass)
         L = self.game.num_stages
         self.weights = [t.label_mass(before[i], self.mf, i) for i in range(L)]
@@ -99,10 +100,10 @@ class RelaxationProblem:
         self.last_values = self.values.reshape(len(self.labels[-1]), -1)
 
 
-def _not_finer(t, mf: int, mc: int, f2c) -> str:
+def _not_finer(t, mf: int, mc: int, pairs, f2c) -> str:
     """Names the first stage where a fine label spans two coarse labels."""
     i = next(i for i, arr in enumerate(f2c) if arr is None)
-    _, coarse, fine, _ = t.pairs(mf, mc, i)
+    _, coarse, fine, _ = pairs[i]
     g = int(np.flatnonzero(np.bincount(fine) > 1)[0])
     c0, c1 = coarse[fine == g][:2]
     return (f"at stage {i}, fine label {t.labels[mf][i][g]!r} spans coarse "

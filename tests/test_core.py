@@ -54,6 +54,12 @@ def test_from_tables():
 def test_bad_reveal_kind():
     with pytest.raises(ValueError):
         InformationMap([[("future", 0)]])
+    # a float index is not truncated
+    with pytest.raises(ValueError, match=re.escape(
+            "reveal token ('nature', 0.7) needs an integer index")):
+        InformationMap([[("nature", 0.7)]])
+    assert InformationMap([[("nature", np.int64(1))]]).revealed == [
+        (("nature", 1),)]
 
 
 def test_game_validation():
@@ -65,6 +71,11 @@ def test_game_validation():
         ProductGame(**{**kw, "nature_probs": (0.5,)})
     with pytest.raises(ValueError):
         ProductGame(**{**kw, "nature_probs": (1.0, 0.0)})
+    # NaN weights fail the range and the sum checks
+    for probs in ((math.nan,), (math.nan, 0.5), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="^nature weights must"):
+            ProductGame(**{**kw, "nature": ((0,), (1,))[:len(probs)],
+                           "nature_probs": probs})
     with pytest.raises(ValueError):
         ProductGame(**{**kw, "stage_actions": (0,)})
     with pytest.raises(ValueError):
@@ -159,6 +170,11 @@ def test_matrices_names_a_local_vector_of_the_wrong_length():
            r"\(1, \(0,\)\): local vector of length 4, expected 3$")
     with pytest.raises(IllegalSupport, match=msg):
         t.matrices(pol)
+    del pol.table[(1, (1, (0,)))]
+    with pytest.raises(IllegalSupport, match=(
+            r"^InformationMap\(original, stages=2\) stage 1 label "
+            r"\(1, \(0,\)\): no local vector$")):
+        t.matrices(pol)
 
 
 def test_floored_full_support():
@@ -179,6 +195,10 @@ def test_validate_rejects_bad_mass():
     pol.table[key] = np.array([0.7, 0.7, -0.4][: len(pol.table[key])])
     with pytest.raises(IllegalSupport):
         pol.validate()
+    for vec in ([math.nan, math.nan], [math.nan, 1.0], [0.5, 0.5, math.nan]):
+        pol.table[key] = np.array(vec)
+        with pytest.raises(IllegalSupport, match="^negative or NaN mass"):
+            pol.validate()
 
 
 def test_policy_local_lookup():

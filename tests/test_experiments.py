@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 
@@ -168,6 +169,21 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     a = (out / "summary.csv").read_text()
     b = out2.read_text()
     assert a == b
+
+
+def test_cli_summarize_rejects_quantiles_outside_unit_interval(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(BASE))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = tmp_path / "summary.csv"
+    with pytest.raises(ConfigError, match="^quantiles must be a list of "
+                                          "numbers in"):
+        main(["summarize", "--runs", str(out / "runs.csv"), "--out",
+              str(summary), "--quantiles", "1.5", "-0.5"])
+    assert not summary.exists()
+    with pytest.raises(ConfigError, match="^quantiles must be"):
+        summarize([{"trace": {"payoff": [0.0]}}], quantiles=[math.nan])
 
 
 def test_cli_verify(capsys):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phide.core import random_policy, uniform_policy
-from phide.engine import label_pairs, refinement, stacked, tables_for
+from phide import engine
+from phide.engine import (label_pairs, pair_masses, refinement, stacked,
+                          tables_for)
 from phide.errors import ZeroReachLabel
 from phide.hiding import PhRun
+from phide.relaxation import RelaxationProblem
 from phide.infomaps import (coarse_masses, has_perfect_recall, is_finer,
                             is_implementable, project, project_matrices,
                             weighted_sq_distance)
@@ -188,8 +191,8 @@ def check_pairs_against_dense(game, coarse, fine, rng):
                               size=len(t.labels[mf][i]))
                 for i in range(game.num_stages)]
     before = t.forward(random_mats(), mf)
-    q0, pair_mass = before[-1], t.pair_masses(before, mf, mc)
-    pairs = t.stage_pairs(mf, mc)
+    pairs = t.pairs(fine, coarse)
+    q0, pair_mass = before[-1], pair_masses(pairs, before)
     coarse_mass = coarse_masses(pairs, pair_mass)
     mats = random_mats()
     gam = project_matrices(pairs, mats, pair_mass, coarse_mass)
@@ -227,6 +230,32 @@ def test_pair_projection_matches_dense_reference_on_cheat_map():
                               np.random.default_rng(0))
 
 
+def test_each_caller_builds_the_pair_table_once(monkeypatch):
+    # a RelaxationProblem and a projection each build one stage's label
+    # pairs once per stage
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return label_pairs(*args)
+
+    monkeypatch.setattr(engine, "label_pairs", counted)
+    game, maps = build_matching_pennies()
+    cases = [(game, maps["original"], maps["relaxed"])]
+    for spec in (TradeCommSpec(2, 2), TradeCommSpec(3, 2)):
+        game, maps = build_trade_comm(spec)
+        cases.append((game, maps["original"], maps["perfect_recall"]))
+    rng = np.random.default_rng(0)
+    for game, coarse, fine in cases:
+        base, mu = (random_policy(game, fine, rng) for _ in range(2))
+        calls.clear()
+        RelaxationProblem(game, coarse, fine, 1.0)
+        assert len(calls) == game.num_stages
+        calls.clear()
+        project(game, coarse, fine, base, mu)
+        assert len(calls) == game.num_stages
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_label_pairs_of_stacked_labels_are_per_repeat_copies(seed):
     # R stacked repeats of a map pair give R copies of the single-run pair
@@ -236,10 +265,10 @@ def test_label_pairs_of_stacked_labels_are_per_repeat_copies(seed):
     t = tables_for(game, coarse, fine)
     for a, b in ((fine, coarse), (coarse, fine)):
         ma, mb = t.map_index(a), t.map_index(b)
-        for i in range(game.num_stages):
+        for i, one in enumerate(t.pairs(a, b)):
             fl, cl = t.prefix_label[ma][i], t.prefix_label[mb][i]
             nf, nc = len(t.labels[ma][i]), len(t.labels[mb][i])
-            idx, pc, pf, offsets = one = t.pairs(ma, mb, i)
+            idx, pc, pf, offsets = one
             f2c, n = refinement(one, nf), len(pf)
             for R in (1, 2, 5):
                 got = label_pairs(stacked(fl, nf, R), stacked(cl, nc, R),
@@ -346,7 +375,9 @@ def test_label_structure_matches_per_history_reference(seed):
     rng = np.random.default_rng(seed)
     t = tables_for(game, coarse, fine)
     for a, b in ((fine, coarse), (coarse, fine), (coarse, coarse)):
-        got, want = t.refinement(a, b), reference_refinement(t, a, b)
+        got = [refinement(p, len(labels))
+               for p, labels in zip(t.pairs(a, b), t.labels[t.map_index(a)])]
+        want = reference_refinement(t, a, b)
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
             assert g is None or (g.dtype == np.int64 and np.array_equal(g, w))

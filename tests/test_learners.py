@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,13 @@ def test_rejects_unknown_kind_and_bad_rewards():
     lrn = LearnerBank("regret_matching", 1, 2)
     with pytest.raises(ValueError):
         lrn.observe(np.array([[np.nan, 0.0]]), lrn.decide())
+    # warm rows of another shape, or not finite
+    for kind in ("regret_matching", "ftrl_entropic"):
+        with pytest.raises(ValueError, match=re.escape(
+                "warm must be finite with shape (3, 2), got shape (2, 5)")):
+            LearnerBank(kind, 3, 2, warm=np.ones((2, 5)))
+        with pytest.raises(ValueError, match="^warm must be finite"):
+            LearnerBank(kind, 1, 2, warm=np.array([[np.nan, 1.0]]))
 
 
 def test_external_regret_edge_cases():

@@ -112,6 +112,10 @@ def test_problem_errors_are_typed_and_name_the_culprit():
             "Nature state (1,) has probability 0")):
         RelaxationProblem(g3, InformationMap([[]]),
                           InformationMap([[("nature", 0)]]), 1.0)
+    # the Tables are the problem's own, not an argument
+    with pytest.raises(TypeError):
+        RelaxationProblem(g, m["original"], m["relaxed"], 1.0, 0, None,
+                          tables_for(g))
     assert issubclass(InvalidRelaxation, PhideError)
 
 
