@@ -211,7 +211,7 @@ class PenaltySchedule:
     horizon: int = 0
     target: float = 0.0
     factor: float = 1.1
-    _state: float = field(default=None, repr=False)
+    _state: float = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -288,7 +288,7 @@ class SolverLoop:
         self.start = tiled(t.nature_probs, R)
         self.labels = [stacked(t.prefix_label[self.mf][i], n_fine[i], R)
                        for i in self.stages]
-        self.cells = [stacked(t.prefix_cell[self.mf][i], n_fine[i] * A[i], R)
+        self.cells = [stacked(t.cells(self.mf, i), n_fine[i] * A[i], R)
                       for i in self.stages]
         self.values = {p: tiled(t.rewards[:, p], R) for p in self.owners}
         # the (coarse, fine) label pairs of the stacked labels and the fine

@@ -14,6 +14,8 @@ import sys
 
 import numpy as np
 
+from .errors import PhideError
+
 
 def _cmd_run(args) -> int:
     from .experiments import run_and_write
@@ -146,7 +148,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except PhideError as e:  # a typed error is the user's to fix: no traceback
+        print(f"phide: error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

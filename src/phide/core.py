@@ -121,15 +121,18 @@ class ProductGame:
     def __post_init__(self):
         probs = np.asarray(self.nature_probs, dtype=float)
         if len(self.nature) != len(probs):
-            raise ValueError("nature and nature_probs length mismatch")
+            raise invalid_game(self, "nature and nature_probs length mismatch")
         if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails too
-            raise ValueError("nature weights must lie in [0, 1]")
+            raise invalid_game(self, "nature weights must lie in [0, 1]")
         if not abs(probs.sum() - 1.0) <= PROB_TOL:
-            raise ValueError("nature weights must sum to 1 within 1e-12")
+            raise invalid_game(self,
+                               "nature weights must sum to 1 within 1e-12")
         if not self.stage_actions or min(self.stage_actions) < 1:
-            raise ValueError("a game needs stages, each with an action")
+            raise invalid_game(self,
+                               "a game needs stages, each with an action")
         if len(self.player_of_stage) != self.num_stages:
-            raise ValueError("player_of_stage must have one entry per stage")
+            raise invalid_game(self,
+                               "player_of_stage must have one entry per stage")
         for i, p in enumerate(self.player_of_stage):
             check_player(self, p, f" (the owner of stage {i})")
 
@@ -143,11 +146,17 @@ class ProductGame:
     def reward(self, nature, actions) -> np.ndarray:
         r = np.atleast_1d(np.asarray(self.reward_fn(nature, actions), dtype=float))
         if r.shape != (self.num_players,):
-            raise ValueError("reward_fn must return one value per player")
+            raise invalid_game(self,
+                               "reward_fn must return one value per player")
         return r
 
     def stages_of(self, player: int) -> tuple:
         return tuple(i for i, p in enumerate(self.player_of_stage) if p == player)
+
+
+def invalid_game(game: ProductGame, msg: str) -> InvalidGame:
+    """An ``InvalidGame`` of ``msg`` that names ``game``."""
+    return InvalidGame(f"{msg} (game {game.name or hex(id(game))})")
 
 
 def check_player(game: ProductGame, player: int, role: str = ""):
@@ -229,7 +238,7 @@ def check_callable_stage(game: ProductGame, i: int, labels: np.ndarray):
             raise _peek_error(i, j)
 
 
-@dataclass
+@dataclass(eq=False)
 class BehavioralPolicy:
     """Map (stage, information label) -> probability vector over actions.
 

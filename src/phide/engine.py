@@ -1,24 +1,26 @@
 """Vectorized tables over the reachable set of a game.
 
 Compiles a game, and each information map added, into flat numpy arrays:
-per-history nature index, action entries and rewards, and each map's labels
-per stage prefix.  Every exact-enumeration computation in the library
-(pushforwards, projections, best responses) runs off these arrays.
+one per history, the rewards, and each map's labels per stage prefix.  Every
+exact-enumeration computation in the library (pushforwards, projections,
+best responses) runs off these arrays.
 
 The histories are the product Omega x prod_i [A_i] in mixed-radix order, so
 the stage-i prefixes (w, a_0, ..., a_{i-1}) are in the same order, and
 history k has prefix k // stride_i with stride_i = prod_{j>=i} A_j.  Every
 map that ``add_map`` accepts is non-anticipative, so its stage-i label is a
 function of the prefix: ``prefix_label[m][i]`` holds it, one entry per
-prefix, |Omega|·prod_{j<i} A_j in all; no per-history copy is kept.  The
-solver loop, recall closure and best-response search run on these: a
-forward pass (``forward``) gives the reach of every prefix, stage by stage,
-and the (coarse, fine) label pairs of two maps (``Tables.pairs``, which
-each caller builds once and keeps) and their masses under a forward pass
-(``pair_masses``) are indexed by prefix too.  Nature state w's prefixes are
-the w-th of |Omega| equal blocks of each prefix array.  A solver loop of R
-repeats runs on R copies of these arrays end to end (``stacked``,
-``tiled``), its label pairs too (``label_pairs`` of stacked labels).
+prefix, |Omega|·prod_{j<i} A_j in all; no per-history copy is kept, and a
+history's digits and a prefix's (label, action) cell (``Tables.cells``) are
+computed where they are read.  The solver loop, recall closure and
+best-response search run on these: a forward pass (``forward``) gives the
+reach of every prefix, stage by stage, and the (coarse, fine) label pairs of
+two maps (``Tables.pairs``, which each caller builds once and keeps) and
+their masses under a forward pass (``pair_masses``) are indexed by prefix
+too.  Nature state w's prefixes are the w-th of |Omega| equal blocks of each
+prefix array.  A solver loop of R repeats runs on R copies of these arrays
+end to end (``stacked``, ``tiled``), its label pairs too (``label_pairs`` of
+stacked labels).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
                    check_callable_stage, check_stage_count,
-                   check_token_stages)
+                   check_token_stages, invalid_game)
 from .errors import IllegalSupport
 
 # A mixed-radix label key is ranked down to dense codes before it could
@@ -40,34 +42,26 @@ _KEY_BOUND = 2 ** 62
 
 
 class Tables:
-    """A game's histories, the full product Omega x prod_i [A_i] in the
-    order of ``enumerate_reachable`` whatever the map, and the per-stage
-    labels of every map added, stored per stage prefix only.  ``add_map``
-    checks every map the same way, first or later.  Token stages compile to
-    array work on the prefixes with one label call per distinct label;
-    callable stages cost one label call per history."""
+    """A game's rewards, one row per history of the product Omega x prod_i
+    [A_i] in the order of ``enumerate_reachable``, and the labels of every map
+    added, one per stage prefix.  ``add_map`` checks every map the same way,
+    first or later.  A token stage costs one label call per distinct label, a
+    callable stage one per history."""
 
     def __init__(self, game: ProductGame, *maps: InformationMap):
         self._game = weakref.ref(game)
-        shape = (len(game.nature),) + tuple(game.stage_actions)
-        grid = np.indices(shape, dtype=np.int64).reshape(len(shape), -1)
-        self.nature_idx, self.action_cols = grid[0], grid[1:].T
         self.nature_probs = game.probs()
         # stride[i] histories share each stage-i prefix; stride[L] is 1
-        self.stride = [int(np.prod(shape[i + 1:], dtype=np.int64))
-                       for i in range(len(shape))]
+        self.stride = [int(np.prod(game.stage_actions[i:], dtype=np.int64))
+                       for i in range(game.num_stages + 1)]
         self.rewards = _rewards(game)
         self.reward_inf_norm = float(np.max(np.abs(self.rewards)))
 
         self._map_ids: dict[int, int] = {}
         self.maps: list[InformationMap] = []
-        # per map: labels[i] (first-seen order), prefix_label[i] (one entry
-        # per stage-i prefix) and prefix_cell[i] (label * A_i + action, one
-        # entry per stage-(i + 1) prefix: the bin of a segment sum by
-        # stage-i label and action)
+        # per map: labels[i] (first-seen order), prefix_label[i] (per prefix)
         self.labels: list[list[list]] = []
         self.prefix_label: list[list[np.ndarray]] = []
-        self.prefix_cell: list[list[np.ndarray]] = []
         for m in maps:
             self.add_map(m)
 
@@ -76,6 +70,11 @@ class Tables:
         """The game, held weakly, so a dead game's Tables needs no cycle
         collection."""
         return self._game()
+
+    @property
+    def nature_idx(self) -> np.ndarray:
+        """Each history's Nature state index, computed on read."""
+        return np.repeat(np.arange(len(self.nature_probs)), self.stride[0])
 
     @functools.cached_property
     def histories(self) -> list[History]:
@@ -104,8 +103,6 @@ class Tables:
         self.maps.append(info)
         self.labels.append(list(labels))
         self.prefix_label.append(list(prefix))
-        self.prefix_cell.append([label_cells(lab, A) for lab, A
-                                 in zip(prefix, self.game.stage_actions)])
         return self._map_ids[id(info)]
 
     def _stage_labels(self, info: InformationMap, i: int):
@@ -115,7 +112,7 @@ class Tables:
         tokens = info.revealed[i]
         if tokens is None:
             seen: dict = {}
-            idx = np.empty(len(self.nature_idx), dtype=np.int64)
+            idx = np.empty(len(self.rewards), dtype=np.int64)
             for k, h in enumerate(self.histories):
                 idx[k] = seen.setdefault(info.label(i, h.nature, h.actions),
                                          len(seen))
@@ -124,20 +121,20 @@ class Tables:
         # One mixed-radix key per prefix row; equal keys are equal labels.
         # Prefix order is history order, so first-seen order is unchanged.
         game, L = self.game, self.game.num_stages
-        first_hist = np.arange(len(self.nature_idx) // self.stride[i],
-                               dtype=np.int64) * self.stride[i]
-        key, bound = np.zeros(len(first_hist), dtype=np.int64), 1
+        digits = np.unravel_index(  # of each prefix's first history
+            np.arange(len(self.rewards) // self.stride[i]) * self.stride[i],
+            (len(game.nature), *game.stage_actions))
+        key, bound = np.zeros(len(digits[0]), dtype=np.int64), 1
         for kind, j in tokens:
             if kind == "action":
                 radix = game.stage_actions[j % L]
-                col = self.action_cols[first_hist, j % L]
+                col = digits[1 + j % L]
             else:
                 codes: dict = {}
                 per_w = [codes.setdefault(w[j], len(codes))
                          for w in game.nature]
                 radix = len(codes)
-                col = np.array(per_w, dtype=np.int64)[
-                    self.nature_idx[first_hist]]
+                col = np.array(per_w, dtype=np.int64)[digits[0]]
             if bound * radix >= _KEY_BOUND:
                 key = np.unique(key, return_inverse=True)[1].reshape(-1)
                 bound = int(key.max()) + 1
@@ -147,9 +144,8 @@ class Tables:
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        labels = [info.label(i, game.nature[self.nature_idx[k]],
-                             tuple(self.action_cols[k].tolist()))
-                  for k in first_hist[first[order]]]
+        labels = [info.label(i, game.nature[w], tuple(a)) for w, *a
+                  in np.transpose([d[first[order]] for d in digits]).tolist()]
         return labels, rank[inverse.reshape(-1)]
 
     def map_index(self, info: InformationMap) -> int:
@@ -161,6 +157,10 @@ class Tables:
         return [label_pairs(self.prefix_label[mf][i], self.prefix_label[mc][i],
                             len(self.labels[mf][i]), len(self.labels[mc][i]))
                 for i in range(self.game.num_stages)]
+
+    def cells(self, m: int, i: int) -> np.ndarray:
+        """Each stage-(i + 1) prefix's (stage-i label, action) bin in map m."""
+        return label_cells(self.prefix_label[m][i], self.game.stage_actions[i])
 
     def recall_closure(self, m: int, own):
         """Per stage i of ``own``, each stage-i prefix's label in the recall
@@ -237,9 +237,8 @@ class Tables:
 
     def segment_sum(self, values: np.ndarray, map_idx: int, i: int) -> np.ndarray:
         """Sum per (label at stage i, action at stage i): [n_labels, A]."""
-        n = len(self.labels[map_idx][i])
-        A = self.game.stage_actions[i]
-        flat = np.repeat(self.prefix_cell[map_idx][i], self.stride[i + 1])
+        n, A = len(self.labels[map_idx][i]), self.game.stage_actions[i]
+        flat = np.repeat(self.cells(map_idx, i), self.stride[i + 1])
         return np.bincount(flat, weights=values, minlength=n * A).reshape(n, A)
 
     def expected_reward(self, policy_or_mats, info: InformationMap = None,
@@ -326,8 +325,8 @@ def scaled(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _rewards(game: ProductGame) -> np.ndarray:
     """[n, players] rewards from one ``reward_fn`` call per history, with
     the shape check of ``ProductGame.reward``; one player may get a scalar.
-    A reward that is not finite raises a ``ValueError`` naming the first
-    history that gets one."""
+    A bad shape raises ``InvalidGame``, and so does a reward that is not
+    finite, naming the first history that gets one."""
     plays = list(itertools.product(*map(range, game.stage_actions)))
     vals = [game.reward_fn(w, a) for w in game.nature for a in plays]
     try:
@@ -337,14 +336,14 @@ def _rewards(game: ProductGame) -> np.ndarray:
     if r is not None and r.ndim == 1:
         r = r[:, None]
     if r is None or r.shape[1:] != (game.num_players,):
-        raise ValueError("reward_fn must return one value per player")
+        raise invalid_game(game, "reward_fn must return one value per player")
     bad = ~np.isfinite(r).all(axis=1)
     if bad.any():
         k = int(bad.argmax())
         w, a = divmod(k, len(plays))
-        raise ValueError(f"reward_fn returned {vals[k]!r} "
-                         f"at history {History(game.nature[w], plays[a])}; "
-                         f"rewards must be finite")
+        raise invalid_game(game, f"reward_fn returned {vals[k]!r} at history "
+                                 f"{History(game.nature[w], plays[a])}; "
+                                 f"rewards must be finite")
     return r
 
 

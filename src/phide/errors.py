@@ -39,5 +39,8 @@ class InvalidRelaxation(PhideError, ValueError):
 
 
 class InvalidGame(PhideError, ValueError):
-    """A game or a player index that cannot be posed: a stage owner or a
-    requested player outside the game's players."""
+    """A game or a player index that cannot be posed: Nature weights that
+    do not match the states, lie outside [0, 1] or do not sum to 1, no
+    stages or a stage without actions, a stage owner or a requested player
+    outside the game's players, or a reward of the wrong shape or not
+    finite."""

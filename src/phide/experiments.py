@@ -64,15 +64,21 @@ def _map(maps: dict, config, key: str, default: str):
 
 
 def load_game(spec: dict):
-    """Returns (game, {map name: map}) from a config game record."""
+    """Returns (game, {map name: map}) from a config game record, whose
+    keys and integers are checked before the game is built."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"game must be a record such as "
+                          f'{{"name": "trade_comm"}}, got {spec!r}')
     _reject_unknown_keys(spec, GAME_KEYS, "game")
     name = spec.get("name")
     if name == "matching_pennies":
         return build_matching_pennies()
     if name == "trade_comm":
-        return build_trade_comm(TradeCommSpec(spec.get("n", 2), spec.get("m", 2)))
+        n, m = (_integer(spec.get(k, 2), f"game {k}", 1) for k in "nm")
+        return build_trade_comm(TradeCommSpec(n, m))
     if name == "random":
-        game, coarse, fine = random_game(spec.get("seed", 0))
+        game, coarse, fine = random_game(
+            _integer(spec.get("seed", 0), "game seed", 0))
         return game, {"coarse": coarse, "fine": fine}
     raise ConfigError(f"unknown game name {name!r}")
 
@@ -137,7 +143,7 @@ def _traces(config, game, maps, seeds) -> list[dict]:
     iters = int(_require(config, "iterations"))
     learner = config.get("learner", "regret_matching")
     eta = config.get("eta")
-    randomize = bool(config.get("randomize_init", False))
+    randomize = config.get("randomize_init", False)
     mode = config.get("mode", "exact")
     coarse = _map(maps, config, "coarse_map", "original")
 
@@ -188,9 +194,11 @@ def run_experiment(config: dict) -> dict:
     axis (``cfr.SolverLoop``), each repeat's records byte for byte those
     of a run of its seed alone; ``rir`` runs them one after another.  Keys
     outside CONFIG_KEYS and GAME_KEYS, a seed, ``iterations`` or ``repeats``
-    that is not an integer in range, a value outside its CHOICES, and a
-    value of NUMBERS or ``quantiles`` that is not a number in range raise
-    ConfigError before the game is built."""
+    (or the game record's ``n``, ``m`` or ``seed``) that is not an integer
+    in range, a value outside its CHOICES, a value of NUMBERS or
+    ``quantiles`` that is not a number in range, a ``rir`` ``lambda`` of 0
+    and a ``randomize_init`` that is not a bool raise ConfigError before
+    the game is built."""
     _reject_unknown_keys(config, CONFIG_KEYS, "config")
     if "PHIDE_SEED" in os.environ:
         master = _integer(os.environ["PHIDE_SEED"], "PHIDE_SEED", 0)
@@ -204,6 +212,12 @@ def run_experiment(config: dict) -> dict:
             raise ConfigError(f"unknown {key} {config[key]!r}; allowed "
                               f"values: {', '.join(allowed)}")
     _check_numbers(config)
+    if config["algorithm"] == "rir" and config.get("lambda") == 0:
+        raise ConfigError("lambda must be a positive finite number for rir, "
+                          "got 0")
+    if not isinstance(config.get("randomize_init", False), bool):
+        raise ConfigError(f"randomize_init must be true or false, got "
+                          f"{config['randomize_init']!r}")
     game, maps = load_game(_require(config, "game"))
     seeds = [int(s) for s in np.random.SeedSequence(master).generate_state(repeats)]
     records = [{"run": k, "seed": seed, "trace": trace} for k, (seed, trace)

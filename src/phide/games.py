@@ -28,8 +28,9 @@ def check_well_posed(game: ProductGame, info: InformationMap,
     k = np.arange(len(game.nature))  # each state's prefix on the walk
     for i, mat in enumerate(t.matrices(profile)):
         k = k * game.stage_actions[i] + mat.argmax(axis=1)[lab[i][k]]
+    digits = np.unravel_index(k, (len(game.nature), *game.stage_actions))
     return {w: History(w, tuple(a)) for w, a
-            in zip(game.nature, t.action_cols[k].tolist())}
+            in zip(game.nature, np.transpose(digits[1:]).tolist())}
 
 
 def best_response_value(game: ProductGame, info: InformationMap, player: int,
@@ -63,9 +64,9 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     t = tables_for(game, info)
     if values is not None:
         values = np.asarray(values, dtype=float)
-        if values.shape != t.nature_idx.shape:
+        if values.shape != (len(t.rewards),):
             raise ValueError(f"values must hold one entry per reachable "
-                             f"history ({len(t.nature_idx)}), got shape "
+                             f"history ({len(t.rewards)}), got shape "
                              f"{values.shape}")
     else:
         values = t.rewards[:, player]
@@ -85,7 +86,7 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
             value, choice = bound, acts
             continue
         i, g = clash
-        spent += game.stage_actions[i] * len(t.nature_idx)
+        spent += game.stage_actions[i] * len(t.rewards)
         if spent > cap:
             raise EnumerationTooLarge(
                 f"best-response enumeration exceeded cap={cap}")
@@ -109,7 +110,7 @@ def _weights(t, own, values, fixed):
         raise ValueError("fixed policies required for other players")
     mx = t.map_index(fixed.info) if others else None
     for i in others:
-        played = t.stage_matrix(fixed, i).reshape(-1)[t.prefix_cell[mx][i]]
+        played = t.stage_matrix(fixed, i).reshape(-1)[t.cells(mx, i)]
         val = (val.reshape(len(played), -1) * played[:, None]).reshape(-1)
     return val
 

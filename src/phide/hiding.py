@@ -92,7 +92,7 @@ def regret_report(run: PhRun, *, cap: int = 2_000_000) -> dict:
     if run.penalty_sums is not None:
         v_arr = T * t.rewards[:, run.player].copy()
         for i, S in run.penalty_sums.items():
-            v_arr = v_arr - np.repeat(S.reshape(-1)[t.prefix_cell[run.mc][i]],
+            v_arr = v_arr - np.repeat(S.reshape(-1)[t.cells(run.mc, i)],
                                       t.stride[i + 1])
         try:
             best_sum = best_response_value(run.game, run.fine, run.player,

@@ -40,7 +40,7 @@ MAX_SWEEPS = 50
 SWEEP_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class RelaxationProblem:
     """The proximal problem of ``fine`` relaxing ``coarse``, with penalty
     weight ``lam`` and distances weighted by the reach of ``base``."""
@@ -92,7 +92,7 @@ class RelaxationProblem:
             n, A = len(w), self.game.stage_actions[i]
             up = (len(self.labels[i - 1]), -1) if i else (-1,)
             self.plan.append((
-                lab, t.prefix_cell[self.mf][i], n * A, (n, A),
+                lab, t.cells(self.mf, i), n * A, (n, A),
                 np.repeat(2.0 * self.lam * w[:, None], A, axis=1),
                 np.tile(np.arange(1.0, A + 1.0), (n, 1)), w,
                 np.arange(A - 1, n * A, A), up))

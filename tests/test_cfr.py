@@ -22,7 +22,7 @@ def counterfactual_rewards(game, info, policy, stage, label, player=None):
         if i == stage:
             break
     theta, _ = counterfactual_matrix(stage, t.prefix_label[m][stage],
-                                     t.prefix_cell[m][stage],
+                                     t.cells(m, stage),
                                      len(t.labels[m][stage]), before[stage],
                                      after)
     try:

@@ -23,7 +23,7 @@ from phide.serialize import game_from_json, game_to_json
 from phide.zoo import (TradeCommSpec, build_matching_pennies,
                        build_trade_comm, random_game)
 
-from per_history import hist_labels, hist_probs
+from per_history import hist_actions, hist_labels, hist_probs
 
 
 def test_history_fields():
@@ -67,19 +67,29 @@ def test_game_validation():
               player_of_stage=(0,), stage_actions=(2,),
               reward_fn=lambda w, a: (0.0,))
     ProductGame(**kw)
-    with pytest.raises(ValueError):
-        ProductGame(**{**kw, "nature_probs": (0.5,)})
-    with pytest.raises(ValueError):
-        ProductGame(**{**kw, "nature_probs": (1.0, 0.0)})
+    # each bad game raises the one typed error, naming the game
+    for bad, msg in (({"nature_probs": (0.5,)}, "nature weights must sum"),
+                     ({"nature_probs": (1.0, 0.0)}, "nature and nature_probs"),
+                     ({"nature": ((0,), (1,)), "nature_probs": (1.5, -0.5)},
+                      "nature weights must lie in"),
+                     ({"stage_actions": (0,)}, "a game needs stages"),
+                     ({"stage_actions": (), "player_of_stage": ()},
+                      "a game needs stages"),
+                     ({"player_of_stage": (0, 0)}, "player_of_stage must")):
+        with pytest.raises(InvalidGame, match=f"^{msg}.* \\(game g\\)$"):
+            ProductGame(**{**kw, **bad, "name": "g"})
     # NaN weights fail the range and the sum checks
     for probs in ((math.nan,), (math.nan, 0.5), (math.nan, 1.0)):
-        with pytest.raises(ValueError, match="^nature weights must"):
+        with pytest.raises(InvalidGame, match="^nature weights must"):
             ProductGame(**{**kw, "nature": ((0,), (1,))[:len(probs)],
                            "nature_probs": probs})
-    with pytest.raises(ValueError):
-        ProductGame(**{**kw, "stage_actions": (0,)})
-    with pytest.raises(ValueError):
-        ProductGame(**{**kw, "player_of_stage": (0, 0)})
+    # rewards of the wrong shape, from the game and from its Tables
+    g = ProductGame(**{**kw, "reward_fn": lambda w, a: (1.0, 2.0),
+                       "name": "g"})
+    for build in (lambda: g.reward((0,), (0,)), lambda: Tables(g)):
+        with pytest.raises(InvalidGame, match=re.escape(
+                "reward_fn must return one value per player (game g)")):
+            build()
     # a stage owner outside the players
     for owner in (1, -1):
         with pytest.raises(InvalidGame, match=re.escape(
@@ -497,8 +507,8 @@ def test_tables_arrays_match_per_history_walk():
               itertools.product(*(range(A) for A in game.stage_actions))]
         assert t.histories == [History(w, a) for _, w, a in hs]
         assert np.array_equal(t.nature_idx, [k for k, _, _ in hs])
-        assert t.action_cols.dtype == np.int64
-        assert np.array_equal(t.action_cols, [a for _, _, a in hs])
+        assert hist_actions(t).dtype == np.int64
+        assert np.array_equal(hist_actions(t), [a for _, _, a in hs])
         assert np.array_equal(hist_probs(t), [game.nature_probs[k]
                                               for k, _, _ in hs])
         want = np.array([game.reward(w, a) for _, w, a in hs])
@@ -507,22 +517,58 @@ def test_tables_arrays_match_per_history_walk():
         assert t.reward_inf_norm == float(np.max(np.abs(want)))
 
 
+def test_tables_holds_one_per_history_array():
+    # the rewards; history digits and (label, action) cells are derived
+    # where they are read
+    game, maps = build_trade_comm(TradeCommSpec(4, 3))
+    t = Tables(game, maps["original"], maps["cheat"], maps["perfect_recall"])
+    n = len(t.rewards)
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (list, tuple)):
+            for y in x:
+                yield from arrays(y)
+        elif isinstance(x, dict):
+            for y in x.values():
+                yield from arrays(y)
+
+    held = [a for k, v in vars(t).items() if k != "rewards"
+            for a in arrays(v)]
+    assert held and all(a.size < n for a in held)
+    W = len(game.nature)
+    assert np.array_equal(t.nature_idx, np.repeat(np.arange(W), n // W))
+    for m in range(len(t.maps)):
+        for i, A in enumerate(game.stage_actions):
+            lab = t.prefix_label[m][i]
+            assert np.array_equal(t.cells(m, i), (lab[:, None] * A
+                                                  + np.arange(A)).reshape(-1))
+
+
+def test_policy_equality_is_identity():
+    g, maps = build_matching_pennies()
+    a, b = (uniform_policy(g, maps["original"]) for _ in range(2))
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+
+
 def test_reward_shape_checked_by_tables():
     g, _ = build_matching_pennies()
-    msg = "^reward_fn must return one value per player$"
+    msg = re.escape("reward_fn must return one value per player "
+                    "(game matching_pennies)") + "$"
     for bad in (dataclasses.replace(g, reward_fn=lambda w, a: (1.0, 2.0)),
                 dataclasses.replace(g, reward_fn=lambda w, a: (1.0,) * (1 + a[0])),
                 dataclasses.replace(g, reward_fn=lambda w, a: ((1.0,),)),
                 dataclasses.replace(g, num_players=2)):
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(InvalidGame, match=msg):
             bad.reward((1,), (1, 0))
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(InvalidGame, match=msg):
             Tables(bad)
     # a reward that is not finite is named with the first history to get it
     for bad in (math.nan, math.inf, -math.inf):
         game = dataclasses.replace(
             g, reward_fn=lambda w, a, x=bad: (x if a == (1, 2) else 0.5,))
-        with pytest.raises(ValueError, match=re.escape(
+        with pytest.raises(InvalidGame, match=re.escape(
                 f"reward_fn returned ({bad},) at history History(nature=(0,), "
                 f"actions=(1, 2)); rewards must be finite")):
             Tables(game)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -120,6 +121,38 @@ def test_config_errors(monkeypatch):
         run_experiment(chess)
 
 
+def test_config_values_checked_before_the_game_is_built():
+    # each bad value is named, ahead of the unknown game name "chess" or
+    # ahead of the game's own build
+    chess = {**BASE, "game": {"name": "chess"}}
+    for over, msg in (
+            ({"algorithm": "rir", "fine_map": "relaxed", "lambda": 0},
+             "lambda must be a positive finite number for rir, got 0"),
+            ({"randomize_init": "no"},
+             "randomize_init must be true or false, got 'no'"),
+            ({"game": "matching_pennies"}, "game must be a record"),
+            ({"game": {"name": "trade_comm", "n": 0}},
+             "game n must be at least 1, got 0"),
+            ({"game": {"name": "trade_comm", "m": 0}},
+             "game m must be at least 1, got 0"),
+            ({"game": {"name": "trade_comm", "n": 2.5}},
+             "game n must be an integer, got 2.5"),
+            ({"game": {"name": "random", "seed": -1}},
+             "game seed must be at least 0, got -1")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}"):
+            run_experiment({**chess, **over})
+
+
+def test_cli_reports_a_typed_error_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**BASE, "lamda": 5}))
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phide: error: unknown config key 'lamda'; ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_summarize_single_run():
     rec = [{"run": 0, "seed": 0,
             "trace": {"payoff": [0.2, 0.4], "penalty_mass": [0, 0],
@@ -171,16 +204,19 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert a == b
 
 
-def test_cli_summarize_rejects_quantiles_outside_unit_interval(tmp_path):
+def test_cli_summarize_rejects_quantiles_outside_unit_interval(tmp_path,
+                                                               capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(BASE))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
     summary = tmp_path / "summary.csv"
-    with pytest.raises(ConfigError, match="^quantiles must be a list of "
-                                          "numbers in"):
-        main(["summarize", "--runs", str(out / "runs.csv"), "--out",
-              str(summary), "--quantiles", "1.5", "-0.5"])
+    assert main(["summarize", "--runs", str(out / "runs.csv"), "--out",
+                 str(summary), "--quantiles", "1.5", "-0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("phide: error: quantiles must be a list of numbers in "
+                   "[0, 1], got [1.5, -0.5]\n")
     assert not summary.exists()
     with pytest.raises(ConfigError, match="^quantiles must be"):
         summarize([{"trace": {"payoff": [0.0]}}], quantiles=[math.nan])

@@ -16,7 +16,7 @@ from phide.games import best_response_value, check_well_posed
 from phide.infomaps import has_perfect_recall
 from phide.zoo import build_matching_pennies, build_trade_comm, random_game
 
-from per_history import hist_labels, hist_probs
+from per_history import hist_actions, hist_labels, hist_probs
 
 
 def det_policy(game, info, choice):
@@ -223,14 +223,14 @@ def _brute_force(t, info, fixed, values, limit=4096):
         if i not in own:
             mx = t.map_index(fixed.info)
             rows = np.array([fixed.table[(i, g)] for g in t.labels[mx][i]])
-            q = q * rows[hist_labels(t, mx, i), t.action_cols[:, i]]
+            q = q * rows[hist_labels(t, mx, i), hist_actions(t)[:, i]]
     choices = np.array(list(itertools.product(*map(range, sizes))),
                        dtype=np.int64).reshape(count, len(sizes))
     played = np.ones((len(choices), len(q)), dtype=bool)
     offset = 0
     for i in own:
         played &= (choices[:, offset + hist_labels(t, m, i)]
-                   == t.action_cols[:, i])
+                   == hist_actions(t)[:, i])
         offset += len(t.labels[m][i])
     return float(np.max(played @ q))
 
@@ -244,7 +244,7 @@ def _expected(t, info, pol, fixed, values):
         src = pol if game.player_of_stage[i] == 0 else fixed
         m = t.map_index(src.info)
         rows = np.array([src.table[(i, g)] for g in t.labels[m][i]])
-        q = q * rows[hist_labels(t, m, i), t.action_cols[:, i]]
+        q = q * rows[hist_labels(t, m, i), hist_actions(t)[:, i]]
     return float(q @ values)
 
 

@@ -59,6 +59,9 @@ def test_schedule_kinds():
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match="^value must be finite"):
             PenaltySchedule("constant", value)
+    # the controller's state is set by reset(), not by the constructor
+    with pytest.raises(TypeError):
+        PenaltySchedule("controller", 0.5, 0, 0.0, 1.1, 7.0)
 
 
 def test_reduction_to_cfr_bitwise():

@@ -17,7 +17,7 @@ from phide.infomaps import (coarse_masses, has_perfect_recall, is_finer,
 from phide.zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                        random_game)
 
-from per_history import hist_labels
+from per_history import hist_actions, hist_labels
 
 
 def lift(game, fine, coarse_policy):
@@ -345,7 +345,7 @@ def reference_recall_closure(t, m, own):
                                   return_index=True, return_inverse=True)
         idx = idx.reshape(-1)
         out.append((idx, lab[first]))
-        key = idx * t.game.stage_actions[i] + t.action_cols[:, i]
+        key = idx * t.game.stage_actions[i] + hist_actions(t)[:, i]
     return out
 
 

@@ -14,14 +14,14 @@ from phide.errors import ZeroReachLabel
 from phide.hiding import PhRun
 from phide.zoo import TradeCommSpec, build_trade_comm, random_game
 
-from per_history import hist_labels, hist_probs
+from per_history import hist_actions, hist_labels, hist_probs
 
 TOL = 1e-12
 
 
 def reach(t, mats, m):
     """Pushforward over histories and each stage's played probability."""
-    pf = [mats[i][hist_labels(t, m, i), t.action_cols[:, i]]
+    pf = [mats[i][hist_labels(t, m, i), hist_actions(t)[:, i]]
           for i in range(t.game.num_stages)]
     q = hist_probs(t)
     for col in pf:
@@ -38,7 +38,7 @@ def cf_matrix(t, m, i, q, pf_i, values, sampled, mass=None):
     ok = mass > 0.0
     if not sampled and not ok.all():
         raise ZeroReachLabel(f"stage {i}")
-    num = np.bincount(lab * A + t.action_cols[:, i], weights=q / pf_i * values,
+    num = np.bincount(lab * A + hist_actions(t)[:, i], weights=q / pf_i * values,
                       minlength=n * A).reshape(n, A)
     theta = np.zeros_like(num)
     theta[ok] = num[ok] / mass[ok, None]
@@ -78,7 +78,7 @@ def reference_step(loop, mats, lam, w):
             if i in loop.f2c:
                 centre = gam[i][loop.f2c[i]]
             else:
-                played = gam[i][hist_labels(t, mc, i), t.action_cols[:, i]]
+                played = gam[i][hist_labels(t, mc, i), hist_actions(t)[:, i]]
                 centre, _ = cf_matrix(t, mf, i, q, pf[i], played,
                                       w is not None, mass)
             lin = 2.0 * lam * (mats[i] - centre)

@@ -15,7 +15,7 @@ from phide.relaxation import RelaxationProblem
 from phide.zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
                        random_game)
 
-from per_history import hist_labels, hist_probs
+from per_history import hist_actions, hist_labels, hist_probs
 
 TOL = 1e-12
 LAMBDAS = (0.05, 0.5, 5.0)
@@ -23,7 +23,7 @@ LAMBDAS = (0.05, 0.5, 5.0)
 
 def played(t, mats, m):
     """Each stage's per-history probability of the action played."""
-    return [mats[i][hist_labels(t, m, i), t.action_cols[:, i]]
+    return [mats[i][hist_labels(t, m, i), hist_actions(t)[:, i]]
             for i in range(t.game.num_stages)]
 
 
@@ -54,7 +54,7 @@ def check_sweeps(problem, mats, sweeps=4):
     one ``np.bincount`` call, on the stage's prefix cells."""
     centers = relaxation._centers(problem, relaxation._project(problem, mats))
     mats, seen = list(mats), []
-    cells = problem._t.prefix_cell[problem.mf]
+    cells = [step[1] for step in problem.plan]
 
     def bincount(x, weights=None, minlength=0):
         c = np.bincount(x, weights=weights, minlength=minlength)

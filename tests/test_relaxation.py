@@ -89,6 +89,13 @@ def test_problem_validation():
         RelaxationProblem(g2, m2["original"], m2["cheat"], 1.0)
 
 
+def test_equality_is_identity():
+    g, m = build_matching_pennies()
+    a = RelaxationProblem(g, m["original"], m["relaxed"], 0.5)
+    b = RelaxationProblem(g, m["original"], m["relaxed"], 0.5)
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+
+
 def test_problem_errors_are_typed_and_name_the_culprit():
     g, m = build_matching_pennies()
     for lam in (-0.5, math.inf, math.nan):
@@ -271,7 +278,7 @@ def reference_sweep(problem, mats, centers):
     for i, after in suffix_values(t.prefix_label[mf], mats,
                                   t.rewards[:, problem.player]):
         n, A = len(t.labels[mf][i]), after.shape[1]
-        c = np.bincount(t.prefix_cell[mf][i],
+        c = np.bincount(t.cells(mf, i),
                         weights=(before[i][:, None] * after).reshape(-1),
                         minlength=n * A).reshape(n, A)
         scale = 2.0 * problem.lam * problem.weights[i][:, None]
