@@ -46,6 +46,19 @@ escapes the signalling trap of criterion 6.  The draw is
 Nature's cumulative distribution, which is built once with the loop.  The
 projection and the trace stay exact.  Runs are deterministic given the
 seed.
+
+A step allocates little beyond what it hands out.  The game's ``Tables``
+owns the workspace (``Tables.work``): one buffer per (role, stage), lent
+to every loop on the game and grown to the largest request.  A buffer's
+contents live inside one ``iterate()`` and no longer (``_step``'s
+penalty, too, only until the next step on the game), so loops on one game
+may step in any interleaving, one thread at a time.  Nothing a loop hands out aliases a buffer: the
+projected iterate, the local rewards, ``current_mats()`` and the policies
+are new arrays.  Each learner bank updates its regrets in place and
+returns the played reward that ``RegretAccounting`` adds, and at a stage
+where the fine map refines the coarse one the difference between the
+iterate and its projection is computed once, for the penalty and for its
+linearization.
 """
 
 from __future__ import annotations
@@ -59,7 +72,7 @@ import numpy as np
 from .core import BehavioralPolicy, InformationMap, ProductGame, check_player
 from .engine import (Tables, forward, label_cells, label_pairs, pair_masses,
                      refinement, scaled, stacked, tables_for, tiled)
-from .errors import BatchedRun, ZeroReachLabel
+from .errors import BatchedRun, InvalidSolver, ZeroReachLabel
 from .infomaps import coarse_masses, pair_sq_distance, project_matrices
 from .learners import LearnerBank
 
@@ -76,8 +89,15 @@ TRACE_KEYS = ("payoff", "payoff_mu", "penalty_mass", "sum_pos_local",
               "lambda", "rho_mu")
 
 
-def floored_mats(mats, eps: float = EPS_FLOOR):
-    return [(1.0 - eps) * m + eps / m.shape[1] for m in mats]
+def floored_mats(mats, eps: float = EPS_FLOOR, out=None):
+    """Each matrix of ``mats`` mixed with the uniform row: (1 - eps) m +
+    eps / A, written to ``out[i]`` (of ``mats[i]``'s shape) if given."""
+    fl = []
+    for i, m in enumerate(mats):
+        f = np.multiply(m, 1.0 - eps, out=None if out is None else out[i])
+        f += eps / m.shape[1]
+        fl.append(f)
+    return fl
 
 
 def make_banks(t: Tables, map_idx: int, kind: str, eta, rngs,
@@ -99,6 +119,12 @@ def make_banks(t: Tables, map_idx: int, kind: str, eta, rngs,
     return banks
 
 
+def _row_shapes(mats, labels) -> list:
+    """Per stage i, the shape [len(labels[i]), A] of the rows of
+    ``mats[i]`` that ``labels[i]`` picks."""
+    return [(len(lab), m.shape[1]) for m, lab in zip(mats, labels)]
+
+
 def nature_cdf(probs: np.ndarray) -> np.ndarray:
     """The cumulative distribution that ``Generator.choice`` draws from
     when given ``p=probs``."""
@@ -117,7 +143,7 @@ def nature_draws(cdf: np.ndarray, rngs) -> np.ndarray:
 def counterfactual_matrix(stage: int, labels: np.ndarray, cells: np.ndarray,
                           n_labels: int, weight: np.ndarray,
                           values: np.ndarray, mass: np.ndarray = None,
-                          sampled: bool = False):
+                          sampled: bool = False, out: np.ndarray = None):
     """Per label, the ``weight``-weighted mean of the rows of ``values``:
     entry [g, d] is sum(weight[k] * values[k, d]) / mass[g] over the rows k
     with ``labels[k] == g``; ``cells`` is ``engine.label_cells(labels, A)``,
@@ -129,37 +155,46 @@ def counterfactual_matrix(stage: int, labels: np.ndarray, cells: np.ndarray,
     expectation given the label.  ``mass``, if given, is the label mass of
     ``weight`` from an earlier call, and is not recomputed.  A label with
     no mass raises ZeroReachLabel, or gets a zero row when ``sampled``.
-    Returns (matrix, label mass).
+    ``out``, if given, is the array of ``values``' shape that the weighted
+    values are written to.  Returns (matrix, label mass); the matrix is a
+    new array.
     """
     if mass is None:
         mass = np.bincount(labels, weights=weight, minlength=n_labels)
     ok = mass > 0.0
-    if not sampled and not ok.all():
+    reached = ok.all()
+    if not (sampled or reached):
         raise ZeroReachLabel(f"zero conditioning mass at stage {stage}")
     A = values.shape[1]
-    num = np.bincount(cells, weights=(weight[:, None] * values).reshape(-1),
+    weighted = np.multiply(weight[:, None], values, out=out)
+    num = np.bincount(cells, weights=weighted.reshape(-1),
                       minlength=n_labels * A).reshape(n_labels, A)
-    theta = np.divide(num, mass[:, None], out=np.zeros_like(num),
-                      where=ok[:, None])
+    theta = np.divide(num, mass[:, None], out=num, where=ok[:, None])
+    if not reached:
+        theta[~ok] = 0.0  # the rows ``where`` left as they were
     return theta, mass
 
 
-def suffix_values(labels, mats, values: np.ndarray, pen=None):
+def suffix_values(labels, mats, values: np.ndarray, pen=None, out=None):
     """The backward pass.  Yields (i, after) for i = L - 1 down to 0, where
     ``after[p, d]`` is the expectation of the per-history ``values`` over
     the suffix of stage-i prefix p with action d at stage i, the later
     stages played by the rows of ``mats`` that ``labels`` picks at each
     prefix, less ``pen[j][q]`` for every later stage j, with q the stage-j
-    prefix passed."""
+    prefix passed.  ``out[i]``, if given for i >= 1, is a pair of arrays
+    that stage i's gathered rows [len(labels[i]), A] and its prefixes'
+    expectation [len(labels[i])] are written to."""
     u = values
     for i in reversed(range(len(labels))):
         lab = labels[i]
         after = u.reshape(len(lab), -1)
         yield i, after
         if i:
-            u = np.einsum("pa,pa->p", mats[i][lab], after)
+            rows, u = (None, None) if out is None else out[i]
+            rows = np.take(mats[i], lab, axis=0, out=rows, mode="clip")
+            u = np.einsum("pa,pa->p", rows, after, out=u)
             if pen:
-                u = u - pen[i]
+                u -= pen[i]
 
 
 class RegretAccounting:
@@ -177,9 +212,11 @@ class RegretAccounting:
         self.cum_real = {i: np.zeros(repeats * len(t.labels[map_idx][i]))
                          for i in stages}
 
-    def update(self, stage: int, theta: np.ndarray, play: np.ndarray):
+    def update(self, stage: int, theta: np.ndarray, played: np.ndarray):
+        """Adds the fed rewards ``theta`` and each row's played reward,
+        ``LearnerBank.observe``'s result."""
         self.cum_theta[stage] += theta
-        self.cum_real[stage] += (theta * play).sum(axis=1)
+        self.cum_real[stage] += played
 
     def sum_pos(self) -> np.ndarray:
         """Each repeat's sum of positive cumulative local regrets."""
@@ -215,13 +252,14 @@ class PenaltySchedule:
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise InvalidSolver(f"unknown schedule kind {self.kind!r}; known "
+                                f"kinds: {', '.join(SCHEDULE_KINDS)}")
         if not 0 <= self.value < math.inf:
-            raise ValueError(f"value must be finite and nonnegative, got "
-                             f"{self.value!r}")
+            raise InvalidSolver(f"value must be finite and nonnegative, got "
+                                f"{self.value!r}")
         if not 0 < self.factor < math.inf:
-            raise ValueError(f"factor must be positive and finite, got "
-                             f"{self.factor!r}")
+            raise InvalidSolver(f"factor must be positive and finite, got "
+                                f"{self.factor!r}")
 
     def reset(self):
         self._state = self.value
@@ -258,11 +296,11 @@ class SolverLoop:
                  learner: str, eta, seed, randomize_init: bool,
                  mode: str, player: int):
         if mode not in MODES:
-            raise ValueError("mode must be 'exact' or 'mc'")
+            raise InvalidSolver(f"mode must be 'exact' or 'mc', got {mode!r}")
         check_player(game, player)
         seeds = [seed] if np.ndim(seed) == 0 else list(seed)
         if not seeds:
-            raise ValueError("need at least one seed")
+            raise InvalidSolver(f"need at least one seed, got {seed!r}")
         self.game = game
         self.coarse = coarse
         self.fine = fine
@@ -347,11 +385,39 @@ class SolverLoop:
             w = nature_draws(self._cdf, self.rngs)
         gam, pen, thetas = self._step(mats, lam, w)
         for i in self.stages:
-            self.accounting.update(i, thetas[i], mats[i])
-            self.banks[i].observe(thetas[i], mats[i])
+            played = self.banks[i].observe(
+                thetas[i], mats[i],
+                out=self.t.work("weighted", i, mats[i].shape))
+            self.accounting.update(i, thetas[i], played)
         self._record(mats, gam, pen, lam)
         self.projected = gam
         return gam
+
+    # A step's per-prefix and per-label arrays live in the workspace of
+    # ``self.t`` (``Tables.work``), one buffer per (role, stage i).  A step
+    # uses them in five phases: projection, penalty, backward pass, observe,
+    # record.  Each role holds one live value at a time:
+    #   floor     the floored iterate at stage i (projection to backward
+    #             pass);
+    #   reach     the floored forward pass's stage-(i + 1) reach (projection
+    #             to backward pass);
+    #   pen       the penalty of each stage-i prefix (penalty to record);
+    #   diff      the stage-i iterate less its centre, then its linearized
+    #             penalty (penalty, or backward pass, to backward pass);
+    #   later, suffix  per stage-i prefix, the penalty times lambda and the
+    #             suffix value (backward pass);
+    #   rows      rows gathered from a stage-i matrix: the projection's fine
+    #             rows, the backward pass's rows, then the raw iterate's
+    #             forward pass;
+    #   weighted  the projection's weighted rows, the squared difference,
+    #             the counterfactual weighted values, the learners' scratch,
+    #             then the projected iterate's forward pass.
+    # What a step returns (the projection, the local rewards) is new.
+
+    def _work(self, role: str, shapes) -> list:
+        """Per stage i, the workspace array of (``role``, i) with shape
+        ``shapes[i]``."""
+        return [self.t.work(role, i, shape) for i, shape in enumerate(shapes)]
 
     def _block(self, x: np.ndarray, rows) -> np.ndarray:
         """The Nature blocks ``rows`` of the stacked prefix array ``x``, end
@@ -364,53 +430,90 @@ class SolverLoop:
         """Returns the projected mats, each stage's per-prefix penalty (none
         when ``fine is coarse``), and the local rewards under the penalty
         weight ``lam``, one for all repeats or one each.  With ``w``, each
-        repeat's Nature state, the rewards are of its block alone."""
+        repeat's Nature state, the rewards are of its block alone.  The
+        penalty lives in the workspace until the next step on the game."""
         lam = np.broadcast_to(np.asarray(lam, dtype=float), (self.R,))
         rows = None if w is None else self._first_block + w
         labels = [self._block(lab, rows) for lab in self.labels]
-        fl = floored_mats(mats)
+        fl = floored_mats(mats, out=self._work("floor",
+                                               [m.shape for m in mats]))
         if not self.pairs:
-            before = forward(self._block(self.start, rows), fl[:-1], labels)
+            before = forward(self._block(self.start, rows), fl[:-1], labels,
+                             out=self._work("reach", _row_shapes(fl[:-1],
+                                                                 labels)))
             return mats, {}, self._local_rewards(mats, fl, before, labels,
                                                  rows)
         before, gam, pm = self._project(mats, fl)
-        pen = {i: pair_sq_distance(pairs, mats[i], gam[i])[pairs[0]]
-               for i, pairs in enumerate(self.pairs)}
+        pen, diff = self._penalty(mats, gam)
         if rows is not None:
             before = [self._block(b, rows) for b in before]
             # the pair masses of the Nature blocks ``rows``
             pm = pair_masses([(self._block(idx, rows), c, f, o)
                               for idx, c, f, o in self.pairs], before)
         return gam, pen, self._local_rewards(mats, fl, before, labels, rows,
-                                             lam, gam, pm, pen)
+                                             lam, gam, pm, pen, diff)
 
     def _project(self, mats, fl):
         """Returns the forward pass of the floored mats ``fl`` up to stage
         L - 1, where the backward pass starts, the projection of ``mats``
         under it, and its pair masses."""
-        before = forward(self.start, fl[:-1], self.labels)
+        before = forward(self.start, fl[:-1], self.labels,
+                         out=self._work("reach", _row_shapes(fl[:-1],
+                                                             self.labels)))
         pm = pair_masses(self.pairs, before)
+        shapes = [(len(fine), m.shape[1])
+                  for (_, _, fine, _), m in zip(self.pairs, mats)]
         gam = project_matrices(self.pairs, mats, pm,
-                               coarse_masses(self.pairs, pm))
+                               coarse_masses(self.pairs, pm),
+                               out=list(zip(self._work("rows", shapes),
+                                            self._work("weighted", shapes))))
         return before, gam, pm
 
+    def _penalty(self, mats, gam):
+        """Each stage's penalty per prefix, the squared distance between
+        its fine row of ``mats`` and its coarse row of ``gam``, and, at each
+        stage where fine refines coarse, ``mats[i] - gam[i][f2c[i]]``, the
+        difference that the penalty and its linearization share."""
+        pen, diff = {}, {}
+        for i, pairs in enumerate(self.pairs):
+            if i in self.f2c:
+                d = self.t.work("diff", i, mats[i].shape)
+                np.take(gam[i], self.f2c[i], axis=0, out=d, mode="clip")
+                diff[i] = d = np.subtract(mats[i], d, out=d)
+                sq = np.multiply(d, d, out=self.t.work("weighted", i, d.shape)
+                                 ).sum(axis=1)
+                idx = self.labels[i]
+            else:
+                sq = pair_sq_distance(pairs, mats[i], gam[i])
+                idx = pairs[0]
+            pen[i] = np.take(sq, idx, out=self.t.work("pen", i, idx.shape),
+                             mode="clip")
+        return pen, diff
+
     def _local_rewards(self, mats, fl, before, labels, rows, lam=None,
-                       gam=None, pm=None, pen=None):
+                       gam=None, pm=None, pen=None, diff=None):
         """Each stage owner's counterfactual reward less the later stages'
         penalty ``lam`` · ``pen``, minus the linearized penalty of the
-        stage itself.  ``before`` is the forward pass of the floored mats
-        ``fl``, ``labels`` its prefixes' labels and ``pm`` its pair masses,
-        of the Nature blocks ``rows`` when given."""
+        stage itself, ``diff[i]`` where given.  ``before`` is the forward
+        pass of the floored mats ``fl``, ``labels`` its prefixes' labels
+        and ``pm`` its pair masses, of the Nature blocks ``rows`` when
+        given."""
         sampled = rows is not None
         later = None
         if pen:
-            # stage 0's penalty is no later stage's
-            later = {i: scaled(lam, self._block(pen[i], rows))
-                     for i in pen if i}
+            later = {}
+            for i in pen:
+                if i:  # stage 0's penalty is no later stage's
+                    x = self._block(pen[i], rows)
+                    later[i] = scaled(lam, x,
+                                      out=self.t.work("later", i, x.shape))
+        shapes = _row_shapes(fl, labels)
+        back = list(zip(self._work("rows", shapes),
+                        self._work("suffix", [s[:1] for s in shapes])))
         thetas = {}
         for p, own in self.owners.items():
             values = self._block(self.values[p], rows)
-            for i, after in suffix_values(labels, fl, values, later):
+            for i, after in suffix_values(labels, fl, values, later, back):
                 if i not in own:
                     continue
                 n_rows = len(mats[i])
@@ -420,16 +523,18 @@ class SolverLoop:
                     mass = np.bincount(fine, weights=pm[i], minlength=n_rows)
                 theta, mass = counterfactual_matrix(
                     i, labels[i], self._block(self.cells[i], rows), n_rows,
-                    before[i], after, mass, sampled)
+                    before[i], after, mass, sampled,
+                    out=self.t.work("weighted", i, after.shape))
                 if pen:
-                    if i in self.f2c:
-                        centre = gam[i][self.f2c[i]]
-                    else:
+                    d = diff.get(i)
+                    if d is None:
                         # the pair-mass-weighted projected row per label
                         centre, _ = counterfactual_matrix(
                             i, fine, self.pair_cells[i], n_rows, pm[i],
                             gam[i][coarse], mass, sampled)
-                    lin = scaled(2.0 * lam, mats[i] - centre)
+                        d = np.subtract(mats[i], centre, out=self.t.work(
+                            "diff", i, mats[i].shape))
+                    lin = scaled(2.0 * lam, d, out=d)
                     lin[mass <= 0.0] = 0.0
                     theta -= lin
                 thetas[i] = theta
@@ -442,9 +547,12 @@ class SolverLoop:
         forward pass.  Each payoff and penalty mass is a dot product over
         one repeat's block, as in a lone run."""
         R = self.R
-        raw = forward(self.start, mats, self.labels)
+        shapes = _row_shapes(mats, self.labels)
+        raw = forward(self.start, mats, self.labels,
+                      out=self._work("rows", shapes))
         q_gam = (raw[-1] if gam is mats
-                 else forward(self.start, gam, self.coarse_labels)[-1])
+                 else forward(self.start, gam, self.coarse_labels,
+                              out=self._work("weighted", shapes))[-1])
         rewards = self.t.rewards[:, self.player]
         payoff = [float(q @ rewards) for q in q_gam.reshape(R, -1)]
         payoff_mu = [float(q @ rewards) for q in raw[-1].reshape(R, -1)]

@@ -9,6 +9,7 @@ and the actions played before that stage.  Policies are tables from
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
@@ -119,6 +120,14 @@ class ProductGame:
     name: str = ""
 
     def __post_init__(self):
+        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool)
+                   for p in self.nature_probs):
+            raise invalid_game(self, f"nature weights must be numbers, got "
+                                     f"{tuple(self.nature_probs)!r}")
+        if not all(isinstance(a, numbers.Integral) and not isinstance(a, bool)
+                   for a in self.stage_actions):
+            raise invalid_game(self, f"action counts must be integers, got "
+                                     f"{tuple(self.stage_actions)!r}")
         probs = np.asarray(self.nature_probs, dtype=float)
         if len(self.nature) != len(probs):
             raise invalid_game(self, "nature and nature_probs length mismatch")

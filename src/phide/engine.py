@@ -21,12 +21,24 @@ too.  Nature state w's prefixes are the w-th of |Omega| equal blocks of each
 prefix array.  A solver loop of R repeats runs on R copies of these arrays
 end to end (``stacked``, ``tiled``), its label pairs too (``label_pairs`` of
 stacked labels).
+
+``Tables`` also owns the solver loop's workspace (``Tables.work``): one flat
+float64 buffer per (role, stage), grown only to the largest request and
+kept as long as the Tables.  A solver step's temporaries as long as a
+history array, a stage's prefixes or its (label, action) cells live in it,
+so a step allocates little beyond what it hands out.  A buffer's contents
+live only inside one ``SolverLoop.iterate()``, so every loop on a game
+shares its buffers, one at a time: the workspace serves one thread.
+Nothing a loop hands out aliases a buffer.  ``forward``, ``scaled`` and the
+loop's other helpers write into a buffer through ``out=``; without it they
+allocate.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -62,6 +74,8 @@ class Tables:
         # per map: labels[i] (first-seen order), prefix_label[i] (per prefix)
         self.labels: list[list[list]] = []
         self.prefix_label: list[list[np.ndarray]] = []
+        # (role, stage) -> (buffer, the view of it last lent)
+        self._work: dict[tuple, tuple] = {}
         for m in maps:
             self.add_map(m)
 
@@ -177,6 +191,20 @@ class Tables:
             key = label_cells(out[-1][0], self.game.stage_actions[i])
         return out
 
+    def work(self, role: str, stage: int, shape) -> np.ndarray:
+        """A float64 array of ``shape``, uninitialized, in the work buffer
+        of (``role``, ``stage``), which grows to the largest request.  Its
+        contents last until the next request of the same key, so they may
+        live inside one solver step alone (module docstring)."""
+        buf, view = self._work.get((role, stage), (None, None))
+        if view is None or view.shape != shape:
+            size = math.prod(shape)
+            if buf is None or len(buf) < size:
+                buf = np.empty(size)
+            view = buf[:size].reshape(shape)
+            self._work[role, stage] = buf, view  # the latest view, reused
+        return view
+
     # -------------------------------------------------------------- policies
 
     def matrices(self, policy: BehavioralPolicy) -> list[np.ndarray]:
@@ -252,14 +280,16 @@ class Tables:
         return float(self.forward(mats, m)[-1] @ self.rewards[:, player])
 
 
-def forward(start: np.ndarray, mats, labels) -> list[np.ndarray]:
+def forward(start: np.ndarray, mats, labels, out=None) -> list[np.ndarray]:
     """The forward pass from ``start``, the reach of each stage-0 prefix:
     ``before[i + 1]`` is ``before[i]`` times the row of ``mats[i]`` that
     each prefix's label ``labels[i]`` picks, one entry per action, for i
-    below len(mats)."""
+    below len(mats).  ``out[i]``, if given, is the [len(labels[i]), A]
+    array that stage i's rows are written to."""
     before = [start]
-    for mat, lab in zip(mats, labels):
-        rows = mat[lab]
+    for i, (mat, lab) in enumerate(zip(mats, labels)):
+        rows = np.take(mat, lab, axis=0, out=None if out is None else out[i],
+                       mode="clip")  # "raise" would buffer ``out``
         rows *= before[-1][:, None]
         before.append(rows.reshape(-1))
     return before
@@ -317,9 +347,13 @@ def tiled(x: np.ndarray, R: int) -> np.ndarray:
     return x if R == 1 else np.tile(x, R)
 
 
-def scaled(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x``, R equal blocks end to end, with block r times ``lam[r]``."""
-    return (lam[:, None] * x.reshape(len(lam), -1)).reshape(x.shape)
+def scaled(lam: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """``x``, R equal blocks end to end, with block r times ``lam[r]``,
+    written to ``out`` (of ``x``'s shape, and may be ``x``) if given."""
+    blocks = (len(lam), -1)
+    return np.multiply(lam[:, None], x.reshape(blocks),
+                       out=None if out is None else out.reshape(blocks)
+                       ).reshape(x.shape)
 
 
 def _rewards(game: ProductGame) -> np.ndarray:

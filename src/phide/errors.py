@@ -44,3 +44,11 @@ class InvalidGame(PhideError, ValueError):
     stages or a stage without actions, a stage owner or a requested player
     outside the game's players, or a reward of the wrong shape or not
     finite."""
+
+
+class InvalidSolver(PhideError, ValueError):
+    """A solver loop, penalty schedule or learner bank that cannot be posed:
+    an unknown mode, schedule kind or learner kind, no seed, a penalty
+    weight or factor out of range, an FTRL step size that is not positive
+    and finite, or initial rows of the wrong shape or not finite.  The
+    message names the bad value."""

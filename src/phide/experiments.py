@@ -84,13 +84,13 @@ def load_game(spec: dict):
 
 
 def _integer(value, key: str, minimum: int) -> int:
-    """``value`` as an int, or a ConfigError naming ``key``."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        n = None
-    if n is None or (isinstance(value, float) and n != value):
+    """``value``, an integer or a float of integer value but not a bool or
+    a string, as an int; else a ConfigError naming ``key``."""
+    if not ((isinstance(value, numbers.Integral)
+             and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer())):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    n = int(value)
     if n < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {n}")
     return n
@@ -198,10 +198,17 @@ def run_experiment(config: dict) -> dict:
     in range, a value outside its CHOICES, a value of NUMBERS or
     ``quantiles`` that is not a number in range, a ``rir`` ``lambda`` of 0
     and a ``randomize_init`` that is not a bool raise ConfigError before
-    the game is built."""
+    the game is built, and so does a ``rir`` config in ``mc`` mode, which
+    ``rir`` cannot sample.  A bool or a string is not an integer; the
+    environment's PHIDE_SEED is parsed from its string."""
     _reject_unknown_keys(config, CONFIG_KEYS, "config")
     if "PHIDE_SEED" in os.environ:
-        master = _integer(os.environ["PHIDE_SEED"], "PHIDE_SEED", 0)
+        text = os.environ["PHIDE_SEED"]  # a string, so parsed first
+        try:
+            value = int(text)
+        except ValueError:
+            value = text
+        master = _integer(value, "PHIDE_SEED", 0)
     else:
         master = _integer(config.get("seed", 0), "seed", 0)
     repeats = _integer(config.get("repeats", 1), "repeats", 1)
@@ -212,6 +219,9 @@ def run_experiment(config: dict) -> dict:
             raise ConfigError(f"unknown {key} {config[key]!r}; allowed "
                               f"values: {', '.join(allowed)}")
     _check_numbers(config)
+    if config["algorithm"] == "rir" and config.get("mode", "exact") != "exact":
+        raise ConfigError(f"rir runs in exact mode only, got mode "
+                          f"{config['mode']!r}")
     if config["algorithm"] == "rir" and config.get("lambda") == 0:
         raise ConfigError("lambda must be a positive finite number for rir, "
                           "got 0")

@@ -91,7 +91,7 @@ def coarse_masses(pairs, pair_mass) -> list[np.ndarray]:
     return out
 
 
-def project_matrices(pairs, mu_mats, pair_mass, coarse_mass):
+def project_matrices(pairs, mu_mats, pair_mass, coarse_mass, out=None):
     """Reach-weighted average of fine local vectors per coarse label.
 
     ``pairs[i]`` is ``Tables.pairs`` at stage i, ``pair_mass[i]`` the base
@@ -100,20 +100,23 @@ def project_matrices(pairs, mu_mats, pair_mass, coarse_mass):
     (``coarse_masses``), so a stage costs O(pairs · A), whatever the number
     of histories.  When every fine vector merged into a coarse label is
     bit-identical the common vector is returned unchanged, so projecting an
-    implementable policy is an exact fixed point.
+    implementable policy is an exact fixed point.  ``out[i]``, if given, is
+    a pair of [pairs, A] arrays that stage i's fine rows and weighted rows
+    are written to; the projection itself is always a new array.
     """
-    out = []
-    for (_, coarse, fine, offsets), mat, pm, mass in zip(pairs, mu_mats,
-                                                         pair_mass,
-                                                         coarse_mass):
-        rows = mat[fine]
-        gamma = (np.add.reduceat(pm[:, None] * rows, offsets[:-1], axis=0)
-                 / mass[:, None])
+    gammas = []
+    for i, ((_, coarse, fine, offsets), mat, pm, mass) in enumerate(
+            zip(pairs, mu_mats, pair_mass, coarse_mass)):
+        rows_out, weighted_out = (None, None) if out is None else out[i]
+        rows = np.take(mat, fine, axis=0, out=rows_out, mode="clip")
+        weighted = np.multiply(pm[:, None], rows, out=weighted_out)
+        gamma = np.add.reduceat(weighted, offsets[:-1], axis=0)
+        gamma /= mass[:, None]
         mn, mx = _label_range(rows, offsets)
         const = (mn == mx).all(axis=1)
         gamma[const] = mn[const]
-        out.append(gamma)
-    return out
+        gammas.append(gamma)
+    return gammas
 
 
 def project(game: ProductGame, info_coarse: InformationMap,

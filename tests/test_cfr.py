@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from phide.cfr import (CfrRun, counterfactual_matrix, floored_mats,
                        suffix_values)
 from phide.core import InformationMap, ProductGame, uniform_policy
 from phide.engine import tables_for
-from phide.errors import BatchedRun, ZeroReachLabel
+from phide.errors import BatchedRun, InvalidSolver, PhideError, ZeroReachLabel
+from phide.hiding import PenaltySchedule
+from phide.learners import LearnerBank
 from phide.zoo import build_matching_pennies, build_trade_comm
 
 
@@ -108,6 +112,24 @@ def test_invalid_mode():
     g, m = build_matching_pennies()
     with pytest.raises(ValueError):
         CfrRun(g, m["original"], mode="sampled")
+
+
+def test_loop_errors_are_typed_and_name_the_value():
+    g, m = build_matching_pennies()
+    assert issubclass(InvalidSolver, PhideError)
+    assert issubclass(InvalidSolver, ValueError)
+    for build, named in (
+            (lambda: CfrRun(g, m["original"], mode="sampled"), "'sampled'"),
+            (lambda: CfrRun(g, m["original"], seed=[]), "[]"),
+            (lambda: PenaltySchedule("exponential"), "'exponential'"),
+            (lambda: PenaltySchedule("constant", -0.1), "-0.1"),
+            (lambda: PenaltySchedule("controller", factor=0.0), "0.0"),
+            (lambda: LearnerBank("hedge", 1, 2), "'hedge'"),
+            (lambda: LearnerBank("ftrl_entropic", 1, 2, eta=-1.0), "-1.0"),
+            (lambda: LearnerBank("regret_matching", 3, 2,
+                                 warm=np.ones((2, 5))), "(2, 5)")):
+        with pytest.raises(InvalidSolver, match=re.escape(named)):
+            build()
 
 
 def test_local_regret_accounting_nonnegative_sum():

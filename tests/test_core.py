@@ -99,6 +99,25 @@ def test_game_validation():
     assert issubclass(InvalidGame, ValueError)
 
 
+def test_game_validation_names_values_of_the_wrong_type():
+    kw = dict(nature=((0,),), nature_probs=(1.0,), player_of_stage=(0,),
+              stage_actions=(2,), reward_fn=lambda w, a: (0.0,), name="g")
+    for bad, msg in (({"stage_actions": (2.5,)},
+                      "action counts must be integers, got (2.5,)"),
+                     ({"stage_actions": (True,)},
+                      "action counts must be integers, got (True,)"),
+                     ({"nature_probs": ("a",)},
+                      "nature weights must be numbers, got ('a',)"),
+                     ({"nature_probs": ("1.0",)},
+                      "nature weights must be numbers, got ('1.0',)")):
+        with pytest.raises(InvalidGame,
+                           match=f"^{re.escape(msg)} \\(game g\\)$"):
+            ProductGame(**{**kw, **bad})
+    # numpy scalars are numbers
+    ProductGame(**{**kw, "nature_probs": (np.float64(1.0),),
+                   "stage_actions": (np.int64(2),)})
+
+
 def test_reward_shape_checked():
     g = ProductGame(nature=((0,),), nature_probs=(1.0,),
                     player_of_stage=(0,), stage_actions=(2,),

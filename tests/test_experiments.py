@@ -143,6 +143,34 @@ def test_config_values_checked_before_the_game_is_built():
             run_experiment({**chess, **over})
 
 
+def test_config_integers_are_not_bools_or_strings(monkeypatch):
+    chess = {**BASE, "game": {"name": "chess"}}
+    for key, bad in (("repeats", True), ("seed", False), ("iterations", "3"),
+                     ("repeats", "2"), ("iterations", 2.5)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{key} must be an integer, got {bad!r}")):
+            run_experiment({**chess, key: bad})
+    for bad in (True, "2"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"game n must be an integer, got {bad!r}")):
+            run_experiment({**BASE, "game": {"name": "trade_comm", "n": bad}})
+    # a float of integer value still counts, and PHIDE_SEED, a string in the
+    # environment, is parsed
+    assert len(run_experiment({**BASE, "iterations": 2.0})["summary"]["t"]) == 2
+    monkeypatch.setenv("PHIDE_SEED", "17")
+    assert run_experiment({**BASE, "iterations": 1})["master_seed"] == 17
+
+
+def test_rir_rejects_mc_mode():
+    config = {**BASE, "algorithm": "rir", "fine_map": "relaxed",
+              "iterations": 2}
+    with pytest.raises(ConfigError,
+                       match="^rir runs in exact mode only, got mode 'mc'$"):
+        run_experiment({**config, "mode": "mc",
+                        "game": {"name": "chess"}})  # before the game
+    assert len(run_experiment({**config, "mode": "exact"})["records"]) == 3
+
+
 def test_cli_reports_a_typed_error_in_one_line(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**BASE, "lamda": 5}))
