@@ -5,9 +5,9 @@ information relaxations."""
 from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
                    enumerate_reachable, random_policy, uniform_policy)
 from .errors import (BatchedRun, ConfigError, EnumerationTooLarge,
-                     IllegalSupport, InvalidGame, InvalidRelaxation,
-                     InvalidSolver, PhideError, WellPosednessViolation,
-                     ZeroReachLabel)
+                     IllegalSupport, InvalidGame, InvalidMap,
+                     InvalidRelaxation, InvalidSolver, PhideError,
+                     WellPosednessViolation, ZeroReachLabel)
 from .engine import Tables, tables_for
 from .games import best_response_value, check_well_posed
 from .infomaps import (has_perfect_recall, is_finer, is_implementable, project,
@@ -28,7 +28,7 @@ __all__ = [
     "enumerate_reachable", "random_policy", "uniform_policy",
     "PhideError", "WellPosednessViolation", "ZeroReachLabel",
     "EnumerationTooLarge", "IllegalSupport", "ConfigError", "BatchedRun",
-    "InvalidGame", "InvalidRelaxation", "InvalidSolver",
+    "InvalidGame", "InvalidMap", "InvalidRelaxation", "InvalidSolver",
     "Tables", "tables_for",
     "best_response_value", "check_well_posed",
     "has_perfect_recall", "is_finer", "is_implementable", "project",

@@ -17,14 +17,29 @@ import numpy as np
 from .errors import PhideError
 
 
+def _read(path: str, parse):
+    """``parse`` of the open file at ``path``; a PhideError naming the file
+    when it cannot be read or parsed."""
+    try:
+        with open(path, newline="") as f:
+            return parse(f)
+    except OSError as e:
+        raise PhideError(f"cannot read {path}: {e.strerror}") from None
+    except json.JSONDecodeError as e:
+        raise PhideError(f"{path} is not valid JSON: {e}") from None
+    except KeyError as e:
+        raise PhideError(f"{path} has no column {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:  # a value missing or malformed
+        raise PhideError(f"{path}: {e}") from None
+
+
 def _cmd_run(args) -> int:
     from .experiments import run_and_write
-    with open(args.config) as f:
-        config = json.load(f)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.repeats is not None:
-        config["repeats"] = args.repeats
+    config = _read(args.config, json.load)
+    if isinstance(config, dict):  # any other config is rejected by the run
+        for key, value in (("seed", args.seed), ("repeats", args.repeats)):
+            if value is not None:
+                config[key] = value
     result = run_and_write(config, args.out)
     s = result["summary"]
     print(f"wrote {args.out}/runs.csv and {args.out}/summary.csv "
@@ -37,20 +52,28 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     from .experiments import summarize, write_summary_csv
-    traces = {}  # the payoffs, all that ``summarize`` reads
-    with open(args.runs) as f:
-        for row in csv.DictReader(f):
-            key = (int(row["run"]), int(row["seed"]))
-            tr = traces.setdefault(key, {"payoff": []})
-            tr["payoff"].append(float(row["expected_payoff_projected"]))
-    records = [{"run": k[0], "seed": k[1], "trace": tr}
-               for k, tr in sorted(traces.items())]
-    summary = summarize(records, args.quantiles, threshold=args.threshold)
+    records = _read(args.runs, _payoff_records)
+    try:
+        summary = summarize(records, args.quantiles, threshold=args.threshold)
+    except ValueError as e:  # no records, or runs of unequal lengths
+        raise PhideError(f"{args.runs}: {e}") from None
     write_summary_csv({"summary": summary}, args.out)
     print(f"wrote {args.out} ({len(records)} runs)")
     if "success_rate" in summary:
         print(f"success rate: {summary['success_rate']:.4f}")
     return 0
+
+
+def _payoff_records(f) -> list:
+    """The records of a runs.csv file, holding the payoffs: all that
+    ``summarize`` reads."""
+    traces = {}
+    for row in csv.DictReader(f):
+        key = (int(row["run"]), int(row["seed"]))
+        tr = traces.setdefault(key, {"payoff": []})
+        tr["payoff"].append(float(row["expected_payoff_projected"]))
+    return [{"run": k[0], "seed": k[1], "trace": tr}
+            for k, tr in sorted(traces.items())]
 
 
 def _check(name: str, ok: bool, failures: list):

@@ -16,7 +16,8 @@ from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import IllegalSupport, InvalidGame, WellPosednessViolation
+from .errors import (IllegalSupport, InvalidGame, InvalidMap,
+                     WellPosednessViolation)
 
 PROB_TOL = 1e-12
 
@@ -53,7 +54,7 @@ class InformationMap:
         self._stages = []  # per stage: its tokens, or its callable
         for spec in stages:
             if not callable(spec):
-                spec = tuple(_token(kind, idx) for kind, idx in spec)
+                spec = tuple(_token(token, self) for token in spec)
             self._stages.append(spec)
 
     @property
@@ -90,16 +91,23 @@ class InformationMap:
         return f"InformationMap({self.name or hex(id(self))}, stages={self.num_stages})"
 
 
-def _token(kind, idx) -> RevealToken:
-    """The reveal token (kind, idx), or a ``ValueError`` naming it unless
-    the kind is known and the index an integer."""
+def _token(token, info: InformationMap) -> RevealToken:
+    """The reveal token (kind, idx) of map ``info``, or an ``InvalidMap``
+    naming both unless it is a pair, the kind is known and the index an
+    integer."""
+    where = f"information map {info.name or hex(id(info))}: "
+    try:
+        kind, idx = token
+    except (TypeError, ValueError):
+        raise InvalidMap(f"{where}reveal token {token!r} is not a (kind, "
+                         f"index) pair") from None
     if str(kind) not in ("nature", "action"):
-        raise ValueError(f"unknown reveal token kind {kind!r}")
+        raise InvalidMap(f"{where}unknown reveal token kind {kind!r}")
     try:
         return str(kind), operator.index(idx)
     except TypeError:
-        raise ValueError(f"reveal token {(kind, idx)!r} needs an integer "
-                         f"index") from None
+        raise InvalidMap(f"{where}reveal token {(kind, idx)!r} needs an "
+                         f"integer index") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +198,9 @@ def enumerate_reachable(game: ProductGame, info: InformationMap, validate: bool 
 
 
 def check_stage_count(game: ProductGame, info: InformationMap):
-    """A ``ValueError`` naming the map and both counts unless they agree."""
+    """An ``InvalidMap`` naming the map and both counts unless they agree."""
     if info.num_stages != game.num_stages:
-        raise ValueError(f"information map {info.name or hex(id(info))} has "
+        raise InvalidMap(f"information map {info.name or hex(id(info))} has "
                          f"{info.num_stages} stages, game "
                          f"{game.name or hex(id(game))} has {game.num_stages}")
 

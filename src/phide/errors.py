@@ -46,6 +46,13 @@ class InvalidGame(PhideError, ValueError):
     finite."""
 
 
+class InvalidMap(PhideError, ValueError):
+    """An information map that cannot be built or used: a reveal token of
+    an unknown kind or without an integer index, a stage count other than
+    the game's, or a callable stage where only reveal tokens serialize.
+    The message names the map."""
+
+
 class InvalidSolver(PhideError, ValueError):
     """A solver loop, penalty schedule or learner bank that cannot be posed:
     an unknown mode, schedule kind or learner kind, no seed, a penalty

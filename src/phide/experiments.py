@@ -11,13 +11,13 @@ import csv
 import math
 import numbers
 import os
+import warnings
 from itertools import islice
 
 import numpy as np
 
 from .cfr import MODES, SCHEDULE_KINDS, TRACE_KEYS, CfrRun
 from .core import random_policy, uniform_policy
-from .engine import tables_for
 from .errors import ConfigError
 from .hiding import PenaltySchedule, PhRun
 from .learners import KINDS
@@ -27,139 +27,169 @@ from .zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
 
 COLUMNS = ("run", "seed", "t", "expected_payoff_projected", "penalty_mass",
            "sum_pos_local_regret", "lambda_t")
-
-# Every key the harness reads; any other key is a typo and is rejected.
-CONFIG_KEYS = ("algorithm", "iterations", "repeats", "seed", "game", "learner",
-               "eta", "randomize_init", "mode", "coarse_map", "fine_map",
-               "schedule", "lambda", "target", "factor", "quantiles",
-               "threshold")
-GAME_KEYS = ("name", "n", "m", "seed")
 ALGORITHMS = ("cfr", "ph", "rir")
-# Keys that take one of a fixed set of values, each set kept by its module.
-CHOICES = (("algorithm", ALGORITHMS), ("mode", MODES), ("learner", KINDS),
-           ("schedule", SCHEDULE_KINDS))
-# Keys that take a number: each with the test its value must pass and the
-# phrase that states the test.
-NUMBERS = (("lambda", lambda x: 0 <= x < math.inf,
-            "a finite number at least 0"),
-           ("factor", lambda x: 0 < x < math.inf, "a positive finite number"),
-           ("eta", lambda x: 0 < x < math.inf, "a positive finite number"),
-           ("threshold", lambda x: True, "a number"),
-           ("target", lambda x: True, "a number"))
-
-
-def _reject_unknown_keys(record: dict, known: tuple, where: str):
-    for key in record:
-        if key not in known:
-            raise ConfigError(f"unknown {where} key {key!r}; known keys: "
-                              f"{', '.join(known)}")
-
-
-def _map(maps: dict, config, key: str, default: str):
-    name = config.get(key, default)
-    if name not in maps:
-        raise ConfigError(f"unknown {key} {name!r}; available maps: "
-                          f"{', '.join(maps)}")
-    return maps[name]
-
-
-def load_game(spec: dict):
-    """Returns (game, {map name: map}) from a config game record, whose
-    keys and integers are checked before the game is built."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"game must be a record such as "
-                          f'{{"name": "trade_comm"}}, got {spec!r}')
-    _reject_unknown_keys(spec, GAME_KEYS, "game")
-    name = spec.get("name")
-    if name == "matching_pennies":
-        return build_matching_pennies()
-    if name == "trade_comm":
-        n, m = (_integer(spec.get(k, 2), f"game {k}", 1) for k in "nm")
-        return build_trade_comm(TradeCommSpec(n, m))
-    if name == "random":
-        game, coarse, fine = random_game(
-            _integer(spec.get("seed", 0), "game seed", 0))
-        return game, {"coarse": coarse, "fine": fine}
-    raise ConfigError(f"unknown game name {name!r}")
-
-
-def _integer(value, key: str, minimum: int) -> int:
-    """``value``, an integer or a float of integer value but not a bool or
-    a string, as an int; else a ConfigError naming ``key``."""
-    if not ((isinstance(value, numbers.Integral)
-             and not isinstance(value, bool))
-            or (isinstance(value, float) and value.is_integer())):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    n = int(value)
-    if n < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {n}")
-    return n
+GAMES = ("matching_pennies", "trade_comm", "random")
 
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_numbers(config):
-    """A ConfigError naming the first key of NUMBERS whose value fails its
-    test, or ``quantiles`` unless ``_check_quantiles`` passes it."""
-    for key, ok, what in NUMBERS:
-        if key in config and not (_is_number(config[key]) and ok(config[key])):
-            raise ConfigError(f"{key} must be {what}, got {config[key]!r}")
-    _check_quantiles(config.get("quantiles", []))
+# A key's rule, ``rule(value, key)``, returns the value a run reads, or
+# raises a ConfigError naming the key.
+def _must(ok, what: str, read=lambda value: value):
+    """The rule of a value that passes ``ok``, the test ``what`` states."""
+    def rule(value, key):
+        if not ok(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return read(value)
+    return rule
 
 
-def _check_quantiles(qs):
-    """A ConfigError unless ``qs`` is a list of numbers in [0, 1]."""
-    if not (isinstance(qs, (list, tuple))
-            and all(_is_number(q) and 0 <= q <= 1 for q in qs)):
-        raise ConfigError(f"quantiles must be a list of numbers in [0, 1], "
-                          f"got {qs!r}")
+def _choice(allowed: tuple, listed: bool = True):
+    def rule(value, key):
+        if value not in allowed:
+            tail = f"; allowed values: {', '.join(allowed)}" if listed else ""
+            raise ConfigError(f"unknown {key} {value!r}{tail}")
+        return value
+    return rule
 
 
-def _require(config, key, default=None):
-    if key in config:
-        return config[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"missing config key {key!r}")
+def _integer(minimum: int):
+    """An integer, or a float of integer value, but not a bool."""
+    whole = _must(lambda x: not isinstance(x, bool) and (
+        isinstance(x, numbers.Integral)
+        or isinstance(x, float) and x.is_integer()), "an integer", int)
+    at_least = _must(lambda n: n >= minimum, f"at least {minimum}")
+    return lambda value, key: at_least(whole(value, key), key)
 
 
-def _schedule(config) -> PenaltySchedule:
-    return PenaltySchedule(
-        kind=config.get("schedule", "constant"),
-        value=float(config.get("lambda", 0.05)),
-        horizon=int(config.get("iterations", 0)),
-        target=float(config.get("target", 0.0)),
-        factor=float(config.get("factor", 1.1)),
-    )
+POSITIVE = _must(lambda x: _is_number(x) and 0 < x < math.inf,
+                 "a positive finite number", float)
+NUMBER = _must(_is_number, "a number", float)
+QUANTILES = _must(lambda qs: isinstance(qs, (list, tuple)) and all(
+    _is_number(q) and 0 <= q <= 1 for q in qs), "a list of numbers in [0, 1]")
+REQUIRED = object()  # no default: a missing key is an error
+UNSET = object()  # passed only when given, so the callee's default holds
+
+# key: (the algorithms that read it, its default, its rule), in the order
+# keys are listed and checked; a dict default is one per reader.  A rule of
+# None is checked later: the maps where the game is built, the game by GAME,
+# whose readers are the games.  A table's first key names its reader.
+CONFIG = {
+    "algorithm": (ALGORITHMS, REQUIRED, _choice(ALGORITHMS)),
+    "iterations": (ALGORITHMS, REQUIRED, _integer(1)),
+    "repeats": (ALGORITHMS, 1, _integer(1)),
+    "seed": (ALGORITHMS, 0, _integer(0)),
+    "game": (ALGORITHMS, REQUIRED, None),
+    "learner": (("cfr", "ph"), UNSET, _choice(KINDS)),
+    "eta": (("cfr", "ph"), UNSET, POSITIVE),
+    "randomize_init": (ALGORITHMS, UNSET,
+                       _must(lambda x: isinstance(x, bool), "true or false")),
+    "mode": (ALGORITHMS, UNSET, _choice(MODES)),  # rir: exact only
+    "coarse_map": (ALGORITHMS, "original", None),
+    "fine_map": (("ph", "rir"), "relaxed", None),
+    "schedule": (("ph",), UNSET, _choice(SCHEDULE_KINDS)),
+    "lambda": (("ph", "rir"), {"rir": 0.5},  # rir: above 0
+               _must(lambda x: _is_number(x) and 0 <= x < math.inf,
+                     "a finite number at least 0", float)),
+    "target": (("ph",), UNSET, NUMBER),
+    "factor": (("ph",), UNSET, POSITIVE),
+    "quantiles": (ALGORITHMS, (0.1, 0.9), QUANTILES),
+    "threshold": (ALGORITHMS, UNSET, NUMBER),
+}
+GAME = {
+    "name": (GAMES, None, _choice(GAMES, listed=False)),  # None: no game
+    "n": (("trade_comm",), UNSET, _integer(1)),
+    "m": (("trade_comm",), UNSET, _integer(1)),
+    "seed": (("random",), 0, _integer(0)),
+}
+# Keys that, when given, set a parameter of the solver loops or of PH's
+# penalty schedule (key: parameter).
+LOOP_KEYS = ("learner", "eta", "randomize_init", "mode")
+SCHEDULE_KEYS = {"schedule": "kind", "lambda": "value", "target": "target",
+                 "factor": "factor"}
+
+
+def _resolve(record, table: dict, where: str, example: str) -> dict:
+    """``record`` checked key by key, with its defaults and only the keys
+    its reader reads; a UserWarning names the keys it does not read."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where} must be a record such as {example}, "
+                          f"got {record!r}")
+    for key in record:
+        if key not in table:
+            raise ConfigError(f"unknown {where} key {key!r}; known keys: "
+                              f"{', '.join(table)}")
+    out = {}
+    for key, (_, default, rule) in table.items():
+        if isinstance(default, dict):
+            default = default.get(out[next(iter(table))], UNSET)
+        value = record.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing config key {key!r}")
+        if value is not UNSET:
+            label = key if where == "config" else f"{where} {key}"
+            out[key] = rule(value, label) if rule else value
+    reader = out[next(iter(table))]
+    unread = [key for key in record if reader not in table[key][0]]
+    if unread:
+        warnings.warn(f"{where} keys that {reader} does not read are "
+                      f"ignored: {', '.join(map(repr, unread))}", stacklevel=4)
+    return {k: v for k, v in out.items() if reader in table[k][0]}
+
+
+def resolve(config) -> dict:
+    """``config`` as a run reads it: checked by CONFIG, then its game by
+    GAME, with the defaults, and with ``seed`` taken from PHIDE_SEED when
+    that is set.  A ``rir`` config must be in exact mode with a ``lambda``
+    above 0.  ConfigError is raised before any game is built."""
+    out = _resolve(config, CONFIG, "config", '{"algorithm": "cfr", ...}')
+    if "PHIDE_SEED" in os.environ:
+        text = os.environ["PHIDE_SEED"]
+        try:
+            value = int(text)
+        except ValueError:
+            value = text
+        out["seed"] = _integer(0)(value, "PHIDE_SEED")
+    if out["algorithm"] == "rir" and out.get("mode") == "mc":
+        raise ConfigError("rir runs in exact mode only, got mode 'mc'")
+    if out["algorithm"] == "rir" and out["lambda"] == 0:
+        raise ConfigError("lambda must be a positive finite number for rir, "
+                          "got 0")
+    out["game"] = _resolve(out["game"], GAME, "game", '{"name": "trade_comm"}')
+    return out
+
+
+def load_game(spec: dict):
+    """(game, {map name: map}) of a game record that ``resolve`` checked."""
+    if spec["name"] == "matching_pennies":
+        return build_matching_pennies()
+    if spec["name"] == "trade_comm":
+        return build_trade_comm(TradeCommSpec(**{k: spec[k] for k in "nm"
+                                                 if k in spec}))
+    game, coarse, fine = random_game(spec["seed"])
+    return game, {"coarse": coarse, "fine": fine}
 
 
 def _traces(config, game, maps, seeds) -> list[dict]:
-    """One trace per seed.  ``cfr`` and ``ph`` run every seed in one solver
-    loop, a repeat per seed; ``rir`` runs them one by one on one
-    ``RelaxationProblem``."""
-    algo = _require(config, "algorithm")
-    iters = int(_require(config, "iterations"))
-    learner = config.get("learner", "regret_matching")
-    eta = config.get("eta")
-    randomize = config.get("randomize_init", False)
-    mode = config.get("mode", "exact")
-    coarse = _map(maps, config, "coarse_map", "original")
-
-    if algo == "cfr":
-        run = CfrRun(game, coarse, learner=learner, eta=eta, seed=seeds,
-                     randomize_init=randomize, mode=mode)
+    """One trace per seed of a resolved ``config``: ``cfr`` and ``ph`` run
+    the seeds as the repeats of one solver loop, ``rir`` one by one."""
+    iters = config["iterations"]
+    coarse = maps[config["coarse_map"]]
+    loop = {key: config[key] for key in LOOP_KEYS if key in config}
+    if config["algorithm"] == "cfr":
+        run = CfrRun(game, coarse, seed=seeds, **loop)
     else:
-        fine = _map(maps, config, "fine_map", "relaxed")
-        if algo == "rir":
-            problem = RelaxationProblem(game, coarse, fine,
-                                        float(config.get("lambda", 0.5)))
-            return [_rir_trace(problem, seed, randomize, iters)
-                    for seed in seeds]
-        run = PhRun(game, coarse, fine, schedule=_schedule(config),
-                    learner=learner, eta=eta, seed=seeds,
-                    randomize_init=randomize, mode=mode, keep_history=False)
+        fine = maps[config["fine_map"]]
+        if config["algorithm"] == "rir":
+            problem = RelaxationProblem(game, coarse, fine, config["lambda"])
+            return [_rir_trace(problem, seed, config.get("randomize_init"),
+                               iters) for seed in seeds]
+        schedule = PenaltySchedule(horizon=iters, **{
+            p: config[key] for key, p in SCHEDULE_KEYS.items() if key in config})
+        run = PhRun(game, coarse, fine, schedule=schedule, seed=seeds,
+                    keep_history=False, **loop)
     for _ in range(iters):
         run.iterate()
     return run.traces
@@ -171,10 +201,8 @@ def _rir_trace(problem, seed, randomize: bool, iters):
     the fine map and ``rho_mu`` the objective; ``sum_pos_local`` is NaN, as
     ``rir`` has no local learners."""
     t, game, fine = problem._t, problem.game, problem.fine
-    if randomize:
-        mu = random_policy(game, fine, np.random.default_rng(seed))
-    else:
-        mu = uniform_policy(game, fine)
+    mu = (random_policy(game, fine, np.random.default_rng(seed)) if randomize
+          else uniform_policy(game, fine))
     trace = {k: [] for k in TRACE_KEYS}
     steps = _rir_steps(problem, t.matrices(mu))
     for _, gam, val, payoff, pen in islice(steps, iters):
@@ -192,50 +220,20 @@ def run_experiment(config: dict) -> dict:
     a summary; see COLUMNS for the per-iteration record fields.  ``cfr``
     and ``ph`` run all repeats as one solver loop with a leading repeat
     axis (``cfr.SolverLoop``), each repeat's records byte for byte those
-    of a run of its seed alone; ``rir`` runs them one after another.  Keys
-    outside CONFIG_KEYS and GAME_KEYS, a seed, ``iterations`` or ``repeats``
-    (or the game record's ``n``, ``m`` or ``seed``) that is not an integer
-    in range, a value outside its CHOICES, a value of NUMBERS or
-    ``quantiles`` that is not a number in range, a ``rir`` ``lambda`` of 0
-    and a ``randomize_init`` that is not a bool raise ConfigError before
-    the game is built, and so does a ``rir`` config in ``mc`` mode, which
-    ``rir`` cannot sample.  A bool or a string is not an integer; the
-    environment's PHIDE_SEED is parsed from its string."""
-    _reject_unknown_keys(config, CONFIG_KEYS, "config")
-    if "PHIDE_SEED" in os.environ:
-        text = os.environ["PHIDE_SEED"]  # a string, so parsed first
-        try:
-            value = int(text)
-        except ValueError:
-            value = text
-        master = _integer(value, "PHIDE_SEED", 0)
-    else:
-        master = _integer(config.get("seed", 0), "seed", 0)
-    repeats = _integer(config.get("repeats", 1), "repeats", 1)
-    _integer(_require(config, "iterations"), "iterations", 1)
-    _require(config, "algorithm")
-    for key, allowed in CHOICES:
-        if key in config and config[key] not in allowed:
-            raise ConfigError(f"unknown {key} {config[key]!r}; allowed "
-                              f"values: {', '.join(allowed)}")
-    _check_numbers(config)
-    if config["algorithm"] == "rir" and config.get("mode", "exact") != "exact":
-        raise ConfigError(f"rir runs in exact mode only, got mode "
-                          f"{config['mode']!r}")
-    if config["algorithm"] == "rir" and config.get("lambda") == 0:
-        raise ConfigError("lambda must be a positive finite number for rir, "
-                          "got 0")
-    if not isinstance(config.get("randomize_init", False), bool):
-        raise ConfigError(f"randomize_init must be true or false, got "
-                          f"{config['randomize_init']!r}")
-    game, maps = load_game(_require(config, "game"))
-    seeds = [int(s) for s in np.random.SeedSequence(master).generate_state(repeats)]
+    of a run of its seed alone; ``rir`` runs them one after another.
+    ``resolve`` checks the config first, by the table of keys CONFIG."""
+    run = resolve(config)
+    game, maps = load_game(run["game"])
+    for key in ("coarse_map", "fine_map"):  # a rule of None: checked here
+        if key in run and run[key] not in tuple(maps):
+            raise ConfigError(f"unknown {key} {run[key]!r}; available maps: "
+                              f"{', '.join(maps)}")
+    seeds = [int(s) for s in
+             np.random.SeedSequence(run["seed"]).generate_state(run["repeats"])]
     records = [{"run": k, "seed": seed, "trace": trace} for k, (seed, trace)
-               in enumerate(zip(seeds, _traces(config, game, maps, seeds)))]
-    quantiles = config.get("quantiles", [0.1, 0.9])
-    threshold = config.get("threshold")
-    summary = summarize(records, quantiles, threshold=threshold)
-    return {"config": dict(config), "master_seed": master,
+               in enumerate(zip(seeds, _traces(run, game, maps, seeds)))]
+    summary = summarize(records, run["quantiles"], run.get("threshold"))
+    return {"config": dict(config), "master_seed": run["seed"],
             "records": records, "summary": summary}
 
 
@@ -249,7 +247,7 @@ def nearest_rank(values: np.ndarray, q: float) -> float:
 def summarize(records, quantiles=(0.1, 0.9), threshold: float = None) -> dict:
     """The mean payoff and its ``quantiles`` per iteration over
     ``records``; quantiles outside [0, 1] raise ConfigError."""
-    _check_quantiles(quantiles)
+    QUANTILES(quantiles, "quantiles")
     if not records:
         raise ValueError("no records to summarize")
     lengths = {len(r["trace"]["payoff"]) for r in records}

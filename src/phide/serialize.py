@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import InformationMap, ProductGame
 from .engine import tables_for
+from .errors import InvalidMap
 
 
 def game_to_json(game: ProductGame, maps: dict = None) -> str:
@@ -34,7 +35,7 @@ def game_to_json(game: ProductGame, maps: dict = None) -> str:
     }
     for name, m in maps.items():
         if any(spec is None for spec in m.revealed):
-            raise ValueError(
+            raise InvalidMap(
                 f"map {name!r} is not declaratively revealed; cannot serialize"
             )
         doc["maps"][name] = [

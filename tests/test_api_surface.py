@@ -1,11 +1,13 @@
 """The public names resolve, and so does every attribute the benchmark's
-tracer wraps by name: an API audit that drops one breaks ``--trace 1``."""
+tracer wraps by name: an API audit that drops one breaks ``--trace 1``.
+The README's list of config keys names every key of the config table."""
 
 import importlib
 import importlib.util
 import pathlib
 
 import phide
+from phide import experiments
 
 
 def traced_objects():
@@ -37,3 +39,10 @@ def test_traced_spans_resolve():
     assert objects
     for key, obj in objects:
         assert callable(obj), key
+
+
+def test_readme_names_every_config_key():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    keys = readme[readme.index("Config keys"):].split("\n\n")[0]
+    for key in [*experiments.CONFIG, *experiments.GAME]:
+        assert f"`{key}`" in keys, key

@@ -15,7 +15,7 @@ from phide.core import (BehavioralPolicy, History, InformationMap,
                         ProductGame, enumerate_reachable, random_policy,
                         uniform_policy)
 from phide.engine import Tables, tables_for
-from phide.errors import (IllegalSupport, InvalidGame,
+from phide.errors import (IllegalSupport, InvalidGame, InvalidMap,
                           WellPosednessViolation)
 from phide.hiding import run_ph
 from phide.infomaps import is_finer
@@ -591,3 +591,21 @@ def test_reward_shape_checked_by_tables():
                 f"reward_fn returned ({bad},) at history History(nature=(0,), "
                 f"actions=(1, 2)); rewards must be finite")):
             Tables(game)
+
+
+def test_map_errors_are_typed_and_name_the_map():
+    g, _ = build_matching_pennies()
+    for stages, msg in (
+            ([[("future", 0)]], "unknown reveal token kind 'future'"),
+            ([[("nature", 0.7)]],
+             "reveal token ('nature', 0.7) needs an integer index"),
+            ([[("nature",)]], "reveal token ('nature',) is not a (kind, "
+                              "index) pair")):
+        with pytest.raises(InvalidMap, match=re.escape(
+                f"information map m: {msg}")):
+            InformationMap(stages, name="m")
+    with pytest.raises(InvalidMap, match="^information map bad has 1 stages"):
+        Tables(g, InformationMap([[("nature", 0)]], name="bad"))
+    opaque = InformationMap([lambda w, a: 0, lambda w, a: 0])
+    with pytest.raises(InvalidMap, match="^map 'opaque' is not declarativ"):
+        game_to_json(g, {"opaque": opaque})

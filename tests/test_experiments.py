@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,7 @@ def batch_configs(draw):
 
 def single_run_result(config, seeds):
     """run_experiment's result from one R = 1 run per seed."""
+    config = experiments.resolve(config)
     game, maps = experiments.load_game(config["game"])
     records = [{"run": k, "seed": seed,
                 "trace": experiments._traces(config, game, maps, [seed])[0]}
@@ -382,3 +384,89 @@ def test_batched_repeats_write_the_bytes_of_single_runs(config):
                 got = f.read()
             with open(os.path.join(d, "single", name), "rb") as f:
                 assert got == f.read(), name
+
+
+def test_keys_the_run_does_not_read_warn_and_change_nothing():
+    for over, dropped, msg in (
+            ({"schedule": "controller", "lambda": 3, "fine_map": "relaxed"},
+             {}, "config keys that cfr does not read are ignored: "
+                 "'schedule', 'lambda', 'fine_map'"),
+            ({"learner": "ftrl_entropic", "eta": 0.5}, {"algorithm": "rir"},
+             "config keys that rir does not read are ignored: 'learner', "
+             "'eta'"),
+            ({"game": {"name": "matching_pennies", "n": 7}}, {},
+             "game keys that matching_pennies does not read are ignored: "
+             "'n'")):
+        config = {**BASE, "iterations": 3, **dropped}
+        with pytest.warns(UserWarning) as caught:
+            result = run_experiment({**config, **over})
+        assert [str(w.message) for w in caught
+                if w.category is UserWarning] == [msg]
+        assert result["summary"] == run_experiment(config)["summary"]
+
+
+# The config shapes of the batch_mc benchmark workload, of acceptance
+# criterion 6 and of demo 06, with fewer iterations and repeats
+SHAPES = (
+    *({"game": {"name": "trade_comm", "n": 3, "m": 2}, "iterations": 2,
+       "repeats": 2, "randomize_init": True, "mode": "mc",
+       "learner": "regret_matching_plus", "coarse_map": "original",
+       "seed": 3, **kind}
+      for kind in ({"algorithm": "cfr"},
+                   {"algorithm": "ph", "fine_map": "perfect_recall",
+                    "schedule": "ramp", "lambda": 2.0},
+                   {"algorithm": "ph", "fine_map": "cheat",
+                    "schedule": "ramp", "lambda": 2.0})),
+    *({"game": {"name": "matching_pennies"}, "iterations": 2, "repeats": 2,
+       "randomize_init": True, "seed": 2024, "mode": "mc",
+       "learner": "regret_matching", "coarse_map": "original",
+       "threshold": 0.95, **kind}
+      for kind in ({"algorithm": "cfr"},
+                   {"algorithm": "ph", "fine_map": "relaxed",
+                    "lambda": 0.05})),
+    {"game": {"name": "matching_pennies"}, "algorithm": "ph",
+     "coarse_map": "original", "fine_map": "relaxed", "lambda": 0.05,
+     "learner": "regret_matching", "iterations": 2, "repeats": 2,
+     "randomize_init": True, "seed": 2024, "threshold": 0.95})
+
+
+@pytest.mark.parametrize("config", SHAPES)
+def test_configs_in_use_read_every_key(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert set(experiments.resolve(config)) >= set(config)
+        run_experiment(config)
+
+
+def test_config_that_is_not_a_record_is_rejected():
+    for bad in ([1, 2], "cfr", None):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config must be a record such as {{\"algorithm\": \"cfr\", "
+                f"...}}, got {bad!r}")):
+            run_experiment(bad)
+
+
+@pytest.mark.parametrize("command, name, text, problem", (
+    ("run --config", "c.json", '{"algorithm": ', "{path} is not valid JSON"),
+    ("run --config", "c.json", None,
+     "cannot read {path}: No such file or directory"),
+    ("run --seed 3 --config", "c.json", "[1, 2]",
+     "config must be a record such as"),
+    ("summarize --runs", "runs.csv", ",".join(experiments.COLUMNS) + "\n",
+     "{path}: no records to summarize"),
+    ("summarize --runs", "runs.csv", "run,seed,t,payoff\n0,0,1,0.5\n",
+     "{path} has no column 'expected_payoff_projected'"),
+    ("summarize --runs", "runs.csv",
+     "run,seed,t,expected_payoff_projected\n0,0,1\n", "{path}: float()"),
+    ("summarize --runs", "runs.csv", None,
+     "cannot read {path}: No such file or directory")))
+def test_cli_input_errors_print_one_line(tmp_path, capsys, command, name,
+                                         text, problem):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert main([*command.split(), str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"phide: error: {problem.format(path=path)}")
+    assert err.count("\n") == 1
