@@ -47,18 +47,35 @@ Nature's cumulative distribution, which is built once with the loop.  The
 projection and the trace stay exact.  Runs are deterministic given the
 seed.
 
+The loop builds its iteration plan once, with the loop: per stage
+(``_Stage``), the stacked labels and (label, action) bins, the row count
+and action count, the (coarse, fine) label pairs and either the fine ->
+coarse index or the pairs' bins, and each stacked array again with one
+Nature block per row.  A step is then one loop over the plan per phase.
+In ``mc`` mode a repeat's Nature block is a row of those arrays, and a
+step gathers the R repeats' rows with one ``take`` per array.  Stages of
+one action count share one ``LearnerBank`` (``make_banks``), their rows
+one stage after another, so a step makes one decide and one observe per
+width; ``mats[i]`` and the accounting's ``cum_theta[i]`` and
+``cum_real[i]`` are stage i's rows of its bank.  All the arithmetic is row
+by row, and each repeat's regret sum adds its stages' sums in stage order,
+so sharing changes no bit.
+
 A step allocates little beyond what it hands out.  The game's ``Tables``
 owns the workspace (``Tables.work``): one buffer per (role, stage), lent
-to every loop on the game and grown to the largest request.  A buffer's
-contents live inside one ``iterate()`` and no longer (``_step``'s
-penalty, too, only until the next step on the game), so loops on one game
-may step in any interleaving, one thread at a time.  Nothing a loop hands out aliases a buffer: the
-projected iterate, the local rewards, ``current_mats()`` and the policies
-are new arrays.  Each learner bank updates its regrets in place and
-returns the played reward that ``RegretAccounting`` adds, and at a stage
-where the fine map refines the coarse one the difference between the
-iterate and its projection is computed once, for the penalty and for its
-linearization.
+to every loop on the game and grown to the largest request.  A loop
+fetches the views of those buffers that its steps write once
+(``SolverLoop._lend``) and again only after some loop has grown a buffer
+(``Tables.work_grown``), so a step looks none up.  A buffer's contents
+live inside one ``iterate()`` and no longer (``_step``'s penalty, too,
+only until the next step on the game), so loops on one game may step in
+any interleaving, one thread at a time.  Nothing a loop hands out aliases
+a buffer: the projected iterate, ``_step``'s local rewards,
+``current_mats()`` and the policies are new arrays.  Each learner bank
+updates its regrets in place and returns the played reward that
+``RegretAccounting`` adds, and at a stage where the fine map refines the
+coarse one the difference between the iterate and its projection is
+computed once, for the penalty and for its linearization.
 """
 
 from __future__ import annotations
@@ -71,7 +88,7 @@ import numpy as np
 
 from .core import BehavioralPolicy, InformationMap, ProductGame, check_player
 from .engine import (Tables, forward, label_cells, label_pairs, pair_masses,
-                     refinement, scaled, stacked, tables_for, tiled)
+                     refinement, stacked, tables_for, tiled)
 from .errors import BatchedRun, InvalidSolver, ZeroReachLabel
 from .infomaps import coarse_masses, pair_sq_distance, project_matrices
 from .learners import LearnerBank
@@ -102,27 +119,28 @@ def floored_mats(mats, eps: float = EPS_FLOOR, out=None):
 
 def make_banks(t: Tables, map_idx: int, kind: str, eta, rngs,
                randomize_init: bool):
-    """One learner bank per stage, with a row per engine label for each
-    generator of ``rngs`` in turn.  With ``randomize_init`` the rows of
-    repeat r are one Dirichlet call per stage on ``rngs[r]``, stage by
-    stage."""
-    banks = []
-    for i in range(t.game.num_stages):
+    """One learner bank per action width, in order of first use.  A bank
+    holds its stages' rows one stage after another, in stage order, and a
+    stage's rows are a row per engine label for each generator of ``rngs``
+    in turn.  Returns the banks and, per stage, (its bank, its row slice).
+    With ``randomize_init`` the rows of stage i for repeat r are one
+    Dirichlet call on ``rngs[r]``, stage by stage."""
+    widths, sizes, warm, where = {}, [], [], []
+    for i, A in enumerate(t.game.stage_actions):
+        k = widths.setdefault(A, len(widths))
+        if k == len(sizes):
+            sizes.append(0)
+            warm.append([])
         n_labels = len(t.labels[map_idx][i])
-        A = t.game.stage_actions[i]
-        warm = None
         if randomize_init:
-            warm = np.concatenate([rng.dirichlet(np.ones(A), size=n_labels)
-                                   for rng in rngs])
-        banks.append(LearnerBank(kind, len(rngs) * n_labels, A, eta=eta,
-                                 warm=warm))
-    return banks
-
-
-def _row_shapes(mats, labels) -> list:
-    """Per stage i, the shape [len(labels[i]), A] of the rows of
-    ``mats[i]`` that ``labels[i]`` picks."""
-    return [(len(lab), m.shape[1]) for m, lab in zip(mats, labels)]
+            warm[k] += [rng.dirichlet(np.ones(A), size=n_labels)
+                        for rng in rngs]
+        where.append((k, slice(sizes[k], sizes[k] + len(rngs) * n_labels)))
+        sizes[k] += len(rngs) * n_labels
+    banks = [LearnerBank(kind, n, A, eta=eta,
+                         warm=np.concatenate(rows) if randomize_init else None)
+             for A, n, rows in zip(widths, sizes, warm)]
+    return banks, where
 
 
 def nature_cdf(probs: np.ndarray) -> np.ndarray:
@@ -143,7 +161,8 @@ def nature_draws(cdf: np.ndarray, rngs) -> np.ndarray:
 def counterfactual_matrix(stage: int, labels: np.ndarray, cells: np.ndarray,
                           n_labels: int, weight: np.ndarray,
                           values: np.ndarray, mass: np.ndarray = None,
-                          sampled: bool = False, out: np.ndarray = None):
+                          sampled: bool = False, out: np.ndarray = None,
+                          into: np.ndarray = None):
     """Per label, the ``weight``-weighted mean of the rows of ``values``:
     entry [g, d] is sum(weight[k] * values[k, d]) / mass[g] over the rows k
     with ``labels[k] == g``; ``cells`` is ``engine.label_cells(labels, A)``,
@@ -156,8 +175,9 @@ def counterfactual_matrix(stage: int, labels: np.ndarray, cells: np.ndarray,
     ``weight`` from an earlier call, and is not recomputed.  A label with
     no mass raises ZeroReachLabel, or gets a zero row when ``sampled``.
     ``out``, if given, is the array of ``values``' shape that the weighted
-    values are written to.  Returns (matrix, label mass); the matrix is a
-    new array.
+    values are written to, and ``into`` the [n_labels, A] array that the
+    matrix is.  Returns (matrix, label mass); without ``into`` the matrix
+    is a new array.
     """
     if mass is None:
         mass = np.bincount(labels, weights=weight, minlength=n_labels)
@@ -169,9 +189,9 @@ def counterfactual_matrix(stage: int, labels: np.ndarray, cells: np.ndarray,
     weighted = np.multiply(weight[:, None], values, out=out)
     num = np.bincount(cells, weights=weighted.reshape(-1),
                       minlength=n_labels * A).reshape(n_labels, A)
-    theta = np.divide(num, mass[:, None], out=num, where=ok[:, None])
-    if not reached:
-        theta[~ok] = 0.0  # the rows ``where`` left as they were
+    # a label without mass has no weight in ``num``: its row is 0 / 1
+    div = mass if reached else np.where(ok, mass, 1.0)
+    theta = np.divide(num, div[:, None], out=num if into is None else into)
     return theta, mass
 
 
@@ -191,7 +211,7 @@ def suffix_values(labels, mats, values: np.ndarray, pen=None, out=None):
         yield i, after
         if i:
             rows, u = (None, None) if out is None else out[i]
-            rows = np.take(mats[i], lab, axis=0, out=rows, mode="clip")
+            rows = mats[i].take(lab, axis=0, out=rows, mode="clip")
             u = np.einsum("pa,pa->p", rows, after, out=u)
             if pen:
                 u -= pen[i]
@@ -199,31 +219,33 @@ def suffix_values(labels, mats, values: np.ndarray, pen=None, out=None):
 
 class RegretAccounting:
     """Tracks cumulative fed rewards and realized values per label row, for
-    R stacked repeats."""
+    R stacked repeats: one array each per learner bank, with ``cum_theta[i]``
+    and ``cum_real[i]`` the row views of stage i (``make_banks``)."""
 
-    def __init__(self, t: Tables, map_idx: int, repeats: int):
-        stages = range(t.game.num_stages)
+    def __init__(self, banks, where, repeats: int):
         self.repeats = repeats
-        self.cum_theta = {
-            i: np.zeros((repeats * len(t.labels[map_idx][i]),
-                         t.game.stage_actions[i]))
-            for i in stages
-        }
-        self.cum_real = {i: np.zeros(repeats * len(t.labels[map_idx][i]))
-                         for i in stages}
+        self.where = where
+        self.theta = [np.zeros(bank.cum.shape) for bank in banks]
+        self.real = [np.zeros(len(bank.cum)) for bank in banks]
+        self.cum_theta = {i: self.theta[k][rows]
+                          for i, (k, rows) in enumerate(where)}
+        self.cum_real = {i: self.real[k][rows]
+                         for i, (k, rows) in enumerate(where)}
 
-    def update(self, stage: int, theta: np.ndarray, played: np.ndarray):
-        """Adds the fed rewards ``theta`` and each row's played reward,
-        ``LearnerBank.observe``'s result."""
-        self.cum_theta[stage] += theta
-        self.cum_real[stage] += played
+    def update(self, bank: int, theta: np.ndarray, played: np.ndarray):
+        """Adds the fed rewards ``theta`` of a bank and each row's played
+        reward, ``LearnerBank.observe``'s result."""
+        self.theta[bank] += theta
+        self.real[bank] += played
 
     def sum_pos(self) -> np.ndarray:
-        """Each repeat's sum of positive cumulative local regrets."""
+        """Each repeat's sum of positive cumulative local regrets, summed
+        stage by stage."""
+        pos = [np.maximum(ct.max(axis=1) - cr, 0.0)
+               for ct, cr in zip(self.theta, self.real)]
         total = 0.0
-        for i, ct in self.cum_theta.items():
-            pos = np.maximum(ct.max(axis=1) - self.cum_real[i], 0.0)
-            total = total + pos.reshape(self.repeats, -1).sum(axis=1)
+        for k, rows in self.where:
+            total = total + pos[k][rows].reshape(self.repeats, -1).sum(axis=1)
         return total
 
     def local_regrets(self, horizon: int):
@@ -281,6 +303,40 @@ class PenaltySchedule:
                 self._state /= self.factor
 
 
+class _Stage:
+    """Stage ``i`` of a loop's iteration plan, built once with the loop.
+
+    Its ``rows`` learner rows, of width ``A``, are rows ``sl`` of learner
+    bank ``bank``.  ``labels`` and ``cells`` are each stacked stage-i
+    prefix's fine label and (label, action) bins.  With a relaxation,
+    ``coarse_labels`` are its coarse labels, ``pairs`` the (coarse, fine)
+    label pairs, and ``f2c`` each fine label's coarse label where the fine
+    map refines the coarse one, else None, with ``pair_cells`` each pair's
+    (fine label, action) bins.  ``labels2``, ``cells2`` and ``idx2`` (the
+    pairs' prefix index) hold one Nature block per row."""
+
+    __slots__ = ("i", "A", "rows", "bank", "sl", "labels", "cells",
+                 "coarse_labels", "pairs", "f2c", "pair_cells", "labels2",
+                 "cells2", "idx2")
+
+
+class _Views:
+    """The views of the ``Tables.work`` buffers that a loop's step writes
+    to, per stage: fetched by ``SolverLoop._lend`` for a step on all the
+    prefixes or on one Nature state per repeat (``sampled``), at
+    ``Tables.work_grown`` count ``key[0]``.  Several views of one (role,
+    stage) buffer hold its live values at different times of a step (the
+    roles are listed above ``SolverLoop._step``)."""
+
+    __slots__ = ("key", "floor", "reach", "project", "sq", "diff", "pen",
+                 "later", "back", "cf", "raw", "gam", "scratch", "before2",
+                 "pen2", "raw_r", "diff_r", "pen_r", "later_r", "gam_r",
+                 "fed")
+
+    def __init__(self):
+        self.key = None  # none fetched yet
+
+
 class SolverLoop:
     """Learners on ``fine``, projected each step onto ``coarse`` and fed
     penalized local rewards.  With ``fine is coarse`` the projection is the
@@ -314,50 +370,57 @@ class SolverLoop:
         self.mf = t.map_index(fine)
         self.mc = t.map_index(coarse)
         self.stages = range(game.num_stages)
-        A = game.stage_actions
-        n_fine = [len(t.labels[self.mf][i]) for i in self.stages]
         # each stage owner and its stages, for one backward pass per owner
         self.owners = {p: game.stages_of(p)
                        for p in sorted(set(game.player_of_stage))}
-        # the R repeats' prefix arrays; repeat r's Nature blocks are blocks
-        # r·W to r·W + W - 1 of each
-        self._n_blocks = len(t.nature_probs) * R
-        self._first_block = len(t.nature_probs) * np.arange(R)
-        self.start = tiled(t.nature_probs, R)
-        self.labels = [stacked(t.prefix_label[self.mf][i], n_fine[i], R)
-                       for i in self.stages]
-        self.cells = [stacked(t.cells(self.mf, i), n_fine[i] * A[i], R)
-                      for i in self.stages]
-        self.values = {p: tiled(t.rewards[:, p], R) for p in self.owners}
-        # the (coarse, fine) label pairs of the stacked labels and the fine
-        # -> coarse label index on the stages where fine refines coarse;
-        # unused, so not built, when fine is coarse
-        self.pairs, self.f2c = [], {}
-        if fine is not coarse:
-            n_coarse = [len(t.labels[self.mc][i]) for i in self.stages]
-            self.coarse_labels = [
-                stacked(t.prefix_label[self.mc][i], n_coarse[i], R)
-                for i in self.stages]
-            self.pairs = [label_pairs(self.labels[i], self.coarse_labels[i],
-                                      R * n_fine[i], R * n_coarse[i])
-                          for i in self.stages]
-            f2c = [refinement(pairs, R * n)
-                   for pairs, n in zip(self.pairs, n_fine)]
-            self.f2c = {i: arr for i, arr in enumerate(f2c) if arr is not None}
-            # per stage that does not refine, each pair's (fine label,
-            # action) bins
-            self.pair_cells = {i: label_cells(self.pairs[i][2], A[i])
-                               for i in self.stages if i not in self.f2c}
         self.rngs = [np.random.default_rng(s) for s in seeds]
         self._cdf = nature_cdf(t.nature_probs)
-        self.banks = make_banks(t, self.mf, learner, eta, self.rngs,
-                                randomize_init)
-        self.accounting = RegretAccounting(t, self.mf, R)
+        self.banks, where = make_banks(t, self.mf, learner, eta, self.rngs,
+                                       randomize_init)
+        self.accounting = RegretAccounting(self.banks, where, R)
+        # the R repeats' prefix arrays; repeat r's Nature blocks are blocks
+        # r·W to r·W + W - 1 of each, and the rows of ``x.reshape(blocks,
+        # -1)``
+        blocks = len(t.nature_probs) * R
+        self._first_block = len(t.nature_probs) * np.arange(R)
+        self.start = tiled(t.nature_probs, R)
+        self._start2 = self.start.reshape(blocks, -1)
+        self.values = {p: tiled(t.rewards[:, p], R) for p in self.owners}
+        self._values2 = {p: np.ascontiguousarray(v).reshape(blocks, -1)
+                         for p, v in self.values.items()}
+        self.plan = []
+        for i, A in enumerate(game.stage_actions):
+            s = _Stage()
+            n_fine = len(t.labels[self.mf][i])
+            s.i, s.A, s.rows, (s.bank, s.sl) = i, A, R * n_fine, where[i]
+            s.labels = stacked(t.prefix_label[self.mf][i], n_fine, R)
+            s.cells = stacked(t.cells(self.mf, i), n_fine * A, R)
+            s.labels2 = s.labels.reshape(blocks, -1)
+            s.cells2 = s.cells.reshape(blocks, -1)
+            s.coarse_labels = s.pairs = s.f2c = s.pair_cells = s.idx2 = None
+            if fine is not coarse:
+                n_coarse = len(t.labels[self.mc][i])
+                s.coarse_labels = stacked(t.prefix_label[self.mc][i],
+                                          n_coarse, R)
+                s.pairs = label_pairs(s.labels, s.coarse_labels, s.rows,
+                                      R * n_coarse)
+                s.idx2 = s.pairs[0].reshape(blocks, -1)
+                s.f2c = refinement(s.pairs, s.rows)
+                if s.f2c is None:
+                    s.pair_cells = label_cells(s.pairs[2], A)
+            self.plan.append(s)
+        self._views = _Views()
         self.iteration = 0
         self.projected = None  # coarse matrices of the latest iterate
         self.traces = [{k: [] for k in TRACE_KEYS} for _ in seeds]
 
     # ------------------------------------------------------------------
+
+    @property
+    def f2c(self) -> dict:
+        """Each stage's fine -> coarse label index, by stage, on the
+        stages where the fine map refines the coarse one."""
+        return {s.i: s.f2c for s in self.plan if s.f2c is not None}
 
     def _single(self, what: str):
         """Raises BatchedRun, naming ``what``, unless this is one run."""
@@ -371,32 +434,37 @@ class SolverLoop:
         self._single("trace")
         return self.traces[0]
 
+    def _decide(self):
+        """Each bank's rows, and per stage its rows of them."""
+        play = [bank.decide() for bank in self.banks]
+        return play, [play[s.bank][s.sl] for s in self.plan]
+
     def current_mats(self):
-        return [bank.decide() for bank in self.banks]
+        return self._decide()[1]
 
     def iterate(self):
         """One step of every repeat; returns the projected iterate in
         matrix form, the repeats' rows stacked."""
         self.iteration += 1
         lam = np.array([s.current(self.iteration) for s in self.schedules])
-        mats = self.current_mats()
+        play, mats = self._decide()
         w = None
         if self.mode == "mc":
             w = nature_draws(self._cdf, self.rngs)
-        gam, pen, thetas = self._step(mats, lam, w)
-        for i in self.stages:
-            played = self.banks[i].observe(
-                thetas[i], mats[i],
-                out=self.t.work("weighted", i, mats[i].shape))
-            self.accounting.update(i, thetas[i], played)
+        v = self._lend(w is not None)
+        gam, pen, _ = self._step(mats, lam, w, v.fed)
+        for k, bank in enumerate(self.banks):
+            played = bank.observe(v.fed[k], play[k], out=v.scratch[k])
+            self.accounting.update(k, v.fed[k], played)
         self._record(mats, gam, pen, lam)
         self.projected = gam
         return gam
 
     # A step's per-prefix and per-label arrays live in the workspace of
-    # ``self.t`` (``Tables.work``), one buffer per (role, stage i).  A step
-    # uses them in five phases: projection, penalty, backward pass, observe,
-    # record.  Each role holds one live value at a time:
+    # ``self.t`` (``Tables.work``), one buffer per (role, stage i), and the
+    # step writes them through the views of ``_lend``.  A step uses them in
+    # five phases: projection, penalty, backward pass, observe, record.
+    # Each role holds one live value at a time:
     #   floor     the floored iterate at stage i (projection to backward
     #             pass);
     #   reach     the floored forward pass's stage-(i + 1) reach (projection
@@ -410,131 +478,195 @@ class SolverLoop:
     #             rows, the backward pass's rows, then the raw iterate's
     #             forward pass;
     #   weighted  the projection's weighted rows, the squared difference,
-    #             the counterfactual weighted values, the learners' scratch,
-    #             then the projected iterate's forward pass.
-    # What a step returns (the projection, the local rewards) is new.
+    #             the counterfactual weighted values, the learners' scratch
+    #             (a bank's, at its last stage), then the projected
+    #             iterate's forward pass;
+    #   fed       a bank's local rewards, at its last stage (backward pass
+    #             to observe, in ``iterate``).
+    # What ``_step`` returns (the projection, the local rewards) is new.
 
-    def _work(self, role: str, shapes) -> list:
-        """Per stage i, the workspace array of (``role``, i) with shape
-        ``shapes[i]``."""
-        return [self.t.work(role, i, shape) for i, shape in enumerate(shapes)]
+    def _lend(self, sampled: bool) -> _Views:
+        """The views of a step, on one Nature block per repeat if
+        ``sampled``: those fetched last, unless some loop has grown a buffer
+        since or they are of the other kind of step; else fetched again,
+        once every buffer has grown to its largest request.  A name ending
+        in ``_r`` is a view with one row per repeat."""
+        t = self.t
+        if self._views.key == (t.work_grown, sampled):
+            return self._views
+        plan, relaxed, R = self.plan, self.fine is not self.coarse, self.R
+        work, v = t.work, _Views()
+        W = len(t.nature_probs)
+        back = [len(s.labels) // W if sampled else len(s.labels)
+                for s in plan]  # the backward pass's prefixes per stage
+        while v.key != (t.work_grown, sampled):
+            v.key = (t.work_grown, sampled)
+            v.floor = [work("floor", s.i, (s.rows, s.A)) for s in plan]
+            v.reach = [work("reach", s.i, (len(s.labels) if relaxed
+                                           else back[s.i], s.A))
+                       for s in plan[:-1]]
+            v.back = [None] + [(work("rows", s.i, (back[s.i], s.A)),
+                                work("suffix", s.i, (back[s.i],)))
+                               for s in plan[1:]]
+            v.cf = [work("weighted", s.i, (back[s.i], s.A)) for s in plan]
+            v.raw = [work("rows", s.i, (len(s.labels), s.A)) for s in plan]
+            v.raw_r = [x.reshape(R, -1) for x in [self.start] + v.raw]
+            last = {s.bank: s.i for s in plan}
+            v.scratch = [work("weighted", last[k], bank.cum.shape)
+                         for k, bank in enumerate(self.banks)]
+            v.fed = [work("fed", last[k], bank.cum.shape)
+                     for k, bank in enumerate(self.banks)]
+            if relaxed:
+                v.project = [(work("rows", s.i, (len(s.pairs[2]), s.A)),
+                              work("weighted", s.i, (len(s.pairs[2]), s.A)))
+                             for s in plan]
+                v.sq = [None if s.f2c is None
+                        else work("weighted", s.i, (s.rows, s.A))
+                        for s in plan]
+                v.diff = [work("diff", s.i, (s.rows, s.A)) for s in plan]
+                v.diff_r = [x.reshape(R, -1) for x in v.diff]
+                v.pen = [work("pen", s.i, (len(s.labels),)) for s in plan]
+                v.pen_r = [x.reshape(R, -1) for x in v.pen]
+                v.later = [None] + [work("later", s.i, (back[s.i],))
+                                    for s in plan[1:]]
+                v.later_r = [None] + [x.reshape(R, -1) for x in v.later[1:]]
+                v.gam = [work("weighted", s.i, (len(s.labels), s.A))
+                         for s in plan]
+                v.gam_r = v.gam[-1].reshape(R, -1)
+                blocks = len(self._start2)
+                v.before2 = [x.reshape(blocks, -1) for x in [self.start] +
+                             [r.reshape(-1) for r in v.reach]]
+                v.pen2 = [x.reshape(blocks, -1) for x in v.pen]
+        self._views = v
+        return v
 
-    def _block(self, x: np.ndarray, rows) -> np.ndarray:
-        """The Nature blocks ``rows`` of the stacked prefix array ``x``, end
-        to end; all of ``x`` when ``rows`` is None."""
-        if rows is None:
-            return x
-        return x.reshape(self._n_blocks, -1)[rows].reshape(-1)
-
-    def _step(self, mats, lam, w=None):
+    def _step(self, mats, lam, w=None, fed=None):
         """Returns the projected mats, each stage's per-prefix penalty (none
         when ``fine is coarse``), and the local rewards under the penalty
         weight ``lam``, one for all repeats or one each.  With ``w``, each
         repeat's Nature state, the rewards are of its block alone.  The
-        penalty lives in the workspace until the next step on the game."""
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), (self.R,))
-        rows = None if w is None else self._first_block + w
-        labels = [self._block(lab, rows) for lab in self.labels]
-        fl = floored_mats(mats, out=self._work("floor",
-                                               [m.shape for m in mats]))
-        if not self.pairs:
-            before = forward(self._block(self.start, rows), fl[:-1], labels,
-                             out=self._work("reach", _row_shapes(fl[:-1],
-                                                                 labels)))
-            return mats, {}, self._local_rewards(mats, fl, before, labels,
-                                                 rows)
-        before, gam, pm = self._project(mats, fl)
-        pen, diff = self._penalty(mats, gam)
-        if rows is not None:
-            before = [self._block(b, rows) for b in before]
-            # the pair masses of the Nature blocks ``rows``
-            pm = pair_masses([(self._block(idx, rows), c, f, o)
-                              for idx, c, f, o in self.pairs], before)
-        return gam, pen, self._local_rewards(mats, fl, before, labels, rows,
-                                             lam, gam, pm, pen, diff)
+        penalty lives in the workspace until the next step on the game.
+        ``fed``, if given, is one array per bank, of its shape, that the
+        rewards are written to; stage i's are then its rows of them."""
+        R = self.R
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (R,):
+            lam = np.broadcast_to(lam, (R,))
+        sampled = w is not None
+        v = self._lend(sampled)
+        if fed is None:
+            fed = [np.empty(bank.cum.shape) for bank in self.banks]
+        fl = floored_mats(mats, out=v.floor)
+        relaxed = self.fine is not self.coarse
+        gam, pen, before, pm, later = mats, {}, None, None, None
+        if relaxed:
+            before, gam, pm = self._project(mats, fl)
+            pen = self._penalty(mats, gam)
+            later = v.pen_r
+        if sampled:
+            # the rows of each repeat's Nature block, one gather per array
+            rows = self._first_block + w
+            labels, cells, values = [], [], {}
+            if relaxed:
+                before, pm, later = [], [], []
+            for s in self.plan:
+                labels.append(s.labels2.take(rows, axis=0).reshape(-1))
+                cells.append(s.cells2.take(rows, axis=0).reshape(-1))
+                if relaxed:
+                    before.append(v.before2[s.i].take(rows, axis=0)
+                                  .reshape(-1))
+                    # the pair masses of the blocks
+                    pm.append(np.bincount(s.idx2.take(rows, axis=0)
+                                          .reshape(-1), weights=before[-1],
+                                          minlength=len(s.pairs[2])))
+                    later.append(v.pen2[s.i].take(rows, axis=0))
+            for p, v2 in self._values2.items():
+                values[p] = v2.take(rows, axis=0).reshape(-1)
+        else:
+            labels = [s.labels for s in self.plan]
+            cells = [s.cells for s in self.plan]
+            values = self.values
+        if before is None:
+            start = (self._start2.take(rows, axis=0).reshape(-1) if sampled
+                     else self.start)
+            before = forward(start, fl[:-1], labels, out=v.reach)
+        thetas = self._local_rewards(mats, fl, before, labels, cells, values,
+                                     fed, sampled, lam, gam, pm, later)
+        return gam, pen, thetas
 
     def _project(self, mats, fl):
         """Returns the forward pass of the floored mats ``fl`` up to stage
         L - 1, where the backward pass starts, the projection of ``mats``
         under it, and its pair masses."""
-        before = forward(self.start, fl[:-1], self.labels,
-                         out=self._work("reach", _row_shapes(fl[:-1],
-                                                             self.labels)))
-        pm = pair_masses(self.pairs, before)
-        shapes = [(len(fine), m.shape[1])
-                  for (_, _, fine, _), m in zip(self.pairs, mats)]
-        gam = project_matrices(self.pairs, mats, pm,
-                               coarse_masses(self.pairs, pm),
-                               out=list(zip(self._work("rows", shapes),
-                                            self._work("weighted", shapes))))
+        pairs = [s.pairs for s in self.plan]
+        before = forward(self.start, fl[:-1], [s.labels for s in self.plan],
+                         out=self._views.reach)
+        pm = pair_masses(pairs, before)
+        gam = project_matrices(pairs, mats, pm, coarse_masses(pairs, pm),
+                               out=self._views.project)
         return before, gam, pm
 
     def _penalty(self, mats, gam):
         """Each stage's penalty per prefix, the squared distance between
-        its fine row of ``mats`` and its coarse row of ``gam``, and, at each
+        its fine row of ``mats`` and its coarse row of ``gam``.  At each
         stage where fine refines coarse, ``mats[i] - gam[i][f2c[i]]``, the
-        difference that the penalty and its linearization share."""
-        pen, diff = {}, {}
-        for i, pairs in enumerate(self.pairs):
-            if i in self.f2c:
-                d = self.t.work("diff", i, mats[i].shape)
-                np.take(gam[i], self.f2c[i], axis=0, out=d, mode="clip")
-                diff[i] = d = np.subtract(mats[i], d, out=d)
-                sq = np.multiply(d, d, out=self.t.work("weighted", i, d.shape)
-                                 ).sum(axis=1)
-                idx = self.labels[i]
+        difference that the penalty and its linearization share, is left
+        in the stage's diff view."""
+        v = self._views
+        pen = {}
+        for s in self.plan:
+            i = s.i
+            if s.f2c is not None:
+                d = gam[i].take(s.f2c, axis=0, out=v.diff[i], mode="clip")
+                d = np.subtract(mats[i], d, out=d)
+                sq = np.multiply(d, d, out=v.sq[i]).sum(axis=1)
+                idx = s.labels
             else:
-                sq = pair_sq_distance(pairs, mats[i], gam[i])
-                idx = pairs[0]
-            pen[i] = np.take(sq, idx, out=self.t.work("pen", i, idx.shape),
-                             mode="clip")
-        return pen, diff
+                sq = pair_sq_distance(s.pairs, mats[i], gam[i])
+                idx = s.pairs[0]
+            pen[i] = sq.take(idx, out=v.pen[i], mode="clip")
+        return pen
 
-    def _local_rewards(self, mats, fl, before, labels, rows, lam=None,
-                       gam=None, pm=None, pen=None, diff=None):
+    def _local_rewards(self, mats, fl, before, labels, cells, values, fed,
+                       sampled, lam, gam, pm, pen):
         """Each stage owner's counterfactual reward less the later stages'
         penalty ``lam`` · ``pen``, minus the linearized penalty of the
-        stage itself, ``diff[i]`` where given.  ``before`` is the forward
-        pass of the floored mats ``fl``, ``labels`` its prefixes' labels
-        and ``pm`` its pair masses, of the Nature blocks ``rows`` when
-        given."""
-        sampled = rows is not None
+        stage itself, written to its rows of ``fed``.  ``before`` is the
+        forward pass of the floored mats ``fl``, ``labels`` and ``cells``
+        its prefixes' labels and bins, ``values`` the rewards per owner and
+        ``pm`` its pair masses, of one Nature block per repeat if
+        ``sampled``; ``pen[i]`` has a row per repeat."""
+        v = self._views
         later = None
         if pen:
-            later = {}
-            for i in pen:
-                if i:  # stage 0's penalty is no later stage's
-                    x = self._block(pen[i], rows)
-                    later[i] = scaled(lam, x,
-                                      out=self.t.work("later", i, x.shape))
-        shapes = _row_shapes(fl, labels)
-        back = list(zip(self._work("rows", shapes),
-                        self._work("suffix", [s[:1] for s in shapes])))
+            later, lam_r = {}, lam[:, None]
+            lam2 = 2.0 * lam_r
+            for s in self.plan[1:]:  # stage 0's penalty is no later stage's
+                np.multiply(lam_r, pen[s.i], out=v.later_r[s.i])
+                later[s.i] = v.later[s.i]
         thetas = {}
         for p, own in self.owners.items():
-            values = self._block(self.values[p], rows)
-            for i, after in suffix_values(labels, fl, values, later, back):
+            for i, after in suffix_values(labels, fl, values[p], later,
+                                          v.back):
                 if i not in own:
                     continue
-                n_rows = len(mats[i])
+                s = self.plan[i]
                 mass = None
                 if pen:
-                    _, coarse, fine, _ = self.pairs[i]
-                    mass = np.bincount(fine, weights=pm[i], minlength=n_rows)
+                    mass = np.bincount(s.pairs[2], weights=pm[i],
+                                       minlength=s.rows)
                 theta, mass = counterfactual_matrix(
-                    i, labels[i], self._block(self.cells[i], rows), n_rows,
-                    before[i], after, mass, sampled,
-                    out=self.t.work("weighted", i, after.shape))
+                    i, labels[i], cells[i], s.rows, before[i], after, mass,
+                    sampled, out=v.cf[i], into=fed[s.bank][s.sl])
                 if pen:
-                    d = diff.get(i)
-                    if d is None:
+                    lin = v.diff[i]
+                    if s.f2c is None:
                         # the pair-mass-weighted projected row per label
                         centre, _ = counterfactual_matrix(
-                            i, fine, self.pair_cells[i], n_rows, pm[i],
-                            gam[i][coarse], mass, sampled)
-                        d = np.subtract(mats[i], centre, out=self.t.work(
-                            "diff", i, mats[i].shape))
-                    lin = scaled(2.0 * lam, d, out=d)
+                            i, s.pairs[2], s.pair_cells, s.rows, pm[i],
+                            gam[i][s.pairs[1]], mass, sampled)
+                        np.subtract(mats[i], centre, out=lin)
+                    np.multiply(lam2, v.diff_r[i], out=v.diff_r[i])
                     lin[mass <= 0.0] = 0.0
                     theta -= lin
                 thetas[i] = theta
@@ -546,33 +678,32 @@ class SolverLoop:
         """Appends each repeat's trace row; returns the raw iterate's
         forward pass.  Each payoff and penalty mass is a dot product over
         one repeat's block, as in a lone run."""
-        R = self.R
-        shapes = _row_shapes(mats, self.labels)
-        raw = forward(self.start, mats, self.labels,
-                      out=self._work("rows", shapes))
-        q_gam = (raw[-1] if gam is mats
-                 else forward(self.start, gam, self.coarse_labels,
-                              out=self._work("weighted", shapes))[-1])
+        v = self._views
+        raw = forward(self.start, mats, [s.labels for s in self.plan],
+                      out=v.raw)
+        q_raw = q_gam = v.raw_r[-1]
+        if gam is not mats:
+            forward(self.start, gam, [s.coarse_labels for s in self.plan],
+                    out=v.gam)
+            q_gam = v.gam_r
         rewards = self.t.rewards[:, self.player]
-        payoff = [float(q @ rewards) for q in q_gam.reshape(R, -1)]
-        payoff_mu = [float(q @ rewards) for q in raw[-1].reshape(R, -1)]
-        pen_mass = [0.0] * R
-        if pen:
-            blocks = [(raw[i].reshape(R, -1), pen[i].reshape(R, -1))
-                      for i in pen]
-            pen_mass = [float(sum(q[r] @ d[r] for q, d in blocks))
-                        for r in range(R)]
         sum_pos = self.accounting.sum_pos().tolist()
         for r, (trace, schedule) in enumerate(zip(self.traces,
                                                   self.schedules)):
+            payoff = float(q_gam[r] @ rewards)
+            payoff_mu = float(q_raw[r] @ rewards)
+            pen_mass = 0
+            for i in pen:
+                pen_mass = pen_mass + v.raw_r[i][r] @ v.pen_r[i][r]
+            pen_mass = float(pen_mass)
             lam_r = float(lam[r])
-            trace["payoff"].append(payoff[r])
-            trace["payoff_mu"].append(payoff_mu[r])
-            trace["penalty_mass"].append(pen_mass[r])
+            trace["payoff"].append(payoff)
+            trace["payoff_mu"].append(payoff_mu)
+            trace["penalty_mass"].append(pen_mass)
             trace["sum_pos_local"].append(sum_pos[r])
             trace["lambda"].append(lam_r)
-            trace["rho_mu"].append(payoff_mu[r] - lam_r * pen_mass[r])
-            schedule.update(payoff[r])
+            trace["rho_mu"].append(payoff_mu - lam_r * pen_mass)
+            schedule.update(payoff)
         return raw
 
     # ------------------------------------------------------------------
@@ -581,8 +712,10 @@ class SolverLoop:
         self._single("projected_policy")
         if self.projected is None:
             mats = self.current_mats()
-            self.projected = (self._project(mats, floored_mats(mats))[1]
-                              if self.pairs else mats)
+            if self.fine is not self.coarse:
+                self._lend(False)
+                mats = self._project(mats, floored_mats(mats))[1]
+            self.projected = mats
         return self.t.to_policy(self.projected, self.coarse)
 
     def current_policy(self) -> BehavioralPolicy:
@@ -610,11 +743,10 @@ class CfrRun(SolverLoop):
 
     def _record(self, mats, gam, pen, lam):
         raw = super()._record(mats, gam, pen, lam)
-        for i in self.stages:
-            w = np.bincount(self.labels[i], weights=raw[i],
-                            minlength=len(mats[i]))
-            self.avg_num[i] += w[:, None] * mats[i]
-            self.avg_den[i] += w
+        for s in self.plan:
+            w = np.bincount(s.labels, weights=raw[s.i], minlength=s.rows)
+            self.avg_num[s.i] += w[:, None] * mats[s.i]
+            self.avg_den[s.i] += w
 
     def average_policy(self) -> BehavioralPolicy:
         self._single("average_policy")

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -74,6 +76,21 @@ def _payoff_records(f) -> list:
         tr["payoff"].append(float(row["expected_payoff_projected"]))
     return [{"run": k[0], "seed": k[1], "trace": tr}
             for k, tr in sorted(traces.items())]
+
+
+_PACKAGE = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _one_line_warnings(show):
+    """A ``showwarning`` that shows a ``UserWarning`` raised for code of
+    this package as one line, as the CLI's errors are shown, and passes any
+    other warning to ``show``."""
+    def shown(message, category, filename, lineno, file=None, line=None):
+        if category is UserWarning and filename.startswith(_PACKAGE):
+            print(f"phide: warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, filename, lineno, file, line)
+    return shown
 
 
 def _check(name: str, ok: bool, failures: list):
@@ -171,11 +188,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except PhideError as e:  # a typed error is the user's to fix: no traceback
-        print(f"phide: error: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores ``showwarning`` on exit
+        warnings.showwarning = _one_line_warnings(warnings.showwarning)
+        try:
+            return args.fn(args)
+        except PhideError as e:  # the user's to fix: no traceback
+            print(f"phide: error: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -52,9 +52,15 @@ class InformationMap:
     def __init__(self, stages, name: str = ""):
         self.name = name
         self._stages = []  # per stage: its tokens, or its callable
-        for spec in stages:
+        for i, spec in enumerate(stages):
             if not callable(spec):
-                spec = tuple(_token(token, self) for token in spec)
+                try:
+                    tokens = iter(spec)
+                except TypeError:
+                    raise InvalidMap(f"{_named(self)}stage {i} must be a list "
+                                     f"of reveal tokens or a callable, got "
+                                     f"{spec!r}") from None
+                spec = tuple(_token(token, self) for token in tokens)
             self._stages.append(spec)
 
     @property
@@ -91,11 +97,16 @@ class InformationMap:
         return f"InformationMap({self.name or hex(id(self))}, stages={self.num_stages})"
 
 
+def _named(info: InformationMap) -> str:
+    """The prefix of an ``InvalidMap`` message that names ``info``."""
+    return f"information map {info.name or hex(id(info))}: "
+
+
 def _token(token, info: InformationMap) -> RevealToken:
     """The reveal token (kind, idx) of map ``info``, or an ``InvalidMap``
     naming both unless it is a pair, the kind is known and the index an
     integer."""
-    where = f"information map {info.name or hex(id(info))}: "
+    where = _named(info)
     try:
         kind, idx = token
     except (TypeError, ValueError):
@@ -286,6 +297,26 @@ class BehavioralPolicy:
         return all(np.max(v) >= 1.0 - tol for v in self.table.values())
 
 
+def _policy_keys(game: ProductGame, info: InformationMap):
+    """The (stage, label) keys of ``info`` on the reachable set, ordered by
+    the first reachable history carrying the label, then by stage, as a
+    walk over the histories and their stages meets them, and each key's
+    stage, an array."""
+    from .engine import tables_for  # the engine builds on this module
+
+    t = tables_for(game, info)
+    m = t.map_index(info)
+    first, stage, keys = [], [], []
+    for i, idx in enumerate(t.prefix_label[m]):
+        # labels are numbered in first-seen order, so this is their order
+        first.append(np.unique(idx, return_index=True)[1] * t.stride[i])
+        stage.append(np.full(len(first[-1]), i))
+        keys += zip([i] * len(first[-1]), t.labels[m][i])
+    stage = np.concatenate(stage)
+    order = np.lexsort((stage, np.concatenate(first)))
+    return [keys[k] for k in order.tolist()], stage[order]
+
+
 def uniform_policy(game: ProductGame, info: InformationMap) -> BehavioralPolicy:
     """The uniform vector at every label of ``info`` on the reachable set.
 
@@ -293,24 +324,27 @@ def uniform_policy(game: ProductGame, info: InformationMap) -> BehavioralPolicy:
     by stage, as a walk over the histories and their stages meets them;
     ``random_policy`` draws in this order.
     """
-    from .engine import tables_for  # the engine builds on this module
-
-    t = tables_for(game, info)
-    m = t.map_index(info)
-    keys = []  # (first history, stage, label)
-    for i, idx in enumerate(t.prefix_label[m]):
-        first = np.unique(idx, return_index=True)[1] * t.stride[i]
-        keys += zip(first.tolist(), [i] * len(first), t.labels[m][i])
     table = {}
-    for _, i, g in sorted(keys, key=lambda k: k[:2]):
-        n = game.stage_actions[i]
-        table[(i, g)] = np.full(n, 1.0 / n)
+    for key in _policy_keys(game, info)[0]:
+        n = game.stage_actions[key[0]]
+        table[key] = np.full(n, 1.0 / n)
     return BehavioralPolicy(info, table)
 
 
 def random_policy(game: ProductGame, info: InformationMap, rng) -> BehavioralPolicy:
-    pol = uniform_policy(game, info)
-    for key, vec in pol.table.items():
-        pol.table[key] = rng.dirichlet(np.ones(len(vec)))
-    return pol
-
+    """A Dirichlet(1, ..., 1) vector at every label of ``info``, drawn in
+    ``uniform_policy``'s key order: ``rng.dirichlet(np.ones(A))`` per key,
+    the same vectors and the same generator state after, from one
+    ``standard_gamma`` call normalized as ``dirichlet`` normalizes."""
+    keys, stage = _policy_keys(game, info)
+    A = np.asarray(game.stage_actions)[stage]
+    gamma = rng.standard_gamma(1.0, size=int(A.sum()))
+    start = np.cumsum(A) - A
+    rows = [None] * len(keys)
+    for a in sorted(set(A.tolist())):
+        at = np.flatnonzero(A == a)
+        g = gamma[start[at, None] + np.arange(a)]
+        g *= 1.0 / g.cumsum(axis=1)[:, -1:]  # dirichlet's sum, in order
+        for k, row in zip(at.tolist(), g):
+            rows[k] = row
+    return BehavioralPolicy(info, dict(zip(keys, rows)))

@@ -76,6 +76,7 @@ class Tables:
         self.prefix_label: list[list[np.ndarray]] = []
         # (role, stage) -> (buffer, the view of it last lent)
         self._work: dict[tuple, tuple] = {}
+        self.work_grown = 0  # buffers replaced by a larger one so far
         for m in maps:
             self.add_map(m)
 
@@ -194,13 +195,15 @@ class Tables:
     def work(self, role: str, stage: int, shape) -> np.ndarray:
         """A float64 array of ``shape``, uninitialized, in the work buffer
         of (``role``, ``stage``), which grows to the largest request.  Its
-        contents last until the next request of the same key, so they may
-        live inside one solver step alone (module docstring)."""
+        contents may live inside one solver step alone (module docstring).
+        A view lent earlier is a view of the current buffer as long as
+        ``work_grown`` has not changed since."""
         buf, view = self._work.get((role, stage), (None, None))
         if view is None or view.shape != shape:
             size = math.prod(shape)
             if buf is None or len(buf) < size:
                 buf = np.empty(size)
+                self.work_grown += 1
             view = buf[:size].reshape(shape)
             self._work[role, stage] = buf, view  # the latest view, reused
         return view
@@ -248,7 +251,8 @@ class Tables:
         len(mats), is the reach of stage-i prefix p.  With all L stages,
         ``before[L]`` is the pushforward over histories: Nature's
         probability times each stage's, multiplied in stage order."""
-        return forward(self.nature_probs, mats, self.prefix_label[map_idx])
+        return forward(self.nature_probs, [np.asarray(m) for m in mats],
+                       self.prefix_label[map_idx])
 
     def pushforward(self, mats, map_idx: int) -> np.ndarray:
         """The distribution over histories under the per-stage matrices
@@ -284,12 +288,12 @@ def forward(start: np.ndarray, mats, labels, out=None) -> list[np.ndarray]:
     """The forward pass from ``start``, the reach of each stage-0 prefix:
     ``before[i + 1]`` is ``before[i]`` times the row of ``mats[i]`` that
     each prefix's label ``labels[i]`` picks, one entry per action, for i
-    below len(mats).  ``out[i]``, if given, is the [len(labels[i]), A]
-    array that stage i's rows are written to."""
+    below len(mats); each matrix is an array.  ``out[i]``, if given, is
+    the [len(labels[i]), A] array that stage i's rows are written to."""
     before = [start]
     for i, (mat, lab) in enumerate(zip(mats, labels)):
-        rows = np.take(mat, lab, axis=0, out=None if out is None else out[i],
-                       mode="clip")  # "raise" would buffer ``out``
+        rows = mat.take(lab, axis=0, out=None if out is None else out[i],
+                        mode="clip")  # "raise" would buffer ``out``
         rows *= before[-1][:, None]
         before.append(rows.reshape(-1))
     return before

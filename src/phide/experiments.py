@@ -27,6 +27,11 @@ from .zoo import (TradeCommSpec, build_matching_pennies, build_trade_comm,
 
 COLUMNS = ("run", "seed", "t", "expected_payoff_projected", "penalty_mass",
            "sum_pos_local_regret", "lambda_t")
+# The most histories, R·n for R repeats of n histories, that one solver loop
+# of a run stacks: its arrays, and so its memory, do not grow with the
+# repeats beyond this.  Each repeat's trace is that of its seed alone, so
+# the blocks do not change the output.
+STACKED_HISTORIES = 1 << 16
 ALGORITHMS = ("cfr", "ph", "rir")
 GAMES = ("matching_pennies", "trade_comm", "random")
 
@@ -174,25 +179,33 @@ def load_game(spec: dict):
 
 def _traces(config, game, maps, seeds) -> list[dict]:
     """One trace per seed of a resolved ``config``: ``cfr`` and ``ph`` run
-    the seeds as the repeats of one solver loop, ``rir`` one by one."""
+    the seeds in consecutive blocks, each block as the repeats of one
+    solver loop of at most STACKED_HISTORIES histories in all; ``rir`` runs
+    them one by one."""
     iters = config["iterations"]
     coarse = maps[config["coarse_map"]]
     loop = {key: config[key] for key in LOOP_KEYS if key in config}
-    if config["algorithm"] == "cfr":
-        run = CfrRun(game, coarse, seed=seeds, **loop)
-    else:
-        fine = maps[config["fine_map"]]
-        if config["algorithm"] == "rir":
-            problem = RelaxationProblem(game, coarse, fine, config["lambda"])
-            return [_rir_trace(problem, seed, config.get("randomize_init"),
-                               iters) for seed in seeds]
+    fine = maps.get(config.get("fine_map"))
+    if config["algorithm"] == "rir":
+        problem = RelaxationProblem(game, coarse, fine, config["lambda"])
+        return [_rir_trace(problem, seed, config.get("randomize_init"),
+                           iters) for seed in seeds]
+    if config["algorithm"] == "ph":
         schedule = PenaltySchedule(horizon=iters, **{
             p: config[key] for key, p in SCHEDULE_KEYS.items() if key in config})
-        run = PhRun(game, coarse, fine, schedule=schedule, seed=seeds,
-                    keep_history=False, **loop)
-    for _ in range(iters):
-        run.iterate()
-    return run.traces
+    block = max(1, STACKED_HISTORIES
+                // (len(game.nature) * math.prod(game.stage_actions)))
+    traces = []
+    for k in range(0, len(seeds), block):
+        if config["algorithm"] == "cfr":
+            run = CfrRun(game, coarse, seed=seeds[k:k + block], **loop)
+        else:
+            run = PhRun(game, coarse, fine, schedule=schedule,
+                        seed=seeds[k:k + block], keep_history=False, **loop)
+        for _ in range(iters):
+            run.iterate()
+        traces += run.traces
+    return traces
 
 
 def _rir_trace(problem, seed, randomize: bool, iters):

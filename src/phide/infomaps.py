@@ -108,13 +108,13 @@ def project_matrices(pairs, mu_mats, pair_mass, coarse_mass, out=None):
     for i, ((_, coarse, fine, offsets), mat, pm, mass) in enumerate(
             zip(pairs, mu_mats, pair_mass, coarse_mass)):
         rows_out, weighted_out = (None, None) if out is None else out[i]
-        rows = np.take(mat, fine, axis=0, out=rows_out, mode="clip")
+        rows = mat.take(fine, axis=0, out=rows_out, mode="clip")
         weighted = np.multiply(pm[:, None], rows, out=weighted_out)
         gamma = np.add.reduceat(weighted, offsets[:-1], axis=0)
         gamma /= mass[:, None]
         mn, mx = _label_range(rows, offsets)
         const = (mn == mx).all(axis=1)
-        gamma[const] = mn[const]
+        np.copyto(gamma, mn, where=const[:, None])
         gammas.append(gamma)
     return gammas
 

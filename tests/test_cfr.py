@@ -167,20 +167,28 @@ def test_each_stage_learns_its_owners_reward():
 
 
 def test_make_banks_draws_the_rows_of_one_dirichlet_call_per_row():
-    # one Dirichlet call per stage gives the rows, and leaves the generator
-    # in the state, of one call per label row
+    # one bank per action width; one Dirichlet call per stage and generator
+    # gives the rows, and leaves the generators in the states, of one call
+    # per label row, stage by stage
     g, m = build_trade_comm()
     t = tables_for(g, m["perfect_recall"])
     mi = t.map_index(m["perfect_recall"])
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    banks = make_banks(t, mi, "regret_matching", None, [rng], True)
-    for i, bank in enumerate(banks):
+    rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+    refs = [np.random.default_rng(5), np.random.default_rng(6)]
+    banks, where = make_banks(t, mi, "regret_matching", None, rngs, True)
+    assert [bank.cum.shape[1] for bank in banks] == sorted(
+        set(g.stage_actions), key=g.stage_actions.index)
+    for i, (k, rows) in enumerate(where):
         A = g.stage_actions[i]
-        rows = np.vstack([ref.dirichlet(np.ones(A))
-                          for _ in range(len(t.labels[mi][i]))])
-        assert np.array_equal(bank.cum, rows)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.random() == ref.random()
+        assert banks[k].cum.shape[1] == A
+        want = np.vstack([ref.dirichlet(np.ones(A))
+                          for ref in refs for _ in range(len(t.labels[mi][i]))])
+        assert np.array_equal(banks[k].cum[rows], want)
+    assert sum(len(bank.cum) for bank in banks) == sum(
+        rows.stop - rows.start for _, rows in where)
+    for rng, ref in zip(rngs, refs):
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("reader", ["projected_policy", "current_policy",

@@ -174,7 +174,7 @@ def test_uniform_and_random_policy_match_per_history_reference():
                                     build_trade_comm(),
                                     build_trade_comm(TradeCommSpec(3, 2)))
              for m in maps.values()]
-    for s in range(40):
+    for s in range(50):
         game, coarse, fine = random_game(s)
         cases += [(game, coarse), (game, fine)]
     for k, (game, info) in enumerate(cases):
@@ -182,12 +182,14 @@ def test_uniform_and_random_policy_match_per_history_reference():
         u = uniform_policy(game, info)
         assert list(u.table) == list(ref)
         assert all(np.array_equal(u.table[key], ref[key]) for key in ref)
-        r = random_policy(game, info, np.random.default_rng(k))
-        rng = np.random.default_rng(k)
+        # one Dirichlet call per label, in key order, on the same generator
+        ours, rng = np.random.default_rng(k), np.random.default_rng(k)
+        r = random_policy(game, info, ours)
         assert list(r.table) == list(ref)
         assert all(np.array_equal(r.table[key],
                                   rng.dirichlet(np.ones(len(ref[key]))))
                    for key in ref)
+        assert ours.random() == rng.random()
 
 
 def test_matrices_names_a_local_vector_of_the_wrong_length():
@@ -600,7 +602,9 @@ def test_map_errors_are_typed_and_name_the_map():
             ([[("nature", 0.7)]],
              "reveal token ('nature', 0.7) needs an integer index"),
             ([[("nature",)]], "reveal token ('nature',) is not a (kind, "
-                              "index) pair")):
+                              "index) pair"),
+            ([[("nature", 0)], 5], "stage 1 must be a list of reveal tokens "
+                                   "or a callable, got 5")):
         with pytest.raises(InvalidMap, match=re.escape(
                 f"information map m: {msg}")):
             InformationMap(stages, name="m")

@@ -3,13 +3,14 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phide import experiments
+from phide import cli, experiments
 from phide.cfr import TRACE_KEYS
 from phide.cli import main
 from phide.errors import ConfigError
@@ -180,6 +181,36 @@ def test_cli_reports_a_typed_error_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("phide: error: unknown config key 'lamda'; ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_prints_an_unread_key_warning_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**BASE, "iterations": 2, "lambda": 3}))
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        "phide: warning: config keys that cfr does not read are ignored: "
+        "'lambda'\n")
+    with pytest.warns(UserWarning, match="^config keys that cfr does not"):
+        run_experiment({**BASE, "iterations": 2, "lambda": 3})
+
+
+def test_cli_shows_other_warnings_in_python_s_form(capsys, monkeypatch):
+    # numpy's warnings, and user warnings from outside the package, go to
+    # Python's own display, with their category and source line
+    def run(args):
+        np.log(np.zeros(1))
+        warnings.warn("not the library's")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_run", run)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", "c.json", "--out", "out"]) == 0
+    assert [(w.category, str(w.message), w.filename) for w in shown] == [
+        (RuntimeWarning, "divide by zero encountered in log", __file__),
+        (UserWarning, "not the library's", __file__)]
+    assert capsys.readouterr().err == ""
 
 
 def test_summarize_single_run():
@@ -384,6 +415,31 @@ def test_batched_repeats_write_the_bytes_of_single_runs(config):
                 got = f.read()
             with open(os.path.join(d, "single", name), "rb") as f:
                 assert got == f.read(), name
+
+
+def test_repeats_run_in_blocks_of_bounded_memory(tmp_path, monkeypatch):
+    # 16 repeats on trade_comm(4,3), n = 36 864 histories each: a config's
+    # memory does not grow with its repeats, and its files do not change
+    config = {"game": {"name": "trade_comm", "n": 4, "m": 3},
+              "algorithm": "ph", "coarse_map": "original",
+              "fine_map": "perfect_recall", "mode": "exact", "iterations": 3,
+              "randomize_init": True, "seed": 3}
+
+    def peak_of(repeats, where):
+        tracemalloc.start()
+        try:
+            run_and_write({**config, "repeats": repeats}, str(where))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak_of(1, tmp_path / "one")
+    assert peak_of(16, tmp_path / "blocked") < 2 * one
+    monkeypatch.setattr(experiments, "STACKED_HISTORIES", 1 << 40)
+    run_and_write({**config, "repeats": 16}, str(tmp_path / "whole"))
+    for name in ("runs.csv", "summary.csv"):
+        assert ((tmp_path / "blocked" / name).read_bytes()
+                == (tmp_path / "whole" / name).read_bytes()), name
 
 
 def test_keys_the_run_does_not_read_warn_and_change_nothing():
