@@ -61,21 +61,20 @@ width; ``mats[i]`` and the accounting's ``cum_theta[i]`` and
 by row, and each repeat's regret sum adds its stages' sums in stage order,
 so sharing changes no bit.
 
-A step allocates little beyond what it hands out.  The game's ``Tables``
-owns the workspace (``Tables.work``): one buffer per (role, stage), lent
-to every loop on the game and grown to the largest request.  A loop
-fetches the views of those buffers that its steps write once
-(``SolverLoop._lend``) and again only after some loop has grown a buffer
-(``Tables.work_grown``), so a step looks none up.  A buffer's contents
-live inside one ``iterate()`` and no longer (``_step``'s penalty, too,
-only until the next step on the game), so loops on one game may step in
-any interleaving, one thread at a time.  Nothing a loop hands out aliases
-a buffer: the projected iterate, ``_step``'s local rewards,
-``current_mats()`` and the policies are new arrays.  Each learner bank
-updates its regrets in place and returns the played reward that
-``RegretAccounting`` adds, and at a stage where the fine map refines the
-coarse one the difference between the iterate and its projection is
-computed once, for the penalty and for its linearization.
+A step allocates little beyond what it hands out.  Each loop owns its
+workspace: one float64 buffer per (role, stage), allocated once, before
+the loop's first views, at the largest size that the loop asks of it, and
+never replaced.  The views of those buffers that a step writes are built
+once per kind of step, exact or sampled (``SolverLoop._workspace``), so a
+step looks none up.  A buffer's contents live inside one ``iterate()`` and
+no longer (``_step``'s penalty, too, only until this loop's next step), and
+loops share no memory, so loops on one game may step in any interleaving.
+Nothing a loop hands out aliases a buffer: the projected iterate,
+``_step``'s local rewards, ``current_mats()`` and the policies are new
+arrays.  Each learner bank updates its regrets in place and returns the
+played reward that ``RegretAccounting`` adds, and at a stage where the fine
+map refines the coarse one the difference between the iterate and its
+projection is computed once, for the penalty and for its linearization.
 """
 
 from __future__ import annotations
@@ -321,20 +320,15 @@ class _Stage:
 
 
 class _Views:
-    """The views of the ``Tables.work`` buffers that a loop's step writes
-    to, per stage: fetched by ``SolverLoop._lend`` for a step on all the
-    prefixes or on one Nature state per repeat (``sampled``), at
-    ``Tables.work_grown`` count ``key[0]``.  Several views of one (role,
-    stage) buffer hold its live values at different times of a step (the
-    roles are listed above ``SolverLoop._step``)."""
+    """The views of a loop's workspace buffers that its step writes to, per
+    stage, for a step on all the prefixes or on one Nature state per repeat
+    (``SolverLoop._workspace``).  Several views of one (role, stage) buffer
+    hold its live values at different times of a step (the roles are
+    listed above ``SolverLoop._step``)."""
 
-    __slots__ = ("key", "floor", "reach", "project", "sq", "diff", "pen",
-                 "later", "back", "cf", "raw", "gam", "scratch", "before2",
-                 "pen2", "raw_r", "diff_r", "pen_r", "later_r", "gam_r",
-                 "fed")
-
-    def __init__(self):
-        self.key = None  # none fetched yet
+    __slots__ = ("floor", "reach", "project", "sq", "diff", "pen", "later",
+                 "back", "cf", "raw", "gam", "scratch", "before2", "pen2",
+                 "raw_r", "diff_r", "pen_r", "later_r", "gam_r", "fed")
 
 
 class SolverLoop:
@@ -409,7 +403,8 @@ class SolverLoop:
                 if s.f2c is None:
                     s.pair_cells = label_cells(s.pairs[2], A)
             self.plan.append(s)
-        self._views = _Views()
+        self._work = None  # (role, stage) -> buffer, with the first views
+        self._views = {}  # sampled -> the views of its kind of step
         self.iteration = 0
         self.projected = None  # coarse matrices of the latest iterate
         self.traces = [{k: [] for k in TRACE_KEYS} for _ in seeds]
@@ -451,7 +446,7 @@ class SolverLoop:
         w = None
         if self.mode == "mc":
             w = nature_draws(self._cdf, self.rngs)
-        v = self._lend(w is not None)
+        v = self._workspace(w is not None)
         gam, pen, _ = self._step(mats, lam, w, v.fed)
         for k, bank in enumerate(self.banks):
             played = bank.observe(v.fed[k], play[k], out=v.scratch[k])
@@ -460,10 +455,10 @@ class SolverLoop:
         self.projected = gam
         return gam
 
-    # A step's per-prefix and per-label arrays live in the workspace of
-    # ``self.t`` (``Tables.work``), one buffer per (role, stage i), and the
-    # step writes them through the views of ``_lend``.  A step uses them in
-    # five phases: projection, penalty, backward pass, observe, record.
+    # A step's per-prefix and per-label arrays live in the loop's workspace,
+    # one buffer per (role, stage i), and the step writes them through the
+    # views of ``_workspace``.  A step uses them in five phases: projection,
+    # penalty, backward pass, observe, record.
     # Each role holds one live value at a time:
     #   floor     the floored iterate at stage i (projection to backward
     #             pass);
@@ -485,59 +480,75 @@ class SolverLoop:
     #             to observe, in ``iterate``).
     # What ``_step`` returns (the projection, the local rewards) is new.
 
-    def _lend(self, sampled: bool) -> _Views:
+    def _workspace(self, sampled: bool) -> _Views:
         """The views of a step, on one Nature block per repeat if
-        ``sampled``: those fetched last, unless some loop has grown a buffer
-        since or they are of the other kind of step; else fetched again,
-        once every buffer has grown to its largest request.  A name ending
-        in ``_r`` is a view with one row per repeat."""
-        t = self.t
-        if self._views.key == (t.work_grown, sampled):
-            return self._views
-        plan, relaxed, R = self.plan, self.fine is not self.coarse, self.R
-        work, v = t.work, _Views()
+        ``sampled``, built on first use.  The first views built allocate the
+        loop's buffers, one per (role, stage), each at the largest size that
+        an exact step's views ask of it: a sampled step's view is never
+        larger, and is a leading slice of the same buffer."""
+        v = self._views.get(sampled)
+        if v is None:
+            if self._work is None:  # a sizing pass over an exact step's views
+                sizes = {}
+
+                def size(role, i, shape):  # an array of no memory
+                    n = max(sizes.get((role, i), 0), math.prod(shape))
+                    sizes[role, i] = n
+                    return np.broadcast_to(0.0, shape)
+
+                self._make_views(size, False)
+                self._work = {key: np.empty(n) for key, n in sizes.items()}
+
+            def view(role, i, shape):
+                return self._work[role, i][:math.prod(shape)].reshape(shape)
+
+            v = self._views[sampled] = self._make_views(view, sampled)
+        return v
+
+    def _make_views(self, work, sampled: bool) -> _Views:
+        """The views of a step, each ``work(role, stage, shape)``.  A name
+        ending in ``_r`` is a view with one row per repeat."""
+        t, plan, R = self.t, self.plan, self.R
+        relaxed, v = self.fine is not self.coarse, _Views()
         W = len(t.nature_probs)
         back = [len(s.labels) // W if sampled else len(s.labels)
                 for s in plan]  # the backward pass's prefixes per stage
-        while v.key != (t.work_grown, sampled):
-            v.key = (t.work_grown, sampled)
-            v.floor = [work("floor", s.i, (s.rows, s.A)) for s in plan]
-            v.reach = [work("reach", s.i, (len(s.labels) if relaxed
-                                           else back[s.i], s.A))
-                       for s in plan[:-1]]
-            v.back = [None] + [(work("rows", s.i, (back[s.i], s.A)),
-                                work("suffix", s.i, (back[s.i],)))
-                               for s in plan[1:]]
-            v.cf = [work("weighted", s.i, (back[s.i], s.A)) for s in plan]
-            v.raw = [work("rows", s.i, (len(s.labels), s.A)) for s in plan]
-            v.raw_r = [x.reshape(R, -1) for x in [self.start] + v.raw]
-            last = {s.bank: s.i for s in plan}
-            v.scratch = [work("weighted", last[k], bank.cum.shape)
-                         for k, bank in enumerate(self.banks)]
-            v.fed = [work("fed", last[k], bank.cum.shape)
+        v.floor = [work("floor", s.i, (s.rows, s.A)) for s in plan]
+        v.reach = [work("reach", s.i, (len(s.labels) if relaxed
+                                       else back[s.i], s.A))
+                   for s in plan[:-1]]
+        v.back = [None] + [(work("rows", s.i, (back[s.i], s.A)),
+                            work("suffix", s.i, (back[s.i],)))
+                           for s in plan[1:]]
+        v.cf = [work("weighted", s.i, (back[s.i], s.A)) for s in plan]
+        v.raw = [work("rows", s.i, (len(s.labels), s.A)) for s in plan]
+        v.raw_r = [x.reshape(R, -1) for x in [self.start] + v.raw]
+        last = {s.bank: s.i for s in plan}
+        v.scratch = [work("weighted", last[k], bank.cum.shape)
                      for k, bank in enumerate(self.banks)]
-            if relaxed:
-                v.project = [(work("rows", s.i, (len(s.pairs[2]), s.A)),
-                              work("weighted", s.i, (len(s.pairs[2]), s.A)))
-                             for s in plan]
-                v.sq = [None if s.f2c is None
-                        else work("weighted", s.i, (s.rows, s.A))
-                        for s in plan]
-                v.diff = [work("diff", s.i, (s.rows, s.A)) for s in plan]
-                v.diff_r = [x.reshape(R, -1) for x in v.diff]
-                v.pen = [work("pen", s.i, (len(s.labels),)) for s in plan]
-                v.pen_r = [x.reshape(R, -1) for x in v.pen]
-                v.later = [None] + [work("later", s.i, (back[s.i],))
-                                    for s in plan[1:]]
-                v.later_r = [None] + [x.reshape(R, -1) for x in v.later[1:]]
-                v.gam = [work("weighted", s.i, (len(s.labels), s.A))
+        v.fed = [work("fed", last[k], bank.cum.shape)
+                 for k, bank in enumerate(self.banks)]
+        if relaxed:
+            v.project = [(work("rows", s.i, (len(s.pairs[2]), s.A)),
+                          work("weighted", s.i, (len(s.pairs[2]), s.A)))
                          for s in plan]
-                v.gam_r = v.gam[-1].reshape(R, -1)
-                blocks = len(self._start2)
-                v.before2 = [x.reshape(blocks, -1) for x in [self.start] +
-                             [r.reshape(-1) for r in v.reach]]
-                v.pen2 = [x.reshape(blocks, -1) for x in v.pen]
-        self._views = v
+            v.sq = [None if s.f2c is None
+                    else work("weighted", s.i, (s.rows, s.A))
+                    for s in plan]
+            v.diff = [work("diff", s.i, (s.rows, s.A)) for s in plan]
+            v.diff_r = [x.reshape(R, -1) for x in v.diff]
+            v.pen = [work("pen", s.i, (len(s.labels),)) for s in plan]
+            v.pen_r = [x.reshape(R, -1) for x in v.pen]
+            v.later = [None] + [work("later", s.i, (back[s.i],))
+                                for s in plan[1:]]
+            v.later_r = [None] + [x.reshape(R, -1) for x in v.later[1:]]
+            v.gam = [work("weighted", s.i, (len(s.labels), s.A))
+                     for s in plan]
+            v.gam_r = v.gam[-1].reshape(R, -1)
+            blocks = len(self._start2)
+            v.before2 = [x.reshape(blocks, -1) for x in [self.start] +
+                         [r.reshape(-1) for r in v.reach]]
+            v.pen2 = [x.reshape(blocks, -1) for x in v.pen]
         return v
 
     def _step(self, mats, lam, w=None, fed=None):
@@ -545,7 +556,7 @@ class SolverLoop:
         when ``fine is coarse``), and the local rewards under the penalty
         weight ``lam``, one for all repeats or one each.  With ``w``, each
         repeat's Nature state, the rewards are of its block alone.  The
-        penalty lives in the workspace until the next step on the game.
+        penalty lives in the workspace until this loop's next step.
         ``fed``, if given, is one array per bank, of its shape, that the
         rewards are written to; stage i's are then its rows of them."""
         R = self.R
@@ -553,15 +564,15 @@ class SolverLoop:
         if lam.shape != (R,):
             lam = np.broadcast_to(lam, (R,))
         sampled = w is not None
-        v = self._lend(sampled)
+        v = self._workspace(sampled)
         if fed is None:
             fed = [np.empty(bank.cum.shape) for bank in self.banks]
         fl = floored_mats(mats, out=v.floor)
         relaxed = self.fine is not self.coarse
         gam, pen, before, pm, later = mats, {}, None, None, None
         if relaxed:
-            before, gam, pm = self._project(mats, fl)
-            pen = self._penalty(mats, gam)
+            before, gam, pm = self._project(mats, fl, v)
+            pen = self._penalty(mats, gam, v)
             later = v.pen_r
         if sampled:
             # the rows of each repeat's Nature block, one gather per array
@@ -591,28 +602,27 @@ class SolverLoop:
                      else self.start)
             before = forward(start, fl[:-1], labels, out=v.reach)
         thetas = self._local_rewards(mats, fl, before, labels, cells, values,
-                                     fed, sampled, lam, gam, pm, later)
+                                     fed, sampled, lam, gam, pm, later, v)
         return gam, pen, thetas
 
-    def _project(self, mats, fl):
+    def _project(self, mats, fl, v: _Views):
         """Returns the forward pass of the floored mats ``fl`` up to stage
         L - 1, where the backward pass starts, the projection of ``mats``
         under it, and its pair masses."""
         pairs = [s.pairs for s in self.plan]
         before = forward(self.start, fl[:-1], [s.labels for s in self.plan],
-                         out=self._views.reach)
+                         out=v.reach)
         pm = pair_masses(pairs, before)
         gam = project_matrices(pairs, mats, pm, coarse_masses(pairs, pm),
-                               out=self._views.project)
+                               out=v.project)
         return before, gam, pm
 
-    def _penalty(self, mats, gam):
+    def _penalty(self, mats, gam, v: _Views):
         """Each stage's penalty per prefix, the squared distance between
         its fine row of ``mats`` and its coarse row of ``gam``.  At each
         stage where fine refines coarse, ``mats[i] - gam[i][f2c[i]]``, the
         difference that the penalty and its linearization share, is left
         in the stage's diff view."""
-        v = self._views
         pen = {}
         for s in self.plan:
             i = s.i
@@ -628,7 +638,7 @@ class SolverLoop:
         return pen
 
     def _local_rewards(self, mats, fl, before, labels, cells, values, fed,
-                       sampled, lam, gam, pm, pen):
+                       sampled, lam, gam, pm, pen, v: _Views):
         """Each stage owner's counterfactual reward less the later stages'
         penalty ``lam`` · ``pen``, minus the linearized penalty of the
         stage itself, written to its rows of ``fed``.  ``before`` is the
@@ -636,7 +646,6 @@ class SolverLoop:
         its prefixes' labels and bins, ``values`` the rewards per owner and
         ``pm`` its pair masses, of one Nature block per repeat if
         ``sampled``; ``pen[i]`` has a row per repeat."""
-        v = self._views
         later = None
         if pen:
             later, lam_r = {}, lam[:, None]
@@ -678,7 +687,7 @@ class SolverLoop:
         """Appends each repeat's trace row; returns the raw iterate's
         forward pass.  Each payoff and penalty mass is a dot product over
         one repeat's block, as in a lone run."""
-        v = self._views
+        v = self._workspace(False)  # of every prefix, in either kind of step
         raw = forward(self.start, mats, [s.labels for s in self.plan],
                       out=v.raw)
         q_raw = q_gam = v.raw_r[-1]
@@ -713,8 +722,8 @@ class SolverLoop:
         if self.projected is None:
             mats = self.current_mats()
             if self.fine is not self.coarse:
-                self._lend(False)
-                mats = self._project(mats, floored_mats(mats))[1]
+                mats = self._project(mats, floored_mats(mats),
+                                     self._workspace(False))[1]
             self.projected = mats
         return self.t.to_policy(self.projected, self.coarse)
 

@@ -21,24 +21,12 @@ too.  Nature state w's prefixes are the w-th of |Omega| equal blocks of each
 prefix array.  A solver loop of R repeats runs on R copies of these arrays
 end to end (``stacked``, ``tiled``), its label pairs too (``label_pairs`` of
 stacked labels).
-
-``Tables`` also owns the solver loop's workspace (``Tables.work``): one flat
-float64 buffer per (role, stage), grown only to the largest request and
-kept as long as the Tables.  A solver step's temporaries as long as a
-history array, a stage's prefixes or its (label, action) cells live in it,
-so a step allocates little beyond what it hands out.  A buffer's contents
-live only inside one ``SolverLoop.iterate()``, so every loop on a game
-shares its buffers, one at a time: the workspace serves one thread.
-Nothing a loop hands out aliases a buffer.  ``forward``, ``scaled`` and the
-loop's other helpers write into a buffer through ``out=``; without it they
-allocate.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import weakref
 
 import numpy as np
@@ -74,9 +62,6 @@ class Tables:
         # per map: labels[i] (first-seen order), prefix_label[i] (per prefix)
         self.labels: list[list[list]] = []
         self.prefix_label: list[list[np.ndarray]] = []
-        # (role, stage) -> (buffer, the view of it last lent)
-        self._work: dict[tuple, tuple] = {}
-        self.work_grown = 0  # buffers replaced by a larger one so far
         for m in maps:
             self.add_map(m)
 
@@ -191,22 +176,6 @@ class Tables:
             out.append((idx.reshape(-1), lab[first]))
             key = label_cells(out[-1][0], self.game.stage_actions[i])
         return out
-
-    def work(self, role: str, stage: int, shape) -> np.ndarray:
-        """A float64 array of ``shape``, uninitialized, in the work buffer
-        of (``role``, ``stage``), which grows to the largest request.  Its
-        contents may live inside one solver step alone (module docstring).
-        A view lent earlier is a view of the current buffer as long as
-        ``work_grown`` has not changed since."""
-        buf, view = self._work.get((role, stage), (None, None))
-        if view is None or view.shape != shape:
-            size = math.prod(shape)
-            if buf is None or len(buf) < size:
-                buf = np.empty(size)
-                self.work_grown += 1
-            view = buf[:size].reshape(shape)
-            self._work[role, stage] = buf, view  # the latest view, reused
-        return view
 
     # -------------------------------------------------------------- policies
 
@@ -349,15 +318,6 @@ def stacked(idx: np.ndarray, n: int, R: int) -> np.ndarray:
 def tiled(x: np.ndarray, R: int) -> np.ndarray:
     """R copies of ``x`` end to end; at R = 1, ``x`` itself."""
     return x if R == 1 else np.tile(x, R)
-
-
-def scaled(lam: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    """``x``, R equal blocks end to end, with block r times ``lam[r]``,
-    written to ``out`` (of ``x``'s shape, and may be ``x``) if given."""
-    blocks = (len(lam), -1)
-    return np.multiply(lam[:, None], x.reshape(blocks),
-                       out=None if out is None else out.reshape(blocks)
-                       ).reshape(x.shape)
 
 
 def _rewards(game: ProductGame) -> np.ndarray:

@@ -43,7 +43,10 @@ class InvalidGame(PhideError, ValueError):
     do not match the states, lie outside [0, 1] or do not sum to 1, no
     stages or a stage without actions, a stage owner or a requested player
     outside the game's players, or a reward of the wrong shape or not
-    finite."""
+    finite; a zoo spec that builds no game; or what a game operation cannot
+    use: progressive hiding on a game that is not a team game, a
+    best-response ``values`` array of the wrong shape or no policy for the
+    other players' stages, or a profile that is not deterministic."""
 
 
 class InvalidMap(PhideError, ValueError):
@@ -57,5 +60,5 @@ class InvalidSolver(PhideError, ValueError):
     """A solver loop, penalty schedule or learner bank that cannot be posed:
     an unknown mode, schedule kind or learner kind, no seed, a penalty
     weight or factor out of range, an FTRL step size that is not positive
-    and finite, or initial rows of the wrong shape or not finite.  The
-    message names the bad value."""
+    and finite, initial rows of the wrong shape or not finite, or a regret
+    report of a run with no iterations.  The message names the bad value."""

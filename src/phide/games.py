@@ -10,7 +10,7 @@ import numpy as np
 from .core import (BehavioralPolicy, History, InformationMap, ProductGame,
                    check_player)
 from .engine import label_cells, tables_for
-from .errors import EnumerationTooLarge
+from .errors import EnumerationTooLarge, InvalidGame
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -22,7 +22,7 @@ def check_well_posed(game: ProductGame, info: InformationMap,
     rejects a map that peeks at future components, and on any other map
     each nature state has exactly one fixed point."""
     if not profile.is_deterministic():
-        raise ValueError("check_well_posed needs a deterministic profile")
+        raise InvalidGame("check_well_posed needs a deterministic profile")
     t = tables_for(game, info, profile.info)
     lab = t.prefix_label[t.map_index(profile.info)]
     k = np.arange(len(game.nature))  # each state's prefix on the walk
@@ -65,9 +65,9 @@ def best_response_value(game: ProductGame, info: InformationMap, player: int,
     if values is not None:
         values = np.asarray(values, dtype=float)
         if values.shape != (len(t.rewards),):
-            raise ValueError(f"values must hold one entry per reachable "
-                             f"history ({len(t.rewards)}), got shape "
-                             f"{values.shape}")
+            raise InvalidGame(f"values must hold one entry per reachable "
+                              f"history ({len(t.rewards)}), got shape "
+                              f"{values.shape}")
     else:
         values = t.rewards[:, player]
     own = game.stages_of(player)
@@ -107,7 +107,7 @@ def _weights(t, own, values, fixed):
     val = np.repeat(t.nature_probs, t.stride[0]) * values
     others = [i for i in range(t.game.num_stages) if i not in own]
     if others and fixed is None:
-        raise ValueError("fixed policies required for other players")
+        raise InvalidGame("fixed policies required for other players")
     mx = t.map_index(fixed.info) if others else None
     for i in others:
         played = t.stage_matrix(fixed, i).reshape(-1)[t.cells(mx, i)]

@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cfr import PenaltySchedule, SolverLoop
-from .core import InformationMap, ProductGame
-from .engine import scaled
-from .errors import EnumerationTooLarge
+from .core import InformationMap, ProductGame, check_player
+from .errors import EnumerationTooLarge, InvalidGame, InvalidSolver
 from .games import best_response_value
 
 
@@ -34,13 +33,14 @@ class PhRun(SolverLoop):
                  seed=0, randomize_init: bool = False,
                  mode: str = "exact", player: int = 0,
                  keep_history: bool = True):
+        check_player(game, player)
+        if game.stages_of(player) != tuple(range(game.num_stages)):
+            raise InvalidGame("progressive hiding runs on team games where "
+                              "one player owns every stage")
         super().__init__(game, coarse, fine, schedule or PenaltySchedule(),
                          learner=learner, eta=eta, seed=seed,
                          randomize_init=randomize_init, mode=mode,
                          player=player)
-        if game.stages_of(player) != tuple(range(game.num_stages)):
-            raise NotImplementedError("progressive hiding runs on team games "
-                                      "where one player owns every stage")
         self.penalty_sums = {
             i: np.zeros((self.R * len(self.t.labels[self.mc][i]),
                          game.stage_actions[i]))
@@ -49,10 +49,11 @@ class PhRun(SolverLoop):
     def _record(self, mats, gam, pen, lam):
         super()._record(mats, gam, pen, lam)
         if self.penalty_sums is not None:
-            for i in self.stages:
+            for i in self.stages:  # repeat r's rows times lam[r]
                 G = gam[i]
                 sq = np.sum(G * G, axis=1, keepdims=True)
-                self.penalty_sums[i] += scaled(lam, 1.0 - 2.0 * G + sq)
+                S = self.penalty_sums[i].reshape(self.R, -1)
+                S += lam[:, None] * (1.0 - 2.0 * G + sq).reshape(self.R, -1)
 
 
 def run_ph(game: ProductGame, coarse: InformationMap, fine: InformationMap,
@@ -77,7 +78,7 @@ def regret_report(run: PhRun, *, cap: int = 2_000_000) -> dict:
     run._single("regret_report")
     T = run.iteration
     if T == 0:
-        raise ValueError("run has no iterations")
+        raise InvalidSolver("run has no iterations")
     t = run.t
     acc = run.accounting
     local = acc.local_regrets(T)

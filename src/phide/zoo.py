@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 
 from .core import InformationMap, ProductGame
+from .errors import InvalidGame
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,8 @@ class MatchingPenniesSpec:
 
     def __post_init__(self):
         if not self.payoff_mismatch < self.payoff_pass < self.payoff_match:
-            raise ValueError("need payoff_mismatch < payoff_pass < payoff_match")
+            raise InvalidGame("need payoff_mismatch < payoff_pass < "
+                              "payoff_match")
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,7 @@ class TradeCommSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise ValueError("item and message counts must be >= 1")
+            raise InvalidGame("item and message counts must be >= 1")
 
 
 def build_matching_pennies(spec: MatchingPenniesSpec = None):

@@ -309,3 +309,36 @@ def test_clash_on_zero_weight_prefixes_solves_at_the_root():
     assert not has_perfect_recall(g, forgetful, 0)
     v = best_response_value(g, forgetful, 0, values=values, cap=0)
     assert v == _brute_force(t, forgetful, None, values) == 0.5
+
+
+def test_check_well_posed_of_a_randomized_profile_is_typed():
+    g, maps = build_matching_pennies()
+    with pytest.raises(InvalidGame, match="^check_well_posed needs a "
+                                          "deterministic profile$"):
+        check_well_posed(g, maps["original"],
+                         uniform_policy(g, maps["original"]))
+
+
+def two_player_game():
+    """Player 0 matches Nature at stage 0; player 1 moves at stage 1."""
+    g = ProductGame(nature=((0,), (1,)), nature_probs=(0.5, 0.5),
+                    player_of_stage=(0, 1), stage_actions=(2, 2),
+                    reward_fn=lambda w, a: (float(a[0] == w[0]),) * 2,
+                    num_players=2)
+    return g, InformationMap([[("nature", 0)], [("action", 0)]])
+
+
+def test_best_response_values_of_the_wrong_shape_are_typed():
+    g, info = two_player_game()
+    fixed = uniform_policy(g, info)
+    with pytest.raises(InvalidGame, match=re.escape(
+            "values must hold one entry per reachable history (8), got "
+            "shape (7,)")):
+        best_response_value(g, info, 0, fixed, values=np.zeros(7))
+
+
+def test_best_response_without_a_fixed_policy_is_typed():
+    g, info = two_player_game()
+    with pytest.raises(InvalidGame, match="^fixed policies required for "
+                                          "other players$"):
+        best_response_value(g, info, 0)

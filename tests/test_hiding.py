@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phide.cfr import CfrRun, run_cfr
-from phide.core import uniform_policy
+from phide.core import InformationMap, ProductGame, uniform_policy
 from phide.engine import tables_for
-from phide.errors import BatchedRun
+from phide.errors import BatchedRun, InvalidGame, InvalidSolver
 from phide.hiding import PenaltySchedule, PhRun, regret_report, run_ph
 from phide.infomaps import is_implementable
-from phide.zoo import TradeCommSpec, build_matching_pennies, build_trade_comm
+from phide.learners import KINDS
+from phide.zoo import (TradeCommSpec, build_matching_pennies,
+                       build_trade_comm, random_game)
 
 from per_history import hist_labels
 from test_api_surface import traced_objects
@@ -89,6 +92,25 @@ def test_reduction_to_cfr_bitwise():
                     assert cfr.trace[key] == ph7.trace[key], key
                 assert ph7.trace["penalty_mass"] == [0.0] * 40
                 assert ph7.trace["lambda"] == [0.7] * 40
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 399), mode=st.sampled_from(["exact", "mc"]),
+       repeats=st.sampled_from([1, 2]), learner=st.sampled_from(KINDS))
+def test_reduction_to_cfr_bitwise_on_random_games(seed, mode, repeats,
+                                                  learner):
+    # PH to the coarse map itself at weight 0 is CFR, iterate by iterate
+    game, coarse, _ = random_game(seed)
+    kw = dict(seed=seed if repeats == 1 else [seed, seed + 1], mode=mode,
+              learner=learner, randomize_init=True)
+    cfr = CfrRun(game, coarse, **kw)
+    ph = PhRun(game, coarse, coarse, schedule=PenaltySchedule("constant", 0.0),
+               **kw)
+    for _ in range(8):
+        a, b = cfr.iterate(), ph.iterate()
+        assert len(a) == len(b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert cfr.traces == ph.traces
 
 
 def test_cfr_and_ph_share_one_trace_schema():
@@ -262,3 +284,21 @@ def test_regret_report_of_a_batched_run_raises():
         regret_report(run)
     with pytest.raises(BatchedRun, match="^projected_policy .* 2 repeats"):
         run.projected_policy()
+
+
+def test_regret_report_of_no_iterations_is_typed():
+    g, m = build_matching_pennies()
+    with pytest.raises(InvalidSolver, match="^run has no iterations$"):
+        regret_report(PhRun(g, m["original"], m["relaxed"]))
+
+
+def test_ph_on_a_game_that_is_not_a_team_game_raises_before_building():
+    g = ProductGame(nature=((0,), (1,)), nature_probs=(0.5, 0.5),
+                    player_of_stage=(0, 1), stage_actions=(2, 2),
+                    reward_fn=lambda w, a: (1.0, 1.0), num_players=2)
+    info = InformationMap([[("nature", 0)], [("action", 0)]])
+    with pytest.raises(InvalidGame, match="^progressive hiding runs on team "
+                                          "games where one player owns "
+                                          "every stage$"):
+        PhRun(g, info, info)
+    assert not hasattr(g, "_tables")  # no Tables built, so no loop either

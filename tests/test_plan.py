@@ -59,7 +59,7 @@ def library_calls(fn) -> int:
 @pytest.mark.parametrize("shape", sorted(CALLS_BEFORE_PLAN))
 def test_a_warm_iterate_makes_half_the_calls(shape, R):
     loop = criterion_7_loop(shape, 7 if R == 1 else [7, 8])
-    loop.iterate()  # warm: the plan's workspace views are fetched
+    loop.iterate()  # warm: the loop's workspace views are built
     assert library_calls(loop.iterate) <= CALLS_BEFORE_PLAN[shape][R - 1] // 2
 
 

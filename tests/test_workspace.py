@@ -1,6 +1,6 @@
-"""The solver loop's workspace: buffers lent by ``engine.Tables`` are shared
-by every loop on a game, live inside one step, and nothing a loop hands
-out aliases one."""
+"""The solver loop's workspace: each loop owns its buffers, so loops on one
+game share no memory; a buffer's contents live inside one step, and
+nothing a loop hands out aliases one."""
 
 import tracemalloc
 
@@ -88,3 +88,42 @@ def test_one_iterate_allocates_less_than_four_history_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n * 8
+
+
+def buffer_views(loop) -> list:
+    """Every view of a workspace buffer that ``loop`` has built, of either
+    kind of step (the views of the loop's prefix arrays left out)."""
+    out, todo = [], [getattr(v, name) for v in loop._views.values()
+                     for name in type(v).__slots__ if hasattr(v, name)]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            if any(np.shares_memory(x, b) for b in loop._work.values()):
+                out.append(x)
+        elif isinstance(x, (list, tuple)):
+            todo += x
+    return out
+
+
+def test_loops_on_one_game_share_no_memory():
+    game, maps = build_trade_comm(TradeCommSpec(3, 2))
+    loops = make_loops(game, maps)
+    for loop in loops:
+        loop.iterate()
+        loop._step(loop.current_mats(), 1.0)  # the exact views of mc, too
+    views = [buffer_views(loop) for loop in loops]
+    assert all(len(v) > 10 for v in views)
+    for k, mine in enumerate(views):
+        for theirs in views[k + 1:]:
+            for a in mine:
+                assert not any(np.shares_memory(a, b) for b in theirs), k
+    for k, loop in enumerate(loops):
+        if loop.fine is loop.coarse:
+            continue
+        _, pen, _ = loop._step(loop.current_mats(), 1.0)
+        kept = {i: p.copy() for i, p in pen.items()}
+        for other in loops[:k] + loops[k + 1:]:
+            other.iterate()
+            other._step(other.current_mats(), 1.0)
+        for i, p in pen.items():
+            assert np.array_equal(p, kept[i]), (k, i)

@@ -3,6 +3,7 @@ import pytest
 
 from phide.core import enumerate_reachable, uniform_policy
 from phide.engine import tables_for
+from phide.errors import InvalidGame
 from phide.games import best_response_value
 from phide.infomaps import is_finer
 from phide.zoo import (MatchingPenniesSpec, TradeCommSpec,
@@ -95,3 +96,16 @@ def test_uniform_value_trade_comm():
     v = t.expected_reward(uniform_policy(g, m["original"]))
     # both trades must match exactly: (1/4) * (1/4) chance
     assert abs(v - 1.0 / 16) < 1e-12
+
+
+def test_matching_pennies_spec_error_is_typed():
+    with pytest.raises(InvalidGame, match="^need payoff_mismatch < "
+                                          "payoff_pass < payoff_match$"):
+        MatchingPenniesSpec(payoff_pass=1.5)
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 0)])
+def test_trade_comm_spec_error_is_typed(n, m):
+    with pytest.raises(InvalidGame, match="^item and message counts must "
+                                          "be >= 1$"):
+        TradeCommSpec(n, m)
